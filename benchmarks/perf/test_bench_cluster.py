@@ -10,8 +10,8 @@ wall-clock budget the fast path exists to meet:
 * every engine comparison in the report is bit-identical,
 * the fast engine beats the reference engine cold,
 * the 100k-job scale row dispatches in tens of seconds cold and
-  replays from the mix cache in single-digit seconds (asserted with
-  slack for CI machine noise).
+  replays from the mix cache in under a second (asserted with slack
+  for CI machine noise).
 """
 
 from __future__ import annotations
@@ -91,14 +91,15 @@ def test_fast_engine_not_slower(cluster_report):
 def test_scale_row_wall_clock(cluster_report):
     """The headline claim: 1000 nodes / 100k jobs in seconds.
 
-    Budgets carry ~4x slack over measured times (cold ~18s, warm ~9s on
-    the pinned matrix) so only a real perf regression trips them.
+    Budgets carry ~4x slack over measured times (cold ~18s, warm ~0.6s
+    on the pinned matrix: key + columnar entry load, no dispatch) so
+    only a real perf regression trips them.
     """
     totals = cluster_report.totals()
     assert totals["scale_jobs"] == DEFAULT_SCALE_JOBS
     assert totals["scale_nodes"] == DEFAULT_SCALE_NODES
     assert totals["scale_fast_seconds"] < 75.0, totals
-    assert totals["scale_warm_seconds"] < 40.0, totals
+    assert totals["scale_warm_seconds"] < 2.5, totals
     assert totals["scale_jobs_per_sec"] >= 1000, totals
 
 

@@ -683,14 +683,47 @@ class MixOutcome:
     failed_jobs: tuple[str, ...] = ()
     #: jobs never dispatched because an upstream dependency failed
     cancelled_jobs: tuple[str, ...] = ()
-    #: the delivered control-plane event log (empty under engine="legacy")
-    events: tuple = ()
+    #: the delivered control-plane event log (empty under engine="legacy");
+    #: a factory rather than ``()`` so the class carries no ``events``
+    #: attribute that would shadow a deferred one (see :meth:`deferred`)
+    events: tuple = field(default_factory=tuple)
+
+    @classmethod
+    def deferred(cls, *, task_intervals, events, **fields) -> MixOutcome:
+        """An outcome whose ``task_intervals`` and ``events`` are
+        zero-argument decoders, each run the first time its field is read.
+
+        The mix cache's warm path: ``run_mix``, ``MixResult`` and the
+        ``mix`` table read neither field, and rebuilding them costs more
+        than everything else in a cached entry.  Once read (``==`` and
+        ``repr`` read both) the outcome is an ordinary one.
+        """
+        outcome = cls(task_intervals=None, events=None, **fields)
+        for name, decode in (("task_intervals", task_intervals), ("events", events)):
+            delattr(outcome, name)
+            outcome.__dict__["_deferred_" + name] = decode
+        return outcome
+
+    def __getattr__(self, name: str):
+        # Only reached when *name* is not set: a deferred field's first read.
+        decode = self.__dict__.pop("_deferred_" + name, None)
+        if decode is None:
+            raise AttributeError(name)
+        value = decode()
+        setattr(self, name, value)
+        return value
 
     def report(self, job_id: str) -> JobReport:
-        for report in self.reports:
-            if report.job_id == job_id:
-                return report
-        raise KeyError(job_id)
+        # run_mix looks up every stage of every trace job: index once
+        # (first report wins, as the scan it replaces) instead of
+        # rescanning, and rebuild if reports were added since.
+        index = self.__dict__.get("_report_index")
+        if index is None or len(index) != len(self.reports):
+            index = {}
+            for report in self.reports:
+                index.setdefault(report.job_id, report)
+            self.__dict__["_report_index"] = index
+        return index[job_id]
 
     def occupancy_series(
         self, node: str | None = None

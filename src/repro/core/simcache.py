@@ -39,6 +39,10 @@ source module (:func:`cluster_code_version`).  The fast/reference
 bit-identical by contract (``repro.perf.clusterpath``) — while anything
 that changes the outcome's bytes is included.  ``REPRO_MIX_CACHE=0``
 (or ``--no-mix-cache``) disables it independently of the uarch cache.
+A mix entry is one columnar binary file, ``mix/<key[:2]>/<key>.mix``
+(layout at "mix entry codec" below and in ``docs/performance.md``): a
+day-long trace is tens of thousands of reports, and a hit should cost
+what rebuilding them costs, not what parsing their JSON would.
 """
 
 from __future__ import annotations
@@ -46,9 +50,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import marshal
 import os
 import shutil
+import struct
+import sys
 import tempfile
+from array import array
+from itertools import accumulate, chain
+from operator import attrgetter
 from pathlib import Path
 
 from repro.uarch.config import MachineConfig
@@ -242,6 +252,12 @@ class SimCache:
 
 # -- mix-level cache (cluster layer) ----------------------------------------
 
+#: Version of the mix entry codec (:func:`store_mix`), folded into every
+#: mix key: bump it whenever the on-disk layout changes and entries
+#: written by the previous codec become unreachable — there is no reader
+#: for old layouts.  (1 was the JSON entry, keyed by ``SCHEMA_VERSION``.)
+MIX_SCHEMA_VERSION = 2
+
 #: Modules whose source bytes define a mix's outcome.  Any edit to one of
 #: these produces a new cluster code version and a cold mix cache.
 _CLUSTER_VERSIONED_MODULES = (
@@ -342,37 +358,38 @@ def _cluster_fingerprint(cluster) -> dict:
     }
 
 
-def _submissions_fingerprint(jobs) -> list:
-    """The submitted trace: job identity, arrival, dependency edges and
-    every task's resource demands, in submission (seq) order."""
-    subs = []
-    for job in jobs:
-        work = job.work
-        subs.append(
-            [
-                job.job_id,
-                work.name,
-                job.user,
-                job.pool,
-                job.arrival_s,
-                job.depends_on.job_id if job.depends_on is not None else None,
-                [
-                    [
-                        m.input_bytes,
-                        m.cpu_seconds,
-                        m.output_bytes,
-                        list(m.preferred_nodes),
-                        list(m.split) if m.split is not None else None,
-                    ]
-                    for m in work.maps
-                ],
-                [
-                    [r.shuffle_bytes, r.cpu_seconds, r.output_bytes]
-                    for r in work.reduces
-                ],
-            ]
-        )
-    return subs
+_map_demands = attrgetter(
+    "input_bytes", "cpu_seconds", "output_bytes", "preferred_nodes", "split"
+)
+_reduce_demands = attrgetter("shuffle_bytes", "cpu_seconds", "output_bytes")
+
+
+def _submission_record(job) -> bytes:
+    """One submitted job, exactly: identity, arrival, dependency edge and
+    every task's resource demands.
+
+    ``marshal`` format 2 is a pure function of the value (binary floats,
+    no back-references, no interning flags), so two records are equal
+    only if every field is — to the last bit of a float and the order of
+    a placement hint.  A demand of a type it refuses falls back to
+    ``repr``, which can only turn a would-be hit into a miss.
+    """
+    work = job.work
+    upstream = job.depends_on
+    record = (
+        job.job_id,
+        work.name,
+        job.user,
+        job.pool,
+        job.arrival_s,
+        upstream and upstream.job_id,
+        list(map(_map_demands, work.maps)),
+        list(map(_reduce_demands, work.reduces)),
+    )
+    try:
+        return marshal.dumps(record, 2)
+    except ValueError:
+        return repr(record).encode()
 
 
 def mix_cache_key(multi, run_engine: str = "events") -> str:
@@ -384,19 +401,26 @@ def mix_cache_key(multi, run_engine: str = "events") -> str:
     ("events" vs "legacy") **is** keyed: it decides whether the outcome
     carries an event log.  So is the observability mode, which decides
     which per-node rates a timeline reports.
+
+    The few small parts go in as one canonical JSON document; the
+    submissions — all of a day-long trace's bulk — are streamed into the
+    digest one record per job, in submission (seq) order, without ever
+    building the trace-sized document.
     """
     payload = {
-        "schema": SCHEMA_VERSION,
+        "schema": MIX_SCHEMA_VERSION,
         "code": cluster_code_version(),
         "run_engine": run_engine,
         "observability": multi.observability,
         "scheduler": multi.scheduler.describe(),
         "plan": dataclasses.asdict(multi.plan) if multi.plan is not None else None,
         "cluster": _cluster_fingerprint(multi.cluster),
-        "jobs": _submissions_fingerprint(multi.jobs),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    digest = hashlib.sha256(canonical.encode())
+    for job in multi.jobs:
+        digest.update(_submission_record(job))
+    return digest.hexdigest()
 
 
 def _timeline_to_payload(timeline) -> list | None:
@@ -418,35 +442,14 @@ def _timeline_to_payload(timeline) -> list | None:
     ]
 
 
-def _timeline_from_payload(data):
-    if data is None:
-        return None
-    from repro.cluster.cluster import JobTimeline
-
-    return JobTimeline(
-        job_name=data[0],
-        start_s=data[1],
-        map_phase_end_s=data[2],
-        end_s=data[3],
-        map_tasks=data[4],
-        reduce_tasks=data[5],
-        disk_writes_per_second={name: rate for name, rate in data[6]},
-        network_bytes=data[7],
-        maps_node_local=data[8],
-        maps_rack_local=data[9],
-        maps_off_rack=data[10],
-        node_racks={name: rack for name, rack in data[11]},
-    )
-
-
 def mix_outcome_payload(outcome) -> dict:
-    """Compact list-based serialization — ``dataclasses.asdict`` walks
-    every nested field generically and is far too slow at 100k reports.
-
-    Also the canonical *comparison form* for bit-identity checks: every
+    """The canonical *comparison form* for bit-identity checks: every
     outcome field is represented, dicts are key-normalized, and
     :class:`Event` rows carry all fields (the dataclass's own ``__eq__``
-    compares only ``(priority, seq)``)."""
+    compares only ``(priority, seq)``).  Compact and list-based —
+    ``dataclasses.asdict`` walks every nested field generically and is
+    far too slow at 100k reports.  Not the on-disk form: entries are
+    columnar (:func:`store_mix`)."""
     return {
         "scheduler": outcome.scheduler,
         "end_s": outcome.end_s,
@@ -486,7 +489,215 @@ def mix_outcome_payload(outcome) -> dict:
     }
 
 
-def _mix_outcome_from_payload(data):
+# -- mix entry codec ----------------------------------------------------------
+#
+# One file per outcome:
+#
+#   prefix   magic (8 bytes) + header length (uint32)
+#   header   JSON: the outcome's scalars and fault accounting, one string
+#            table, the tables rows point into (rate key sets, rack maps,
+#            interval kinds, event shapes) and the section directory
+#            [name, typecode, offset, count] of every column
+#   columns  raw little-endian ``array`` bytes, one section per field of
+#            the JobReport / JobTimeline / TaskInterval / Event rows;
+#            strings are indices into the table, floats IEEE doubles
+#   trailer  body length (uint64) + SHA-256 of everything before it
+
+_MIX_MAGIC = b"REPROMIX"
+_MIX_PREFIX = struct.Struct("<8sI")
+_MIX_TRAILER = struct.Struct("<Q32s")
+
+#: ``job_flags`` bits: which of a report's nullable fields are present
+#: (all absent for a failed or cancelled job).  A validity column, not a
+#: NaN sentinel: no float value is reserved.
+_HAS_LAUNCH, _HAS_FINISH, _HAS_TIMELINE = 1, 2, 4
+
+_REPORT_FIELDS = (
+    "job_id", "name", "user", "pool", "arrival_s", "first_launch_s",
+    "finished_s", "preempted", "timeline", "status",
+)
+_TIMELINE_FIELDS = (
+    "job_name", "start_s", "map_phase_end_s", "end_s", "map_tasks",
+    "reduce_tasks", "disk_writes_per_second", "network_bytes",
+    "maps_node_local", "maps_rack_local", "maps_off_rack", "node_racks",
+)
+_INTERVAL_FIELDS = ("kind", "job_id", "node", "start_s", "end_s")
+_EVENT_FIELDS = ("priority", "seq", "type", "time_s", "payload")
+
+
+def _transpose(rows, fields: tuple[str, ...]) -> list[list]:
+    """Rows of objects → one list per field."""
+    return [list(map(attrgetter(name), rows)) for name in fields]
+
+
+def _little_endian(column: array) -> array:
+    if sys.byteorder == "big":
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column
+
+
+def _scalar_code(value) -> str:
+    """Which value column an event payload entry goes to (the event bus
+    admits exactly these scalars)."""
+    if isinstance(value, str):
+        return "s"
+    if isinstance(value, float):
+        return "f"
+    if value is None:
+        return "n"
+    if isinstance(value, bool):
+        return "b"
+    if isinstance(value, int):
+        return "i"
+    raise TypeError(f"event payload value {value!r} is not a plain scalar")
+
+
+def _encode_mix(outcome) -> bytes:
+    (job_ids, job_names, users, pools, arrivals, launches, finishes,
+     preempted, timelines, statuses) = _transpose(outcome.reports, _REPORT_FIELDS)
+    flags = [
+        (first is not None) * _HAS_LAUNCH
+        + (done is not None) * _HAS_FINISH
+        + (timeline is not None) * _HAS_TIMELINE
+        for first, done, timeline in zip(launches, finishes, timelines)
+    ]
+    (tl_names, starts, map_ends, ends, map_tasks, reduce_tasks, writes, net_bytes,
+     node_local, rack_local, off_rack, racks) = _transpose(
+        [timeline for timeline in timelines if timeline is not None],
+        _TIMELINE_FIELDS,
+    )
+    # Per-node write rates, CSR style: the distinct node-name tuples once
+    # each, then per timeline a key-set index and a run of rates.
+    keysets = {}
+    keyset_ids = [keysets.setdefault(tuple(rates), len(keysets)) for rates in writes]
+    rate_offsets = array("q", [0])
+    rate_offsets.extend(accumulate(map(len, writes)))
+    rack_maps = {}
+    rack_ids = [
+        rack_maps.setdefault(tuple(mapping.items()), len(rack_maps))
+        for mapping in racks
+    ]
+    kinds, iv_jobs, iv_nodes, iv_starts, iv_ends = _transpose(
+        outcome.task_intervals, _INTERVAL_FIELDS
+    )
+    kind_ids = {kind: index for index, kind in enumerate(dict.fromkeys(kinds))}
+    priorities, seqs, types, times, payloads = _transpose(
+        outcome.events, _EVENT_FIELDS
+    )
+    # Event payloads: the distinct (type, keys, value kinds) shapes once
+    # each; values appended, in row order, to one column per kind.
+    shapes = {}
+    shape_ids = []
+    ev_texts, ev_floats, ev_ints = [], [], []
+    sinks = {
+        "s": ev_texts.append, "f": ev_floats.append,
+        "i": ev_ints.append, "b": ev_ints.append,
+    }
+    for event_type, payload in zip(types, payloads):
+        codes = "".join(map(_scalar_code, payload.values()))
+        shape_ids.append(
+            shapes.setdefault((event_type, codes, *payload), len(shapes))
+        )
+        for code, value in zip(codes, payload.values()):
+            if code != "n":
+                sinks[code](value)
+
+    strings = list(
+        dict.fromkeys(
+            chain(job_ids, job_names, users, pools, statuses, tl_names, iv_jobs,
+                  iv_nodes, ev_texts, chain.from_iterable(keysets))
+        )
+    )
+    text_ids = dict(zip(strings, range(len(strings)))).__getitem__
+
+    def texts(values) -> array:
+        return array("i", map(text_ids, values))
+
+    columns = {
+        "job_id": texts(job_ids),
+        "job_name": texts(job_names),
+        "job_user": texts(users),
+        "job_pool": texts(pools),
+        "job_arrival": array("d", arrivals),
+        "job_launch": array("d", [0.0 if v is None else v for v in launches]),
+        "job_finish": array("d", [0.0 if v is None else v for v in finishes]),
+        "job_preempted": array("i", preempted),
+        "job_status": texts(statuses),
+        "job_flags": array("b", flags),
+        "tl_name": texts(tl_names),
+        "tl_start": array("d", starts),
+        "tl_map_end": array("d", map_ends),
+        "tl_end": array("d", ends),
+        "tl_map_tasks": array("i", map_tasks),
+        "tl_reduce_tasks": array("i", reduce_tasks),
+        "tl_keyset": array("i", keyset_ids),
+        "tl_rate_offsets": rate_offsets,
+        "tl_rates": array(
+            "d", chain.from_iterable(rates.values() for rates in writes)
+        ),
+        "tl_network_bytes": array("q", net_bytes),
+        "tl_node_local": array("i", node_local),
+        "tl_rack_local": array("i", rack_local),
+        "tl_off_rack": array("i", off_rack),
+        "tl_rack_map": array("i", rack_ids),
+        "iv_kind": array("b", map(kind_ids.__getitem__, kinds)),
+        "iv_job": texts(iv_jobs),
+        "iv_node": texts(iv_nodes),
+        "iv_start": array("d", iv_starts),
+        "iv_end": array("d", iv_ends),
+        "ev_priority": array("i", priorities),
+        "ev_seq": array("q", seqs),
+        "ev_shape": array("i", shape_ids),
+        "ev_time": array("d", times),
+        "ev_text": texts(ev_texts),
+        "ev_float": array("d", ev_floats),
+        "ev_int": array("q", ev_ints),
+    }
+    sections = []
+    offset = 0
+    for name, column in columns.items():
+        sections.append([name, column.typecode, offset, len(column)])
+        offset += len(column) * column.itemsize
+    accounting = outcome.fault_accounting
+    header = json.dumps(
+        {
+            "scheduler": outcome.scheduler,
+            "end_s": outcome.end_s,
+            "preemptions": outcome.preemptions,
+            "preemption_wasted_s": outcome.preemption_wasted_s,
+            "fenced_attempts": outcome.fenced_attempts,
+            "failed_jobs": outcome.failed_jobs,
+            "cancelled_jobs": outcome.cancelled_jobs,
+            "fault_accounting": (
+                dataclasses.asdict(accounting) if accounting is not None else None
+            ),
+            "strings": strings,
+            "rate_keysets": [list(map(text_ids, keys)) for keys in keysets],
+            "rack_maps": list(rack_maps),
+            "interval_kinds": list(kind_ids),
+            "event_shapes": [
+                [event_type, codes, keys] for event_type, codes, *keys in shapes
+            ],
+            "sections": sections,
+        },
+        separators=(",", ":"),
+    ).encode()
+    body = b"".join(
+        [
+            _MIX_PREFIX.pack(_MIX_MAGIC, len(header)),
+            header,
+            *(_little_endian(column).tobytes() for column in columns.values()),
+        ]
+    )
+    return body + _MIX_TRAILER.pack(len(body), hashlib.sha256(body).digest())
+
+
+def _decode_mix(blob: bytes):
+    """Rebuild the outcome :func:`_encode_mix` wrote, or raise: a torn,
+    flipped or foreign file fails the magic / length / checksum test
+    before any of it is believed."""
+    from repro.cluster.cluster import JobTimeline
     from repro.cluster.eventbus import Event
     from repro.cluster.scheduler import (
         JobReport,
@@ -495,81 +706,163 @@ def _mix_outcome_from_payload(data):
         TaskInterval,
     )
 
-    accounting = data["fault_accounting"]
+    body_len = len(blob) - _MIX_TRAILER.size
+    if body_len < _MIX_PREFIX.size:
+        raise ValueError("truncated mix entry")
+    magic, header_len = _MIX_PREFIX.unpack_from(blob)
+    length, checksum = _MIX_TRAILER.unpack_from(blob, body_len)
+    body = memoryview(blob)[:body_len]
+    if (
+        magic != _MIX_MAGIC
+        or length != body_len
+        or hashlib.sha256(body).digest() != checksum
+    ):
+        raise ValueError("not an intact mix entry")
+    data = body[_MIX_PREFIX.size + header_len :]
+    header = json.loads(blob[_MIX_PREFIX.size : _MIX_PREFIX.size + header_len])
+    columns = {}
+    for name, typecode, offset, count in header["sections"]:
+        column = array(typecode)
+        size = count * column.itemsize
+        if offset < 0 or offset + size > len(data):
+            raise ValueError(f"section {name} lies outside the entry")
+        column.frombytes(data[offset : offset + size])
+        columns[name] = _little_endian(column)
+
+    def rows(*names) -> list[array]:
+        """The columns of one row type; ``map`` over them would silently
+        stop at the shortest, so they must agree in length."""
+        section = [columns[name] for name in names]
+        if len({len(column) for column in section}) > 1:
+            raise ValueError(f"ragged columns {names}")
+        return section
+
+    text = header["strings"].__getitem__
+    (tl_names, starts, map_ends, ends, map_tasks, reduce_tasks, keyset_ids,
+     net_bytes, node_local, rack_local, off_rack, rack_ids) = rows(
+        "tl_name", "tl_start", "tl_map_end", "tl_end", "tl_map_tasks",
+        "tl_reduce_tasks", "tl_keyset", "tl_network_bytes", "tl_node_local",
+        "tl_rack_local", "tl_off_rack", "tl_rack_map",
+    )
+    keysets = [tuple(map(text, keys)) for keys in header["rate_keysets"]]
+    rates = columns["tl_rates"]
+    offsets = columns["tl_rate_offsets"]
+    if len(offsets) != len(tl_names) + 1 or offsets[-1] != len(rates):
+        raise ValueError("rate offsets do not cover the rates column")
+    writes = [
+        dict(zip(keysets[keys], rates[start:end]))
+        for keys, start, end in zip(keyset_ids, offsets, offsets[1:])
+    ]
+    rack_maps = header["rack_maps"]
+    timelines = map(
+        JobTimeline, map(text, tl_names), starts, map_ends, ends, map_tasks,
+        reduce_tasks, writes, net_bytes, node_local, rack_local, off_rack,
+        map(dict, map(rack_maps.__getitem__, rack_ids)),
+    )
+    (job_ids, job_names, users, pools, arrivals, launches, finishes,
+     preempted, statuses, flags) = rows(
+        "job_id", "job_name", "job_user", "job_pool", "job_arrival",
+        "job_launch", "job_finish", "job_preempted", "job_status", "job_flags",
+    )
+    if sum(1 for flag in flags if flag & _HAS_TIMELINE) != len(tl_names):
+        raise ValueError("timeline rows do not match the reports that have one")
+    reports = list(
+        map(
+            JobReport,
+            map(text, job_ids), map(text, job_names), map(text, users),
+            map(text, pools), arrivals,
+            [v if f & _HAS_LAUNCH else None for v, f in zip(launches, flags)],
+            [v if f & _HAS_FINISH else None for v, f in zip(finishes, flags)],
+            preempted,
+            [next(timelines) if f & _HAS_TIMELINE else None for f in flags],
+            map(text, statuses),
+        )
+    )
+
+    kinds = header["interval_kinds"]
+    iv_kinds, iv_jobs, iv_nodes, iv_starts, iv_ends = rows(
+        "iv_kind", "iv_job", "iv_node", "iv_start", "iv_end"
+    )
+
+    def task_intervals() -> list:
+        return list(
+            map(
+                TaskInterval, map(kinds.__getitem__, iv_kinds), map(text, iv_jobs),
+                map(text, iv_nodes), iv_starts, iv_ends,
+            )
+        )
+
+    shapes = header["event_shapes"]
+    event_rows = rows("ev_priority", "ev_seq", "ev_shape", "ev_time")
+    # Bound here, not inside the decoder: a closure over ``columns``
+    # would keep every other section alive until the events are read.
+    text_values, float_values, int_values = (
+        columns["ev_text"], columns["ev_float"], columns["ev_int"]
+    )
+
+    def events() -> tuple:
+        ev_texts = map(text, text_values)
+        ev_floats = iter(float_values)
+        ev_ints = iter(int_values)
+        readers = {
+            "s": ev_texts.__next__,
+            "f": ev_floats.__next__,
+            "i": ev_ints.__next__,
+            "b": lambda: bool(next(ev_ints)),
+            "n": lambda: None,
+        }
+        plans = [
+            (event_type, [(key, readers[code]) for key, code in zip(keys, codes)])
+            for event_type, codes, keys in shapes
+        ]
+        log = []
+        for priority, seq, shape, time_s in zip(*event_rows):
+            event_type, fields = plans[shape]
+            payload = {key: read() for key, read in fields}
+            log.append(Event(priority, seq, event_type, time_s, payload))
+        return tuple(log)
+
+    accounting = header["fault_accounting"]
     if accounting is not None:
         accounting = MixFaultAccounting(
-            nodes_crashed=tuple(accounting["nodes_crashed"]),
-            partition_windows=accounting["partition_windows"],
-            limping_nodes=tuple(accounting["limping_nodes"]),
-            killed_attempts=accounting["killed_attempts"],
-            zombies_fenced=accounting["zombies_fenced"],
-            maps_reexecuted=accounting["maps_reexecuted"],
-            reduces_reexecuted=accounting["reduces_reexecuted"],
-            wasted_task_seconds=accounting["wasted_task_seconds"],
-            speculative_attempts=accounting["speculative_attempts"],
-            speculative_wins=accounting["speculative_wins"],
-            speculative_losers_fenced=accounting["speculative_losers_fenced"],
-            stragglers_detected=tuple(accounting["stragglers_detected"]),
+            **{
+                name: tuple(value) if isinstance(value, list) else value
+                for name, value in accounting.items()
+            }
         )
-    return MixOutcome(
-        scheduler=data["scheduler"],
-        reports=[
-            JobReport(
-                job_id=r[0],
-                name=r[1],
-                user=r[2],
-                pool=r[3],
-                arrival_s=r[4],
-                first_launch_s=r[5],
-                finished_s=r[6],
-                preempted=r[7],
-                timeline=_timeline_from_payload(r[8]),
-                status=r[9],
-            )
-            for r in data["reports"]
-        ],
-        end_s=data["end_s"],
-        preemptions=data["preemptions"],
-        preemption_wasted_s=data["preemption_wasted_s"],
-        task_intervals=[
-            TaskInterval(
-                kind=iv[0], job_id=iv[1], node=iv[2], start_s=iv[3], end_s=iv[4]
-            )
-            for iv in data["task_intervals"]
-        ],
+    return MixOutcome.deferred(
+        scheduler=header["scheduler"],
+        reports=reports,
+        end_s=header["end_s"],
+        preemptions=header["preemptions"],
+        preemption_wasted_s=header["preemption_wasted_s"],
+        task_intervals=task_intervals,
         fault_accounting=accounting,
-        fenced_attempts=data["fenced_attempts"],
-        failed_jobs=tuple(data["failed_jobs"]),
-        cancelled_jobs=tuple(data["cancelled_jobs"]),
-        events=tuple(
-            Event(
-                priority=e[0], seq=e[1], type=e[2], time_s=e[3], payload=e[4]
-            )
-            for e in data["events"]
-        ),
+        fenced_attempts=header["fenced_attempts"],
+        failed_jobs=tuple(header["failed_jobs"]),
+        cancelled_jobs=tuple(header["cancelled_jobs"]),
+        events=events,
     )
 
 
 def _mix_entry_path(root: Path, key: str) -> Path:
-    return root / "mix" / key[:2] / f"{key}.json"
+    return root / "mix" / key[:2] / f"{key}.mix"
 
 
 def load_mix(key: str, root: str | os.PathLike | None = None):
-    """Fetch a cached mix outcome by key, or None on miss/corruption."""
+    """Fetch a cached mix outcome by key, or None on miss/corruption.
+
+    One bulk read, one checksum pass, one ``frombytes`` per column.
+    Reports and timelines are rebuilt here; ``task_intervals`` and
+    ``events`` — most of the objects, read by occupancy analysis and the
+    event-log export but not by ``run_mix`` or the ``mix`` table — are
+    rebuilt from their (already validated) columns on first access.
+    """
     path = _mix_entry_path(cache_dir(root), key)
     try:
-        # One bulk binary read beats json.load's incremental text
-        # decoding; scale-row entries run to tens of megabytes.
-        payload = json.loads(path.read_bytes())
-    except (OSError, ValueError):
-        return None
-    data = payload.get("outcome")
-    if not isinstance(data, dict):
-        return None
-    try:
-        return _mix_outcome_from_payload(data)
-    except (KeyError, IndexError, TypeError):
-        # Shape mismatch from an entry written before a schema bump.
+        return _decode_mix(path.read_bytes())
+    except (OSError, ValueError, KeyError, IndexError, TypeError):
+        # Unreadable, damaged, or not this codec's shape: a miss.
         return None
 
 
@@ -577,15 +870,11 @@ def store_mix(key: str, outcome, root: str | os.PathLike | None = None) -> None:
     """Persist *outcome* under *key* atomically (tmp file + rename)."""
     path = _mix_entry_path(cache_dir(root), key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "code": cluster_code_version(),
-        "outcome": mix_outcome_payload(outcome),
-    }
+    entry = _encode_mix(outcome)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, separators=(",", ":"))
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(entry)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -600,7 +889,7 @@ def clear_mix(root: str | os.PathLike | None = None) -> int:
     mix_root = cache_dir(root) / "mix"
     if not mix_root.exists():
         return 0
-    count = sum(1 for _ in mix_root.rglob("*.json"))
+    count = sum(1 for _ in mix_root.rglob("*.mix"))
     shutil.rmtree(mix_root)
     return count
 

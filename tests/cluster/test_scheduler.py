@@ -431,8 +431,38 @@ class TestMixOutcome:
         outcome = self.outcome()
         assert [r.job_id for r in outcome.reports] == ["job-0000", "job-0001"]
         assert outcome.report("job-0001").pool == "ad-hoc"
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as missing:
             outcome.report("nope")
+        assert missing.value.args == ("nope",)
+
+    def test_lookups_do_not_rescan_the_reports(self):
+        """run_mix looks up every stage of every trace job: 5 000 lookups
+        on a 5 000-report outcome walk the list once, not 5 000 times."""
+        from repro.cluster.scheduler import JobReport, MixOutcome
+
+        class CountingList(list):
+            walks = 0
+
+            def __iter__(self):
+                CountingList.walks += 1
+                return super().__iter__()
+
+        reports = CountingList(
+            JobReport(f"job-{i:04d}", f"j{i}", "u", "p", float(i), None, None, 0, None)
+            for i in range(5000)
+        )
+        outcome = MixOutcome("fifo", reports, 0.0, 0, 0.0, [])
+        for i in reversed(range(5000)):
+            assert outcome.report(f"job-{i:04d}") is reports[i]
+        assert CountingList.walks == 1
+        with pytest.raises(KeyError):
+            outcome.report("job-5000")
+        # reports added later are found, and the first of a duplicated
+        # id still wins, as with the scan this replaced
+        late = JobReport("job-5000", "late", "u", "p", 0.0, None, None, 0, None)
+        reports.append(late)
+        reports.append(JobReport("job-5000", "dup", "u", "p", 0.0, None, None, 0, None))
+        assert outcome.report("job-5000") is late
 
     def test_wait_and_turnaround_are_consistent(self):
         outcome = self.outcome()

@@ -11,13 +11,18 @@ cluster layer.
 """
 
 import dataclasses
+import hashlib
+import json
+import math
 import os
 import random
+import struct
 
 import pytest
 
 from repro.core.characterize import characterize_suite, resolve_workers
 from repro.core.simcache import (
+    MIX_SCHEMA_VERSION,
     MixCache,
     SimCache,
     cache_enabled,
@@ -156,8 +161,25 @@ class TestSimCache:
         assert (tmp_path / "relocated" / "sim").exists()
 
 
-def build_small_mix(engine="reference", *, seed=0, plan=False, racks=1):
-    """A small deterministic mix on a fresh cluster, ready to run."""
+def mix_entry_path(root, key):
+    return root / "mix" / key[:2] / f"{key}.mix"
+
+
+def sealed_mix_entry(header, columns=b"", magic=b"REPROMIX"):
+    """A mix entry with a valid length + checksum trailer around an
+    arbitrary header and column area."""
+    head = json.dumps(header).encode()
+    body = struct.pack("<8sI", magic, len(head)) + head + columns
+    return body + struct.pack("<Q32s", len(body), hashlib.sha256(body).digest())
+
+
+def build_small_mix(
+    engine="reference", *, seed=0, plan=False, racks=1, tweak=lambda maps: maps
+):
+    """A small deterministic mix on a fresh cluster, ready to run.
+
+    *tweak* rewrites the first job's map list, for key-sensitivity cases.
+    """
     from repro.cluster.cluster import JobWork, MapWork, ReduceWork, make_cluster
     from repro.cluster.faults import FaultPlan
     from repro.cluster.scheduler import FifoScheduler, MultiJobCluster
@@ -179,7 +201,7 @@ def build_small_mix(engine="reference", *, seed=0, plan=False, racks=1):
             MapWork(1 << 12, rng.uniform(0.05, 0.3), 1 << 10) for _ in range(2)
         )
         multi.submit(
-            JobWork(name=f"j{i}", maps=maps, reduces=()),
+            JobWork(name=f"j{i}", maps=tweak(maps) if i == 0 else maps, reduces=()),
             arrival_s=i * 0.1,
             user=f"u{i % 2}",
         )
@@ -219,6 +241,38 @@ class TestMixCacheKey:
         )
         assert mix_cache_key(build_small_mix()) != base
 
+    def test_key_folds_in_mix_schema_version(self, monkeypatch):
+        # The entry codec is versioned by MIX_SCHEMA_VERSION alone (it is
+        # not one of the digested modules): a bump orphans every entry.
+        base = mix_cache_key(build_small_mix())
+        monkeypatch.setattr(
+            "repro.core.simcache.MIX_SCHEMA_VERSION", MIX_SCHEMA_VERSION + 1
+        )
+        assert mix_cache_key(build_small_mix()) != base
+
+    def test_last_bit_of_one_cpu_cost_changes_key(self):
+        def nudge(maps):
+            first = maps[0]
+            cost = math.nextafter(first.cpu_seconds, math.inf)
+            return (dataclasses.replace(first, cpu_seconds=cost),) + maps[1:]
+
+        assert mix_cache_key(build_small_mix(tweak=nudge)) != (
+            mix_cache_key(build_small_mix())
+        )
+
+    def test_placement_hint_order_changes_key(self):
+        def hinted(*nodes):
+            return lambda maps: (
+                dataclasses.replace(maps[0], preferred_nodes=nodes),
+            ) + maps[1:]
+
+        forward = mix_cache_key(build_small_mix(tweak=hinted("slave1", "slave2")))
+        backward = mix_cache_key(build_small_mix(tweak=hinted("slave2", "slave1")))
+        assert forward != backward
+        assert forward == mix_cache_key(
+            build_small_mix(tweak=hinted("slave1", "slave2"))
+        )
+
     def test_cluster_code_version_shape(self):
         version = cluster_code_version()
         assert len(version) == 16
@@ -241,16 +295,20 @@ class TestMixStore:
         multi = build_small_mix()
         key = mix_cache_key(multi)
         store_mix(key, multi.run(), tmp_path)
-        path = tmp_path / "mix" / key[:2] / f"{key}.json"
+        path = mix_entry_path(tmp_path, key)
+        assert path.is_file()
         path.write_text("{not json", encoding="utf-8")
         assert load_mix(key, tmp_path) is None
 
     def test_wrong_shape_entry_is_a_miss(self, tmp_path):
+        # Intact by magic, length and checksum, but not this codec's
+        # header: what a codec edit without a MIX_SCHEMA_VERSION bump
+        # would leave behind.
         multi = build_small_mix()
         key = mix_cache_key(multi)
         store_mix(key, multi.run(), tmp_path)
-        path = tmp_path / "mix" / key[:2] / f"{key}.json"
-        path.write_text('{"outcome": {"reports": 3}}', encoding="utf-8")
+        path = mix_entry_path(tmp_path, key)
+        path.write_bytes(sealed_mix_entry({"sections": [], "reports": 3}))
         assert load_mix(key, tmp_path) is None
 
     def test_clear_mix_counts_and_removes(self, tmp_path):
