@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from repro.cluster.cluster import HadoopCluster, JobTimeline, JobWork, MapWork, ReduceWork
 from repro.cluster.faults import FaultyCluster, FaultyTimeline
 from repro.mapreduce.counters import JobCounters
-from repro.mapreduce.io import DistributedInput, record_bytes, records_bytes
+from repro.mapreduce.io import (
+    DistributedInput,
+    even_split_ranges,
+    record_sizes,
+    records_bytes,
+    split_sums,
+)
 from repro.mapreduce.job import MapReduceJob
 
 
@@ -110,28 +116,41 @@ class LocalEngine:
         wire_ratio = conf.compression_ratio if conf.compress_map_output else 1.0
         codec_cost = conf.compression_cost_per_byte if conf.compress_map_output else 0.0
 
+        # Byte accounting is single-pass: each record is sized once, when
+        # it comes into being (input at put time, map output per split,
+        # reduce output per partition), and every counter and work figure
+        # below is a sum over those sizes.
+
         # ---- map phase (+ combine + partition) ----
+        partitioner = job.partitioner
         partitions: list[list[tuple[object, object]]] = [[] for _ in range(num_reduces)]
+        partition_bytes = [0] * num_reduces
         map_only_output: list[tuple[object, object]] = []
         map_works: list[MapWork] = []
         for split_index in range(dist.num_splits):
             records = dist.split(split_index)
-            out = self._run_map_split(job, records, counters)
-            split_output_bytes = records_bytes(out)
+            counters.map_input_records += len(records)
+            counters.map_input_bytes += dist.split_record_bytes(split_index)
+            out, out_sizes = self._run_map_split(job, records, counters)
+            split_output_bytes = sum(out_sizes)
             if num_reduces == 0:
                 map_only_output.extend(out)
+                counters.reduce_output_bytes += split_output_bytes
             else:
-                for key, value in out:
-                    partitions[job.partitioner(key, num_reduces)].append((key, value))
+                for record, size in zip(out, out_sizes):
+                    index = partitioner(record[0], num_reduces)
+                    partitions[index].append(record)
+                    partition_bytes[index] += size
             wire_bytes = int(split_output_bytes * wire_ratio)
             counters.spilled_records += len(out)
             counters.spilled_bytes += wire_bytes
+            input_bytes = dist.split_bytes(split_index)
             map_works.append(
                 MapWork(
-                    input_bytes=dist.split_bytes(split_index),
+                    input_bytes=input_bytes,
                     cpu_seconds=(
-                        len(records) * job.conf.map_cost_per_record
-                        + dist.split_bytes(split_index) * job.conf.map_cost_per_byte
+                        len(records) * conf.map_cost_per_record
+                        + input_bytes * conf.map_cost_per_byte
                         + split_output_bytes * codec_cost
                     ),
                     output_bytes=wire_bytes,
@@ -144,8 +163,7 @@ class LocalEngine:
         reducer_outputs: list[list[tuple[object, object]]] = []
         reduce_works: list[ReduceWork] = []
         if num_reduces:
-            for partition in partitions:
-                raw_bytes = records_bytes(partition)
+            for partition, raw_bytes in zip(partitions, partition_bytes):
                 shuffle_bytes = int(raw_bytes * wire_ratio)
                 counters.shuffle_bytes += shuffle_bytes
                 counters.reduce_shuffle_bytes.append(shuffle_bytes)
@@ -157,8 +175,8 @@ class LocalEngine:
                     ReduceWork(
                         shuffle_bytes=shuffle_bytes,
                         cpu_seconds=(
-                            len(partition) * job.conf.reduce_cost_per_record
-                            + raw_bytes * job.conf.reduce_cost_per_byte
+                            len(partition) * conf.reduce_cost_per_record
+                            + raw_bytes * conf.reduce_cost_per_byte
                             + raw_bytes * codec_cost  # decompression
                         ),
                         output_bytes=out_bytes,
@@ -167,7 +185,6 @@ class LocalEngine:
             output = [record for part in reducer_outputs for record in part]
         else:
             output = map_only_output
-            counters.reduce_output_bytes = records_bytes(output)
 
         work = JobWork(name=job.conf.name, maps=map_works, reduces=reduce_works)
         timeline = cluster.run_job(work) if cluster is not None else None
@@ -194,17 +211,19 @@ class LocalEngine:
         return _LocalChunks(records, self.default_splits)
 
     def _run_map_split(self, job, records, counters: JobCounters):
+        """Map (+ combine) one split: ``(records out, their sizes)``."""
         out: list[tuple[object, object]] = []
+        mapper = job.mapper
         for key, value in records:
-            counters.map_input_records += 1
-            counters.map_input_bytes += record_bytes(key, value)
-            for out_key, out_value in job.mapper(key, value):
+            for out_key, out_value in mapper(key, value):
                 out.append((out_key, out_value))
+        out_sizes = record_sizes(out)
         counters.map_output_records += len(out)
-        counters.map_output_bytes += records_bytes(out)
+        counters.map_output_bytes += sum(out_sizes)
         if job.combiner is not None and out:
             out = self._combine(job, out, counters)
-        return out
+            out_sizes = record_sizes(out)
+        return out, out_sizes
 
     def _combine(self, job, records, counters: JobCounters):
         counters.combine_input_records += len(records)
@@ -248,15 +267,18 @@ class _LocalChunks:
     def __init__(self, records, num_splits: int) -> None:
         self.records = records
         self.num_splits = max(1, min(num_splits, len(records)) if records else 1)
+        self._split_ranges = even_split_ranges(len(records), self.num_splits)
+        self._split_bytes = split_sums(record_sizes(records), self._split_ranges)
 
     def split(self, index: int):
-        total = len(self.records)
-        start = total * index // self.num_splits
-        end = total * (index + 1) // self.num_splits
+        start, end = self._split_ranges[index]
         return self.records[start:end]
 
     def split_bytes(self, index: int) -> int:
-        return records_bytes(self.split(index))
+        return self._split_bytes[index]
+
+    # No blocks: a local split is read as exactly its records.
+    split_record_bytes = split_bytes
 
     def split_locations(self, index: int) -> tuple[str, ...]:
         return ()

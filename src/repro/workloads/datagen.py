@@ -10,6 +10,8 @@ is seeded and pure, so workload runs are reproducible.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import random
 import string
 
@@ -18,16 +20,26 @@ import string
 # ---------------------------------------------------------------------------
 
 
-def make_vocabulary(size: int, seed: int = 7) -> list[str]:
-    """Deterministic vocabulary of *size* distinct lowercase words."""
-    if size <= 0:
-        raise ValueError("vocabulary size must be positive")
+@functools.lru_cache(maxsize=32)
+def _vocabulary(size: int, seed: int) -> tuple[str, ...]:
     rng = random.Random(seed)
     words: set[str] = set()
     while len(words) < size:
         length = rng.randint(3, 10)
         words.add("".join(rng.choice(string.ascii_lowercase) for _ in range(length)))
-    return sorted(words)
+    return tuple(sorted(words))
+
+
+def make_vocabulary(size: int, seed: int = 7) -> list[str]:
+    """Deterministic vocabulary of *size* distinct lowercase words.
+
+    A pure function of ``(size, seed)`` that every text generator calls
+    with the same few pairs, so the words are built once and each caller
+    gets its own list to slice or edit.
+    """
+    if size <= 0:
+        raise ValueError("vocabulary size must be positive")
+    return list(_vocabulary(size, seed))
 
 
 def zipf_sampler(vocabulary: list[str], rng: random.Random, s: float = 1.1):
@@ -40,16 +52,10 @@ def zipf_sampler(vocabulary: list[str], rng: random.Random, s: float = 1.1):
         acc += w / total
         cumulative.append(acc)
 
+    last = len(cumulative) - 1  # rounding can leave cumulative[-1] < u
+
     def sample() -> str:
-        u = rng.random()
-        lo, hi = 0, len(cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cumulative[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return vocabulary[lo]
+        return vocabulary[bisect.bisect_left(cumulative, rng.random(), 0, last)]
 
     return sample
 

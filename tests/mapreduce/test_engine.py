@@ -235,6 +235,143 @@ class TestRecordSizing:
         assert value_bytes(np.zeros(4)) == 32
 
 
+class TestByteAccountingAgainstRecordBytes:
+    """Every byte counter equals an independent sum of ``record_bytes``.
+
+    The engine sizes each record once and derives all its byte figures
+    from those sizes; here each figure is recomputed from scratch out of
+    the job's own inputs and outputs, split and partitioned by hand.
+    """
+
+    SPLITS = 3
+    REDUCES = 4
+    DOCS = [
+        ("d%02d" % i, " ".join(["alpha", "beta", "gamma", "naïve", "w%d" % (i % 5)] * (1 + i % 4)))
+        for i in range(17)
+    ]
+
+    def split_docs(self):
+        n = len(self.DOCS)
+        return [
+            self.DOCS[n * i // self.SPLITS: n * (i + 1) // self.SPLITS]
+            for i in range(self.SPLITS)
+        ]
+
+    @staticmethod
+    def size(records):
+        return sum(record_bytes(k, v) for k, v in records)
+
+    def run(self, **kwargs):
+        conf_args = {"num_reduces": self.REDUCES}
+        combiner = kwargs.pop("combiner", None)
+        conf_args.update(kwargs)
+        job = MapReduceJob(
+            wc_map,
+            wc_reduce if conf_args["num_reduces"] else None,
+            JobConf("wc", **conf_args),
+            combiner=combiner,
+        )
+        return LocalEngine(default_splits=self.SPLITS).execute(job, self.DOCS)
+
+    def spills(self, combine: bool):
+        """What each map task spills, per split."""
+        spills = []
+        for docs in self.split_docs():
+            emitted = [(word, 1) for _, text in docs for word in text.split()]
+            if combine:
+                counts = collections.Counter(word for word, _ in emitted)
+                emitted = sorted(counts.items())
+            spills.append(emitted)
+        return spills
+
+    def partitioned(self, spills):
+        parts = [[] for _ in range(self.REDUCES)]
+        for spill in spills:
+            for key, value in spill:
+                parts[hash_partitioner(key, self.REDUCES)].append((key, value))
+        return parts
+
+    def check(self, result, spills, ratio=1.0):
+        counters = result.counters
+        emitted = [(word, 1) for _, text in self.DOCS for word in text.split()]
+        assert counters.map_input_bytes == self.size(self.DOCS)
+        assert counters.map_output_bytes == self.size(emitted)
+        assert counters.spilled_records == sum(len(spill) for spill in spills)
+        assert counters.spilled_bytes == sum(int(self.size(s) * ratio) for s in spills)
+        assert [m.output_bytes for m in result.work.maps] == [
+            int(self.size(s) * ratio) for s in spills
+        ]
+        assert [m.input_bytes for m in result.work.maps] == [
+            self.size(docs) for docs in self.split_docs()
+        ]
+
+    def check_reduce_side(self, result, spills, ratio=1.0):
+        counters = result.counters
+        per_reducer = [int(self.size(part) * ratio) for part in self.partitioned(spills)]
+        assert counters.reduce_shuffle_bytes == per_reducer
+        assert counters.shuffle_bytes == sum(counters.reduce_shuffle_bytes) == sum(per_reducer)
+        assert [r.shuffle_bytes for r in result.work.reduces] == per_reducer
+        assert counters.reduce_output_bytes == self.size(result.output)
+        assert [r.output_bytes for r in result.work.reduces] == [
+            self.size(out) for out in result.reducer_outputs
+        ]
+
+    def test_plain_job(self):
+        result = self.run()
+        spills = self.spills(combine=False)
+        self.check(result, spills)
+        self.check_reduce_side(result, spills)
+        # without a combiner the spill *is* the map output
+        assert result.counters.spilled_bytes == result.counters.map_output_bytes
+
+    def test_combiner_job(self):
+        result = self.run(combiner=wc_reduce)
+        spills = self.spills(combine=True)
+        self.check(result, spills)
+        self.check_reduce_side(result, spills)
+        assert result.counters.combine_output_records == result.counters.spilled_records
+        assert result.counters.spilled_bytes < result.counters.map_output_bytes
+
+    def test_map_only_job(self):
+        result = self.run(num_reduces=0)
+        spills = self.spills(combine=False)
+        self.check(result, spills)
+        counters = result.counters
+        assert counters.shuffle_bytes == sum(counters.reduce_shuffle_bytes) == 0
+        assert counters.reduce_output_bytes == self.size(result.output)
+        assert counters.reduce_output_bytes == counters.map_output_bytes
+        assert result.output == [record for spill in spills for record in spill]
+
+    def test_compressed_job(self):
+        ratio = 0.37
+        result = self.run(compress_map_output=True, compression_ratio=ratio)
+        spills = self.spills(combine=False)
+        self.check(result, spills, ratio)
+        self.check_reduce_side(result, spills, ratio)
+        # compression shrinks the wire, not the logical map output or result
+        assert result.counters.map_output_bytes == self.size(
+            [record for spill in spills for record in spill]
+        )
+        codec = result.work.maps[0].cpu_seconds - self.run().work.maps[0].cpu_seconds
+        assert codec == pytest.approx(self.size(spills[0]) * JobConf("x").compression_cost_per_byte)
+
+    def test_compressed_combiner_job_on_a_cluster(self):
+        cluster = make_cluster(2, block_size=256)
+        job = MapReduceJob(
+            wc_map, wc_reduce,
+            JobConf("wc", num_reduces=self.REDUCES, compress_map_output=True),
+            combiner=wc_reduce,
+        )
+        result = LocalEngine().execute(job, self.DOCS, cluster=cluster, input_name="docs")
+        counters = result.counters
+        assert len(result.work.maps) > 1
+        assert counters.map_input_bytes == self.size(self.DOCS)
+        assert sum(m.input_bytes for m in result.work.maps) == self.size(self.DOCS)
+        assert counters.spilled_bytes == sum(m.output_bytes for m in result.work.maps)
+        assert counters.shuffle_bytes == sum(counters.reduce_shuffle_bytes)
+        assert counters.reduce_output_bytes == self.size(result.output)
+
+
 class TestClusterIntegration:
     def test_timeline_attached_with_cluster(self):
         cluster = make_cluster(2, block_size=4096)

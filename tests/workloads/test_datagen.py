@@ -1,6 +1,8 @@
 """Tests for the synthetic data generators."""
 
 import collections
+import random
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,88 @@ class TestVocabulary:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             datagen.make_vocabulary(0)
+
+    def test_matches_unmemoised_construction(self):
+        rng = random.Random(11)
+        words = set()
+        while len(words) < 300:
+            length = rng.randint(3, 10)
+            words.add("".join(rng.choice(string.ascii_lowercase) for _ in range(length)))
+        assert datagen.make_vocabulary(300, seed=11) == sorted(words)
+
+    def test_each_call_returns_its_own_list(self):
+        first = datagen.make_vocabulary(50, seed=5)
+        pristine = list(first)
+        first.reverse()
+        first.append("edited")
+        del first[:10]
+        assert datagen.make_vocabulary(50, seed=5) == pristine
+        assert datagen.make_vocabulary(50, seed=5) is not datagen.make_vocabulary(50, seed=5)
+
+    def test_memo_is_bounded(self):
+        bound = datagen._vocabulary.cache_info().maxsize
+        assert bound is not None and bound <= 64
+        for seed in range(bound + 5):
+            datagen.make_vocabulary(3, seed=1000 + seed)
+        assert datagen._vocabulary.cache_info().currsize <= bound
+
+
+def _loop_search(cumulative, u):
+    """The hand-written binary search ``zipf_sampler`` used to carry."""
+    lo, hi = 0, len(cumulative) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cumulative[mid] < u:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+class _ScriptedRandom:
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self):
+        return next(self.draws)
+
+
+class TestZipfSampler:
+    @given(
+        st.integers(1, 40),
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=30),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_same_index_as_the_loop(self, size, draws):
+        vocabulary = ["w%02d" % i for i in range(size)]
+        weights = [1.0 / (rank + 1) ** 1.1 for rank in range(size)]
+        total = sum(weights)
+        cumulative, acc = [], 0.0
+        for w in weights:
+            acc += w / total
+            cumulative.append(acc)
+        # on and just around every boundary, and above the last one
+        # (rounding can leave cumulative[-1] a hair under 1.0)
+        edges = [c for c in cumulative] + [c - 1e-16 for c in cumulative]
+        edges += [min(c + 1e-16, 1.0) for c in cumulative] + [0.0, 1.0, 2.0]
+        draws = draws + edges
+        sample = datagen.zipf_sampler(vocabulary, _ScriptedRandom(draws))
+        assert [sample() for _ in draws] == [
+            vocabulary[_loop_search(cumulative, u)] for u in draws
+        ]
+
+    def test_one_random_draw_per_sample(self):
+        class Counting(random.Random):
+            calls = 0
+
+            def random(self):
+                Counting.calls += 1
+                return super().random()
+
+        sample = datagen.zipf_sampler(datagen.make_vocabulary(20), Counting(3))
+        for _ in range(25):
+            sample()
+        assert Counting.calls == 25
 
 
 class TestDocuments:
