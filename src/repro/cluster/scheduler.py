@@ -666,8 +666,34 @@ class MixFaultAccounting:
         }
 
 
+class Deferred:
+    """Mixin for dataclasses with fields that are decoded on first read.
+
+    :meth:`_defer` replaces a field's value with a zero-argument decoder,
+    run the first time the field is read; after that the object is an
+    ordinary one.  ``==`` and ``repr`` read the fields they show, and a
+    copy taken before the first read decodes on its own.  A deferred field
+    must have no class-level default (``default_factory`` or none), or
+    the class attribute would shadow the decoder.
+    """
+
+    def _defer(self, **decoders) -> None:
+        for name, decode in decoders.items():
+            delattr(self, name)
+            self.__dict__["_deferred_" + name] = decode
+
+    def __getattr__(self, name: str):
+        # Only reached when *name* is not set: a deferred field's first read.
+        decode = self.__dict__.pop("_deferred_" + name, None)
+        if decode is None:
+            raise AttributeError(name)
+        value = decode()
+        setattr(self, name, value)
+        return value
+
+
 @dataclass
-class MixOutcome:
+class MixOutcome(Deferred):
     """Everything :meth:`MultiJobCluster.run` produced."""
 
     scheduler: str
@@ -699,19 +725,8 @@ class MixOutcome:
         ``repr`` read both) the outcome is an ordinary one.
         """
         outcome = cls(task_intervals=None, events=None, **fields)
-        for name, decode in (("task_intervals", task_intervals), ("events", events)):
-            delattr(outcome, name)
-            outcome.__dict__["_deferred_" + name] = decode
+        outcome._defer(task_intervals=task_intervals, events=events)
         return outcome
-
-    def __getattr__(self, name: str):
-        # Only reached when *name* is not set: a deferred field's first read.
-        decode = self.__dict__.pop("_deferred_" + name, None)
-        if decode is None:
-            raise AttributeError(name)
-        value = decode()
-        setattr(self, name, value)
-        return value
 
     def report(self, job_id: str) -> JobReport:
         # run_mix looks up every stage of every trace job: index once

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from repro.cluster.cluster import make_cluster
 from repro.cluster.faults import FaultPlan
 from repro.cluster.scheduler import (
+    Deferred,
     MixOutcome,
     MultiJobCluster,
     PoolConfig,
@@ -319,8 +320,14 @@ class TenantJobReport:
 
 
 @dataclass
-class MixResult:
-    """A trace played through one scheduler on one shared cluster."""
+class MixResult(Deferred):
+    """A trace played through one scheduler on one shared cluster.
+
+    ``outputs`` maps each trace job's index to its workload's output.  A
+    result served from the mix cache computes them on first read (one
+    solo-shadow run per distinct ``(workload, scale)``); nothing else on
+    the result — reports, ``to_dict``, the ``mix`` table — reads them.
+    """
 
     scheduler: str
     trace: WorkloadTrace
@@ -432,12 +439,17 @@ def run_mix(
     * ``"legacy"`` — the reference loop without an event bus.
 
     ``mix_cache`` (a :class:`~repro.core.simcache.MixCache`) memoises
-    the whole :class:`MixOutcome` on disk, content-addressed by trace,
-    scheduler config, fault plan, topology and cluster code digest; on a
-    warm hit the mix is not simulated at all.
+    the whole :class:`MixOutcome` plus each trace job's ideal seconds on
+    disk, under a key computed before any workload runs: the trace's
+    jobs, scheduler config, fault plan, the shared cluster's shape and
+    state (which is also every shadow's shape), run mode, and digests of
+    the cluster and execution code (:func:`~repro.core.simcache.
+    mix_cache_key` with ``trace=``).  A warm hit runs no workload,
+    submits nothing and dispatches nothing: the reports are rebuilt from
+    the stored outcome, and ``outputs`` are computed on first read by
+    re-running each distinct shadow once.  A miss runs the mix as
+    without a cache and stores it.
     """
-    from repro.workloads.base import workload
-
     engines = {
         "fast": "events",
         "reference": "events",
@@ -450,13 +462,14 @@ def run_mix(
             "(want fast, reference, events or legacy)"
         )
     run_engine = engines[engine]
-    shared = make_cluster(
+    shape = dict(
         num_slaves=num_slaves,
         map_slots=map_slots,
         reduce_slots=reduce_slots,
         block_size=block_size,
         racks=racks,
     )
+    shared = make_cluster(**shape)
     if engine == "fast":
         from repro.perf.clusterpath import FastMultiJobCluster
 
@@ -467,67 +480,95 @@ def run_mix(
         multi = MultiJobCluster(
             shared, scheduler, plan=plan, observability=observability
         )
-    ideals: dict[int, float] = {}
-    outputs: dict[int, object] = {}
-    chains: dict[int, tuple[str, ...]] = {}
-    # Solo-shadow runs are deterministic functions of (workload, scale)
-    # on a fresh cluster, so identical trace jobs — the common case in
-    # arrival-process traces — share one shadow run.
-    solo: dict[tuple[str, float], tuple[float, object, list]] = {}
+    key = entry = None
+    if mix_cache is not None:
+        key, entry = mix_cache.load_trace(multi, trace, engine=run_engine)
+    if entry is not None:
+        outcome, ideals, stages = entry
+        result = MixResult(
+            scheduler=multi.scheduler.name,
+            trace=trace,
+            reports=_tenant_reports(trace, outcome, ideals, stages),
+            outcome=outcome,
+        )
+        result._defer(outputs=lambda: _outputs(trace, _solo_runs(trace, shape)))
+        return result
+    solo = _solo_runs(trace, shape)
+    ideals, stages = [], []
     for tjob in trace.jobs:
-        key = (tjob.workload, tjob.scale)
-        if key not in solo:
-            shadow = make_cluster(
-                num_slaves=num_slaves,
-                map_slots=map_slots,
-                reduce_slots=reduce_slots,
-                block_size=block_size,
-                racks=racks,
-            )
-            run = workload(tjob.workload).run(scale=tjob.scale, cluster=shadow)
-            solo[key] = (
-                run.duration_s,
-                run.output,
-                [result.work for result in run.job_results],
-            )
-        ideal_s, output, works = solo[key]
-        ideals[tjob.index] = ideal_s
-        outputs[tjob.index] = output
-        chain = multi.submit_chain(
+        ideal_s, _output, works = solo[tjob.workload, tjob.scale]
+        ideals.append(ideal_s)
+        stages.append(len(works))
+        multi.submit_chain(
             works,
             arrival_s=tjob.arrival_s,
             user=tjob.user,
             pool=tjob.pool,
             id_prefix=f"t{tjob.index:03d}",
         )
-        chains[tjob.index] = tuple(job.job_id for job in chain)
+    outcome = multi.run(engine=run_engine)
     if mix_cache is not None:
-        outcome = mix_cache.run(multi, engine=run_engine)
-    else:
-        outcome = multi.run(engine=run_engine)
-    reports = []
+        mix_cache.store_trace(key, outcome, ideals, stages)
+    return MixResult(
+        scheduler=multi.scheduler.name,
+        trace=trace,
+        reports=_tenant_reports(trace, outcome, ideals, stages),
+        outcome=outcome,
+        outputs=_outputs(trace, solo),
+    )
+
+
+def _solo_runs(trace: WorkloadTrace, shape: dict) -> dict:
+    """``(workload, scale) → (ideal seconds, output, JobWorks)``: one
+    solo-shadow run per distinct pair in *trace*, each on a fresh cluster
+    of *shape*.  A shadow run is a deterministic function of the pair, so
+    identical trace jobs — the common case in arrival-process traces —
+    share one."""
+    from repro.workloads.base import workload
+
+    solo = {}
     for tjob in trace.jobs:
-        stage_reports = [outcome.report(job_id) for job_id in chains[tjob.index]]
+        pair = (tjob.workload, tjob.scale)
+        if pair not in solo:
+            run = workload(tjob.workload).run(
+                scale=tjob.scale, cluster=make_cluster(**shape)
+            )
+            solo[pair] = (
+                run.duration_s,
+                run.output,
+                [result.work for result in run.job_results],
+            )
+    return solo
+
+
+def _outputs(trace: WorkloadTrace, solo: dict) -> dict[int, object]:
+    return {tjob.index: solo[tjob.workload, tjob.scale][1] for tjob in trace.jobs}
+
+
+def _tenant_reports(trace, outcome, ideals, stages) -> list[TenantJobReport]:
+    """One report per trace job over its stage chain: the next
+    ``stages[i]`` of the outcome's reports, because run_mix submits the
+    chains in trace order and an outcome lists reports in submission
+    order."""
+    reports = []
+    end = 0
+    for tjob, ideal_s, count in zip(trace.jobs, ideals, stages):
+        start, end = end, end + count
+        stage_reports = outcome.reports[start:end]
         timelines = [r.timeline for r in stage_reports if r.timeline is not None]
         reports.append(
             TenantJobReport(
                 trace_job=tjob,
-                job_ids=chains[tjob.index],
+                job_ids=tuple(r.job_id for r in stage_reports),
                 first_launch_s=min(r.first_launch_s for r in stage_reports),
                 finished_s=max(r.finished_s for r in stage_reports),
-                ideal_s=ideals[tjob.index],
+                ideal_s=ideal_s,
                 maps_node_local=sum(t.maps_node_local for t in timelines),
                 maps_rack_local=sum(t.maps_rack_local for t in timelines),
                 maps_off_rack=sum(t.maps_off_rack for t in timelines),
             )
         )
-    return MixResult(
-        scheduler=multi.scheduler.name,
-        trace=trace,
-        reports=reports,
-        outcome=outcome,
-        outputs=outputs,
-    )
+    return reports
 
 
 # -- LLC co-location characterization -----------------------------------------

@@ -43,6 +43,12 @@ A mix entry is one columnar binary file, ``mix/<key[:2]>/<key>.mix``
 (layout at "mix entry codec" below and in ``docs/performance.md``): a
 day-long trace is tens of thousands of reports, and a hit should cost
 what rebuilding them costs, not what parsing their JSON would.
+``run_mix`` keys its entries on the *trace* rather than on the executed
+submissions (see :func:`mix_cache_key`), so a warm replay runs no
+workload at all.
+
+A cache that cannot be written (read-only checkout, a root that is a
+file) warns once per handle and returns the computed result uncached.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ import shutil
 import struct
 import sys
 import tempfile
+import warnings
 from array import array
 from itertools import accumulate, chain
 from operator import attrgetter
@@ -89,21 +96,26 @@ _VERSIONED_MODULES = (
 _code_version: str | None = None
 
 
+def _source_digest(module_names: tuple[str, ...]) -> str:
+    """Digest of the names and source bytes of *module_names*."""
+    import importlib
+
+    digest = hashlib.sha256()
+    for module_name in module_names:
+        module = importlib.import_module(module_name)
+        path = getattr(module, "__file__", None)
+        digest.update(module_name.encode())
+        if path and os.path.exists(path):
+            with open(path, "rb") as handle:
+                digest.update(handle.read())
+    return digest.hexdigest()[:16]
+
+
 def code_version() -> str:
     """Digest of the timing-model source files (cached per process)."""
     global _code_version
     if _code_version is None:
-        digest = hashlib.sha256()
-        import importlib
-
-        for module_name in _VERSIONED_MODULES:
-            module = importlib.import_module(module_name)
-            path = getattr(module, "__file__", None)
-            digest.update(module_name.encode())
-            if path and os.path.exists(path):
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-        _code_version = digest.hexdigest()[:16]
+        _code_version = _source_digest(_VERSIONED_MODULES)
     return _code_version
 
 
@@ -201,7 +213,40 @@ def clear(root: str | os.PathLike | None = None) -> int:
     return count
 
 
-class SimCache:
+class _CacheHandle:
+    """What both cache handles share: a root, an on/off switch, hit/miss
+    accounting, and stores that cannot fail a finished computation."""
+
+    def __init__(self, root: str | os.PathLike | None, enabled: bool) -> None:
+        self.root = cache_dir(root)
+        self.enabled = enabled
+        self.hits = 0
+        self.misses = 0
+        self._store_failed = False
+
+    def _store(self, store, key: str, value, **columns) -> None:
+        """``store(key, value, root, **columns)``, where a write that fails
+        (read-only checkout, root is a file, disk full) only costs the
+        next run a recomputation: warn on this handle's first failure,
+        keep the result.  The call was already counted as a miss."""
+        try:
+            store(key, value, self.root, **columns)
+        except OSError as error:
+            if not self._store_failed:
+                self._store_failed = True
+                warnings.warn(
+                    f"{type(self).__name__}: cannot write entries under "
+                    f"{self.root} ({error}); results are computed, not cached",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+
+    def hit_rate(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+
+class SimCache(_CacheHandle):
     """One cache handle with hit/miss accounting.
 
     ``simulate`` is the memoised twin of building a ``Core`` and running a
@@ -215,10 +260,7 @@ class SimCache:
         root: str | os.PathLike | None = None,
         enabled: bool | None = None,
     ) -> None:
-        self.root = cache_dir(root)
-        self.enabled = cache_enabled() if enabled is None else enabled
-        self.hits = 0
-        self.misses = 0
+        super().__init__(root, cache_enabled() if enabled is None else enabled)
 
     def simulate(
         self,
@@ -242,12 +284,8 @@ class SimCache:
         else:
             result = Core(machine).run(SyntheticTrace(spec), warmup=warmup)
         if key is not None:
-            store_result(key, result, self.root)
+            self._store(store_result, key, result)
         return result
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 # -- mix-level cache (cluster layer) ----------------------------------------
@@ -284,18 +322,57 @@ def cluster_code_version() -> str:
     """Digest of the cluster-layer source files (cached per process)."""
     global _cluster_code_version
     if _cluster_code_version is None:
-        digest = hashlib.sha256()
-        import importlib
-
-        for module_name in _CLUSTER_VERSIONED_MODULES:
-            module = importlib.import_module(module_name)
-            path = getattr(module, "__file__", None)
-            digest.update(module_name.encode())
-            if path and os.path.exists(path):
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-        _cluster_code_version = digest.hexdigest()[:16]
+        _cluster_code_version = _source_digest(_CLUSTER_VERSIONED_MODULES)
     return _cluster_code_version
+
+
+#: Modules a solo-shadow run executes beyond the cluster layer: the
+#: workloads, their data generators, the MapReduce engine and Hive.  A
+#: trace key (:func:`mix_cache_key` with ``trace=``) stands in for the
+#: ``JobWork``s these compute, so any edit to one of them must cold-start
+#: trace entries.  ``uarch.trace`` / ``uarch.isa`` are imported by
+#: ``workloads.base`` (for ``trace_spec``, which a shadow never calls) and
+#: are listed so the import walk in ``tests/core/test_mix_entry.py`` has
+#: no exceptions.
+_EXEC_VERSIONED_MODULES = (
+    "repro.hive.engine",
+    "repro.hive.parser",
+    "repro.hive.planner",
+    "repro.hive.schema",
+    "repro.mapreduce.counters",
+    "repro.mapreduce.engine",
+    "repro.mapreduce.io",
+    "repro.mapreduce.job",
+    "repro.mapreduce.partitioner",
+    "repro.uarch.isa",
+    "repro.uarch.trace",
+    "repro.workloads.base",
+    "repro.workloads.datagen",
+    "repro.workloads.fuzzy_kmeans",
+    "repro.workloads.grep",
+    "repro.workloads.hive_bench",
+    "repro.workloads.hmm",
+    "repro.workloads.ibcf",
+    "repro.workloads.kmeans",
+    "repro.workloads.naive_bayes",
+    "repro.workloads.pagerank",
+    "repro.workloads.sort",
+    "repro.workloads.svm",
+    "repro.workloads.wordcount",
+)
+
+_exec_code_version: str | None = None
+
+
+def exec_code_version() -> str:
+    """Digest of the execution-layer source files (cached per process).
+
+    Folded into trace keys only, so computing a submission key never
+    imports the modules it lists."""
+    global _exec_code_version
+    if _exec_code_version is None:
+        _exec_code_version = _source_digest(_EXEC_VERSIONED_MODULES)
+    return _exec_code_version
 
 
 def mix_cache_enabled(default: bool = True) -> bool:
@@ -364,51 +441,75 @@ _map_demands = attrgetter(
 _reduce_demands = attrgetter("shuffle_bytes", "cpu_seconds", "output_bytes")
 
 
-def _submission_record(job) -> bytes:
-    """One submitted job, exactly: identity, arrival, dependency edge and
-    every task's resource demands.
-
-    ``marshal`` format 2 is a pure function of the value (binary floats,
-    no back-references, no interning flags), so two records are equal
-    only if every field is — to the last bit of a float and the order of
-    a placement hint.  A demand of a type it refuses falls back to
-    ``repr``, which can only turn a would-be hit into a miss.
-    """
-    work = job.work
-    upstream = job.depends_on
-    record = (
-        job.job_id,
-        work.name,
-        job.user,
-        job.pool,
-        job.arrival_s,
-        upstream and upstream.job_id,
-        list(map(_map_demands, work.maps)),
-        list(map(_reduce_demands, work.reduces)),
-    )
+def _exact_record(record: tuple) -> bytes:
+    """``marshal`` format 2 is a pure function of the value (binary
+    floats, no back-references, no interning flags), so two records are
+    equal only if every field is — to the last bit of a float and the
+    order of a placement hint.  A value of a type it refuses falls back
+    to ``repr``, which can only turn a would-be hit into a miss."""
     try:
         return marshal.dumps(record, 2)
     except ValueError:
         return repr(record).encode()
 
 
-def mix_cache_key(multi, run_engine: str = "events") -> str:
+def _submission_record(job) -> bytes:
+    """One submitted job, exactly: identity, arrival, dependency edge and
+    every task's resource demands."""
+    work = job.work
+    upstream = job.depends_on
+    return _exact_record(
+        (
+            job.job_id,
+            work.name,
+            job.user,
+            job.pool,
+            job.arrival_s,
+            upstream and upstream.job_id,
+            list(map(_map_demands, work.maps)),
+            list(map(_reduce_demands, work.reduces)),
+        )
+    )
+
+
+def _trace_record(tjob) -> bytes:
+    """One trace job, exactly: every field that reaches the outcome (the
+    index names its job ids; ``size_class`` only labels the report)."""
+    return _exact_record(
+        (tjob.index, tjob.workload, tjob.scale, tjob.arrival_s, tjob.user, tjob.pool)
+    )
+
+
+def mix_cache_key(multi, run_engine: str = "events", trace=None) -> str:
     """Stable content hash for one mix execution's inputs.
 
-    *multi* is a fully-submitted :class:`MultiJobCluster` (either
-    dispatch engine — the fast path is bit-identical by contract, so the
-    engine class is deliberately not part of the key).  The run engine
-    ("events" vs "legacy") **is** keyed: it decides whether the outcome
-    carries an event log.  So is the observability mode, which decides
-    which per-node rates a timeline reports.
+    *multi* is a :class:`MultiJobCluster` (either dispatch engine — the
+    fast path is bit-identical by contract, so the engine class is
+    deliberately not part of the key).  The run engine ("events" vs
+    "legacy") **is** keyed: it decides whether the outcome carries an
+    event log.  So is the observability mode, which decides which
+    per-node rates a timeline reports.
 
-    The few small parts go in as one canonical JSON document; the
-    submissions — all of a day-long trace's bulk — are streamed into the
-    digest one record per job, in submission (seq) order, without ever
-    building the trace-sized document.
+    The key lives in one of two domains, named in the key itself so the
+    two can never address the same entry:
+
+    * ``"submissions"`` (no *trace*): *multi* is fully submitted and its
+      jobs — every task's demands — are the bulk of the key;
+    * ``"trace"``: the key of :func:`~repro.cluster.tenancy.run_mix`,
+      computable before any workload runs.  *multi* has no submissions
+      yet; the trace's jobs stand in for the ``JobWork``s their solo
+      shadows would compute, which is exact because a shadow is a fresh
+      cluster of *multi*'s shape (pinned by the cluster fingerprint)
+      running code pinned by :func:`exec_code_version`.
+
+    The few small parts go in as one canonical JSON document; the jobs —
+    all of a day-long trace's bulk — are streamed into the digest one
+    record per job, in order, without ever building the trace-sized
+    document.
     """
     payload = {
         "schema": MIX_SCHEMA_VERSION,
+        "domain": "submissions" if trace is None else "trace",
         "code": cluster_code_version(),
         "run_engine": run_engine,
         "observability": multi.observability,
@@ -416,10 +517,17 @@ def mix_cache_key(multi, run_engine: str = "events") -> str:
         "plan": dataclasses.asdict(multi.plan) if multi.plan is not None else None,
         "cluster": _cluster_fingerprint(multi.cluster),
     }
+    if trace is None:
+        records = map(_submission_record, multi.jobs)
+    else:
+        payload["exec"] = exec_code_version()
+        records = map(_trace_record, trace.jobs)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    # The JSON document is self-delimiting, so a differing domain field
+    # makes the two byte streams differ whatever records follow.
     digest = hashlib.sha256(canonical.encode())
-    for job in multi.jobs:
-        digest.update(_submission_record(job))
+    for record in records:
+        digest.update(record)
     return digest.hexdigest()
 
 
@@ -553,7 +661,7 @@ def _scalar_code(value) -> str:
     raise TypeError(f"event payload value {value!r} is not a plain scalar")
 
 
-def _encode_mix(outcome) -> bytes:
+def _encode_mix(outcome, ideals=None, stages=None) -> bytes:
     (job_ids, job_names, users, pools, arrivals, launches, finishes,
      preempted, timelines, statuses) = _transpose(outcome.reports, _REPORT_FIELDS)
     flags = [
@@ -654,6 +762,9 @@ def _encode_mix(outcome) -> bytes:
         "ev_float": array("d", ev_floats),
         "ev_int": array("q", ev_ints),
     }
+    if ideals is not None:
+        columns["trace_ideal"] = array("d", ideals)
+        columns["trace_stages"] = array("i", stages)
     sections = []
     offset = 0
     for name, column in columns.items():
@@ -693,10 +804,11 @@ def _encode_mix(outcome) -> bytes:
     return body + _MIX_TRAILER.pack(len(body), hashlib.sha256(body).digest())
 
 
-def _decode_mix(blob: bytes):
+def _decode_mix(blob: bytes, trace_jobs: int | None = None):
     """Rebuild the outcome :func:`_encode_mix` wrote, or raise: a torn,
     flipped or foreign file fails the magic / length / checksum test
-    before any of it is believed."""
+    before any of it is believed.  With *trace_jobs*, rebuild
+    ``(outcome, ideals, stages)`` of a trace entry for that many jobs."""
     from repro.cluster.cluster import JobTimeline
     from repro.cluster.eventbus import Event
     from repro.cluster.scheduler import (
@@ -830,7 +942,7 @@ def _decode_mix(blob: bytes):
                 for name, value in accounting.items()
             }
         )
-    return MixOutcome.deferred(
+    outcome = MixOutcome.deferred(
         scheduler=header["scheduler"],
         reports=reports,
         end_s=header["end_s"],
@@ -843,13 +955,27 @@ def _decode_mix(blob: bytes):
         cancelled_jobs=tuple(header["cancelled_jobs"]),
         events=events,
     )
+    if trace_jobs is None:
+        return outcome
+    # One row per trace job; its stage count says how many consecutive
+    # reports (submission order) are its chain.
+    ideals, stages = rows("trace_ideal", "trace_stages")
+    if (
+        len(ideals) != trace_jobs
+        or min(stages, default=1) < 1
+        or sum(stages) != len(reports)
+    ):
+        raise ValueError("trace columns do not match the trace")
+    return outcome, ideals.tolist(), stages.tolist()
 
 
 def _mix_entry_path(root: Path, key: str) -> Path:
     return root / "mix" / key[:2] / f"{key}.mix"
 
 
-def load_mix(key: str, root: str | os.PathLike | None = None):
+def load_mix(
+    key: str, root: str | os.PathLike | None = None, trace_jobs: int | None = None
+):
     """Fetch a cached mix outcome by key, or None on miss/corruption.
 
     One bulk read, one checksum pass, one ``frombytes`` per column.
@@ -857,20 +983,34 @@ def load_mix(key: str, root: str | os.PathLike | None = None):
     ``events`` — most of the objects, read by occupancy analysis and the
     event-log export but not by ``run_mix`` or the ``mix`` table — are
     rebuilt from their (already validated) columns on first access.
+
+    With *trace_jobs* the entry is a trace entry (:func:`store_mix` with
+    ``ideals``): the result is ``(outcome, ideals, stages)``, and an entry
+    without exactly *trace_jobs* rows of them is a miss.
     """
     path = _mix_entry_path(cache_dir(root), key)
     try:
-        return _decode_mix(path.read_bytes())
+        return _decode_mix(path.read_bytes(), trace_jobs)
     except (OSError, ValueError, KeyError, IndexError, TypeError):
         # Unreadable, damaged, or not this codec's shape: a miss.
         return None
 
 
-def store_mix(key: str, outcome, root: str | os.PathLike | None = None) -> None:
-    """Persist *outcome* under *key* atomically (tmp file + rename)."""
+def store_mix(
+    key: str,
+    outcome,
+    root: str | os.PathLike | None = None,
+    ideals=None,
+    stages=None,
+) -> None:
+    """Persist *outcome* under *key* atomically (tmp file + rename).
+
+    A trace entry also carries, per trace job, its solo-shadow seconds
+    (*ideals*) and its stage count (*stages*): two more columns, written
+    only when given, so a submission entry's bytes do not change."""
     path = _mix_entry_path(cache_dir(root), key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    entry = _encode_mix(outcome)
+    entry = _encode_mix(outcome, ideals, stages)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -894,14 +1034,16 @@ def clear_mix(root: str | os.PathLike | None = None) -> int:
     return count
 
 
-class MixCache:
+class MixCache(_CacheHandle):
     """One mix-cache handle with hit/miss accounting.
 
     ``run`` is the memoised twin of :meth:`MultiJobCluster.run`: on a
     hit the stored outcome is returned without dispatching a single
     task; on a miss the mix runs and the outcome is persisted.  Both
     paths return bit-identical values (``tests/core/test_simcache.py``
-    round-trips every field).
+    round-trips every field).  ``load_trace`` / ``store_trace`` are the
+    same memo keyed on a trace instead, for
+    :func:`~repro.cluster.tenancy.run_mix`.
     """
 
     def __init__(
@@ -909,10 +1051,7 @@ class MixCache:
         root: str | os.PathLike | None = None,
         enabled: bool | None = None,
     ) -> None:
-        self.root = cache_dir(root)
-        self.enabled = mix_cache_enabled() if enabled is None else enabled
-        self.hits = 0
-        self.misses = 0
+        super().__init__(root, mix_cache_enabled() if enabled is None else enabled)
 
     def run(self, multi, engine: str = "events"):
         key = None
@@ -925,9 +1064,29 @@ class MixCache:
         self.misses += 1
         outcome = multi.run(engine=engine)
         if key is not None:
-            store_mix(key, outcome, self.root)
+            self._store(store_mix, key, outcome)
         return outcome
 
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+    def load_trace(self, multi, trace, engine: str = "events"):
+        """Look up the trace entry for playing *trace* on *multi* (not yet
+        submitted to) and count the hit or miss.
+
+        Returns ``(key, entry)``: *entry* is ``(outcome, ideals, stages)``
+        on a hit and None on a miss; *key* is what :meth:`store_trace`
+        takes, None when the cache is off.
+        """
+        key = entry = None
+        if self.enabled:
+            key = mix_cache_key(multi, run_engine=engine, trace=trace)
+            entry = load_mix(key, self.root, trace_jobs=len(trace.jobs))
+        if entry is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return key, entry
+
+    def store_trace(self, key: str | None, outcome, ideals, stages) -> None:
+        """Persist a missed trace's outcome with its per-trace-job ideal
+        seconds and stage counts under the *key* :meth:`load_trace` gave."""
+        if key is not None:
+            self._store(store_mix, key, outcome, ideals=ideals, stages=stages)

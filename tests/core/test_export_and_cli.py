@@ -280,6 +280,21 @@ class TestMixCli:
         assert main(["mix", *MIX_SMALL, "--seed", "5", "--format", "json"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_mix_with_an_unwritable_cache_still_prints(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """A checkout where the cache cannot be written (here its root is
+        a regular file) costs a warning, never the finished mix."""
+        assert main(["mix", *MIX_SMALL, "--format", "json", "--no-mix-cache"]) == 0
+        expected = capsys.readouterr().out
+        root = tmp_path / "cache"
+        root.write_text("", encoding="utf-8")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        monkeypatch.setenv("REPRO_MIX_CACHE", "1")
+        with pytest.warns(RuntimeWarning, match="cannot write"):
+            assert main(["mix", *MIX_SMALL, "--format", "json"]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_mix_rejects_unknown_crash_node(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["mix", *MIX_SMALL, "--crash-node", "slave9"])

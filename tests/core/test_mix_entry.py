@@ -11,14 +11,19 @@ Three promises, each with its own class below:
 * **damage is a miss** — a torn, flipped, foreign, stale or concurrently
   rewritten entry never raises and never yields a wrong outcome.
 
-Plus the guard on what the key digests: every module a dispatch can
-execute is in ``_CLUSTER_VERSIONED_MODULES``.
+``run_mix``'s trace entries keep all three and add one: a warm replay
+runs no workload, and its outputs are computed on first read.
+
+Plus the guard on what the keys digest: every module a dispatch can
+execute is in ``_CLUSTER_VERSIONED_MODULES``, and every module a shadow
+run can execute is in it or in ``_EXEC_VERSIONED_MODULES``.
 """
 
 from __future__ import annotations
 
 import ast
 import copy
+import dataclasses
 import importlib.util
 import json
 import math
@@ -26,6 +31,7 @@ import multiprocessing
 import struct
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +45,7 @@ from repro.cluster.scheduler import (
     MultiJobCluster,
     TaskInterval,
 )
+from repro.cluster.tenancy import WorkloadTrace, generate_trace, run_mix
 from repro.core import simcache
 from repro.core.simcache import (
     MixCache,
@@ -364,6 +371,165 @@ def _store_repeatedly(root: str, key: str, times: int) -> None:
         store_mix(key, outcome, root)
 
 
+# -- run_mix's trace entries ----------------------------------------------------
+
+
+def replay_trace() -> WorkloadTrace:
+    """Four jobs (one a nine-stage Hive chain) plus a repeat of the first:
+    five trace jobs, four distinct ``(workload, scale)`` shadows."""
+    base = generate_trace(seed=3, num_jobs=4)
+    repeat = dataclasses.replace(
+        base.jobs[0], index=4, arrival_s=base.jobs[-1].arrival_s + 0.25
+    )
+    return dataclasses.replace(base, jobs=(*base.jobs, repeat))
+
+
+def replay(root):
+    cache = MixCache(root, enabled=True)
+    return run_mix(replay_trace(), FifoScheduler(), mix_cache=cache), cache
+
+
+@pytest.fixture()
+def shadow_runs(monkeypatch):
+    """Every ``workload(name).run(scale=...)`` call, as ``(name, scale)``."""
+    import repro.workloads.base as base
+
+    calls = []
+    real = base.workload
+
+    def counting(name):
+        inner = real(name)
+
+        def run(**kwargs):
+            calls.append((name, kwargs["scale"]))
+            return inner.run(**kwargs)
+
+        return SimpleNamespace(run=run)
+
+    monkeypatch.setattr(base, "workload", counting)
+    return calls
+
+
+class TestTraceEntry:
+    """``run_mix`` through ``MixCache``: a warm replay runs no workload and
+    equals the cold one; a damaged or mismatched entry is a miss that
+    re-runs and rewrites it."""
+
+    DISTINCT = sorted({(j.workload, j.scale) for j in replay_trace().jobs})
+
+    @pytest.fixture()
+    def cold(self, tmp_path):
+        cold, cache = replay(tmp_path)
+        assert (cache.hits, cache.misses) == (0, 1)
+        (path,) = (tmp_path / "mix").rglob("*.mix")
+        return cold, path, path.read_bytes()
+
+    def test_warm_replay_runs_no_workload(self, tmp_path, cold, shadow_runs):
+        cold, _, _ = cold
+        assert len(self.DISTINCT) < len(cold.trace.jobs)
+        warm, cache = replay(tmp_path)
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert shadow_runs == []
+        assert warm.to_dict() == cold.to_dict()
+        assert mix_outcome_payload(warm.outcome) == mix_outcome_payload(cold.outcome)
+        assert shadow_runs == []  # neither comparison form reads outputs
+        assert max(len(r.job_ids) for r in warm.reports) > 1  # a chain came back
+
+    def test_outputs_are_computed_on_first_read(self, tmp_path, cold, shadow_runs):
+        cold, _, _ = cold
+        warm, _ = replay(tmp_path)
+        assert "outputs" not in vars(warm)
+        assert "outputs" not in repr(warm)
+        assert warm.outputs == cold.outputs
+        assert sorted(shadow_runs) == self.DISTINCT  # each distinct shadow once
+        assert warm.outputs is warm.outputs
+        assert sorted(shadow_runs) == self.DISTINCT
+
+    def test_eq_repr_and_deepcopy(self, tmp_path, cold):
+        cold, _, _ = cold
+        warm, _ = replay(tmp_path)
+        twin = copy.deepcopy(warm)
+        assert "outputs" not in vars(twin)
+        assert twin == cold
+        assert warm == cold
+        assert repr(warm) == repr(cold)
+
+    def test_size_class_relabels_a_hit(self, tmp_path, cold):
+        cold, _, _ = cold
+        first, *rest = replay_trace().jobs
+        relabelled = dataclasses.replace(
+            replay_trace(), jobs=(dataclasses.replace(first, size_class="huge"), *rest)
+        )
+        cache = MixCache(tmp_path, enabled=True)
+        warm = run_mix(relabelled, FifoScheduler(), mix_cache=cache)
+        assert cache.hits == 1
+        assert warm.reports[0].to_dict()["size_class"] == "huge"
+        assert warm.reports[0].slowdown == cold.reports[0].slowdown
+
+    @pytest.mark.parametrize("damage", ["truncated", "bit-flipped", "short ideals"])
+    def test_damage_is_a_miss_that_reruns_and_rewrites(
+        self, tmp_path, cold, shadow_runs, damage
+    ):
+        cold, path, blob = cold
+        if damage == "truncated":
+            path.write_bytes(blob[: len(blob) // 2])
+        elif damage == "bit-flipped":
+            flipped = bytearray(blob)
+            flipped[len(blob) // 2] ^= 0x10
+            path.write_bytes(flipped)
+        else:
+            # An intact entry with one trace job fewer, where this trace's
+            # entry belongs: its ideal column is one row short.
+            short = dataclasses.replace(replay_trace(), jobs=replay_trace().jobs[:-1])
+            run_mix(short, FifoScheduler(), mix_cache=MixCache(tmp_path / "short", True))
+            (other,) = (tmp_path / "short" / "mix").rglob("*.mix")
+            path.write_bytes(other.read_bytes())
+            shadow_runs.clear()
+        assert load_mix(path.stem, tmp_path, trace_jobs=len(cold.trace.jobs)) is None
+        warm, cache = replay(tmp_path)
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert sorted(shadow_runs) == self.DISTINCT
+        assert warm.to_dict() == cold.to_dict()
+        assert path.read_bytes() == blob
+
+    def test_concurrent_writers_of_one_trace_key(self, tmp_path, cold):
+        """Three processes replay the trace into one empty root and then
+        keep republishing its entry while this one replays it: every
+        replay equals the cold one and nothing is left half-written."""
+        cold, path, blob = cold
+        root = tmp_path / "shared"
+        entry = root / path.relative_to(tmp_path)
+        context = multiprocessing.get_context("spawn")
+        workers = [
+            context.Process(target=_replay_and_store, args=(str(root), path.stem, 20))
+            for _ in range(3)
+        ]
+        for worker in workers:
+            worker.start()
+        try:
+            replays = 0
+            while any(worker.is_alive() for worker in workers) or replays < 20:
+                warm, _ = replay(root)
+                assert warm.to_dict() == cold.to_dict()
+                replays += 1
+        finally:
+            for worker in workers:
+                worker.join(timeout=120)
+        assert [worker.exitcode for worker in workers] == [0, 0, 0]
+        assert entry.read_bytes() == blob
+        assert [p.name for p in entry.parent.iterdir()] == [entry.name]
+        _, cache = replay(root)
+        assert cache.hits == 1
+
+
+def _replay_and_store(root: str, key: str, times: int) -> None:
+    mix, _ = replay(root)
+    ideals = [report.ideal_s for report in mix.reports]
+    stages = [len(report.job_ids) for report in mix.reports]
+    for _ in range(times):
+        store_mix(key, mix.outcome, root, ideals=ideals, stages=stages)
+
+
 # -- what the key digests -------------------------------------------------------
 
 
@@ -396,24 +562,26 @@ def _repro_imports(name: str) -> set[str]:
     return found
 
 
+def _reachable(roots) -> set[str]:
+    """*roots* and every ``repro.*`` module they transitively import."""
+    seen, frontier = set(), list(roots)
+    while frontier:
+        name = frontier.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        frontier.extend(_repro_imports(name))
+    # a package's __init__ re-exports; the modules it names are
+    # reached (or not) through their own importers
+    return {name for name in seen if _module_file(name).name != "__init__.py"}
+
+
 class TestDigestCoverage:
     #: what ``MixCache.run`` can execute on a miss: both dispatch engines
     ROOTS = ("repro.cluster.scheduler", "repro.perf.clusterpath")
 
-    def reachable(self) -> set[str]:
-        seen, frontier = set(), list(self.ROOTS)
-        while frontier:
-            name = frontier.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            frontier.extend(_repro_imports(name))
-        # a package's __init__ re-exports; the modules it names are
-        # reached (or not) through their own importers
-        return {name for name in seen if _module_file(name).name != "__init__.py"}
-
     def test_every_module_a_dispatch_can_execute_is_digested(self):
-        reachable = self.reachable()
+        reachable = _reachable(self.ROOTS)
         assert "repro.cluster.eventbus" in reachable  # the walk follows edges
         assert "repro.perf.procfs" in reachable  # ... across packages
         missing = reachable - set(simcache._CLUSTER_VERSIONED_MODULES)
@@ -423,8 +591,30 @@ class TestDigestCoverage:
             "simcache._CLUSTER_VERSIONED_MODULES"
         )
 
+    def test_every_module_a_shadow_can_execute_is_digested(self):
+        """A trace key stands in for the ``JobWork``s the registered
+        workloads compute, so everything they import is digested."""
+        from repro.workloads.base import WORKLOAD_NAMES, workload
+
+        assert len(WORKLOAD_NAMES) == 11  # the paper's DA workloads
+        reachable = _reachable(
+            {type(workload(name)).__module__ for name in WORKLOAD_NAMES}
+        )
+        assert "repro.hive.planner" in reachable  # through the hive package
+        assert "repro.mapreduce.io" in reachable  # through the engine
+        missing = reachable - set(simcache._CLUSTER_VERSIONED_MODULES) - set(
+            simcache._EXEC_VERSIONED_MODULES
+        )
+        assert not missing, (
+            f"{sorted(missing)} can change a shadow run's JobWork but edits "
+            "to them would not invalidate run_mix's trace entries: add them "
+            "to simcache._EXEC_VERSIONED_MODULES"
+        )
+
     def test_digested_modules_exist(self):
-        for name in simcache._CLUSTER_VERSIONED_MODULES:
+        for name in (
+            simcache._CLUSTER_VERSIONED_MODULES + simcache._EXEC_VERSIONED_MODULES
+        ):
             assert _module_file(name) is not None, name
 
     def test_the_codec_is_versioned_by_its_schema_constant(self):

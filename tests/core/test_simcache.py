@@ -7,7 +7,9 @@ carries the same promise — ``workers=N`` must return the exact result
 list of a serial run, in the same order.  The mix-level cache (whole
 ``MixOutcome`` values, content-addressed by trace + scheduler config +
 fault plan + topology + cluster code digest) repeats both halves at the
-cluster layer.
+cluster layer, for both of its key domains: submitted ``JobWork``s
+(``MixCache.run``) and ``run_mix``'s trace.  Neither cache lets a
+failed write abort a finished computation.
 """
 
 import dataclasses
@@ -30,6 +32,7 @@ from repro.core.simcache import (
     clear_mix,
     cluster_code_version,
     code_version,
+    exec_code_version,
     load_mix,
     load_result,
     mix_cache_enabled,
@@ -353,7 +356,8 @@ class TestMixCache:
         assert mix_cache_enabled()
 
     def test_run_mix_integration(self, tmp_path):
-        """run_mix(mix_cache=...) returns identical results warm and cold."""
+        """run_mix(mix_cache=...) returns identical results warm and cold,
+        and the fast and reference engines share entries."""
         from repro.cluster.scheduler import make_scheduler
         from repro.cluster.tenancy import generate_trace, run_mix
 
@@ -364,13 +368,241 @@ class TestMixCache:
         )
         warm_cache = MixCache(tmp_path, enabled=True)
         warm = run_mix(
-            trace, make_scheduler("fifo"), engine="fast", mix_cache=warm_cache
+            trace, make_scheduler("fifo"), engine="reference", mix_cache=warm_cache
         )
-        assert warm_cache.hits >= 1
+        assert (cold_cache.hits, cold_cache.misses) == (0, 1)
+        assert (warm_cache.hits, warm_cache.misses) == (1, 0)
         assert mix_outcome_payload(cold.outcome) == (
             mix_outcome_payload(warm.outcome)
         )
-        assert cold.makespan_s == warm.makespan_s
+        assert warm.to_dict() == cold.to_dict()
+
+
+#: run_mix's default shared-cluster shape (every shadow has it too)
+RUN_MIX_SHAPE = dict(
+    num_slaves=4, map_slots=8, reduce_slots=4, block_size=256 * 1024, racks=1
+)
+
+
+def small_trace(seed=3, num_jobs=4):
+    from repro.cluster.tenancy import generate_trace
+
+    return generate_trace(seed=seed, num_jobs=num_jobs)
+
+
+def trace_key(
+    trace,
+    scheduler=None,
+    plan=None,
+    observability="full",
+    run_engine="events",
+    cls=None,
+    **shape,
+):
+    """The key run_mix computes for *trace*, before any workload runs."""
+    from repro.cluster.cluster import make_cluster
+    from repro.cluster.scheduler import MultiJobCluster
+
+    cluster = make_cluster(**{**RUN_MIX_SHAPE, **shape})
+    multi = (cls or MultiJobCluster)(
+        cluster, scheduler, plan=plan, observability=observability
+    )
+    return mix_cache_key(multi, run_engine, trace=trace)
+
+
+def replace_first_job(trace, **change):
+    first, *rest = trace.jobs
+    return dataclasses.replace(
+        trace, jobs=(dataclasses.replace(first, **change), *rest)
+    )
+
+
+class TestTraceKey:
+    #: every TraceJob field that reaches the outcome, nudged on job 0
+    NUDGES = {
+        "index": lambda job: job.index + 100,
+        "workload": lambda job: "Sort" if job.workload != "Sort" else "Grep",
+        "scale": lambda job: math.nextafter(job.scale, math.inf),
+        "arrival_s": lambda job: math.nextafter(job.arrival_s, 0.0),
+        "user": lambda job: job.user + "x",
+        "pool": lambda job: job.pool + "x",
+    }
+
+    def test_run_mix_stores_under_this_key(self, tmp_path):
+        from repro.cluster.scheduler import FifoScheduler
+        from repro.cluster.tenancy import run_mix
+
+        run_mix(small_trace(), FifoScheduler(), mix_cache=MixCache(tmp_path, True))
+        key = trace_key(small_trace(), FifoScheduler())
+        assert [p.name for p in (tmp_path / "mix").rglob("*.mix")] == [f"{key}.mix"]
+
+    def test_equal_traces_built_twice_give_equal_keys(self):
+        from repro.cluster.tenancy import WorkloadTrace
+
+        trace = small_trace()
+        assert trace_key(trace) == trace_key(small_trace())
+        assert trace_key(trace) == trace_key(WorkloadTrace.from_json(trace.to_json()))
+
+    @pytest.mark.parametrize("field", sorted(NUDGES))
+    def test_each_trace_job_field_that_reaches_the_outcome_flips_it(self, field):
+        trace = small_trace()
+        nudged = replace_first_job(trace, **{field: self.NUDGES[field](trace.jobs[0])})
+        assert trace_key(nudged) != trace_key(trace)
+
+    def test_labels_that_never_reach_the_outcome_do_not(self):
+        trace = small_trace()
+        relabelled = replace_first_job(trace, size_class="huge")
+        assert trace_key(relabelled) == trace_key(trace)
+        reseeded = dataclasses.replace(trace, seed=99, arrival_rate_per_s=9.0)
+        assert trace_key(reseeded) == trace_key(trace)
+
+    def test_dropping_a_job_flips_it(self):
+        trace = small_trace()
+        assert trace_key(dataclasses.replace(trace, jobs=trace.jobs[:-1])) != (
+            trace_key(trace)
+        )
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"num_slaves": 3},
+            {"map_slots": 4},
+            {"reduce_slots": 2},
+            {"block_size": 128 * 1024},
+            {"racks": 2},
+        ],
+    )
+    def test_each_make_cluster_argument_flips_it(self, change):
+        assert trace_key(small_trace(), **change) != trace_key(small_trace())
+
+    def test_scheduler_config_flips_it(self):
+        from repro.cluster.scheduler import FairScheduler, FifoScheduler, PoolConfig
+
+        trace = small_trace()
+        keys = {
+            trace_key(trace, FifoScheduler()),
+            trace_key(trace, FairScheduler()),
+            trace_key(trace, FairScheduler(pools=[PoolConfig("interactive", 2.0)])),
+            trace_key(trace, FairScheduler(preemption=False)),
+        }
+        assert len(keys) == 4
+
+    def test_plan_observability_and_run_engine_flip_it(self):
+        from repro.cluster.faults import FaultPlan
+
+        trace = small_trace()
+        keys = {
+            trace_key(trace),
+            trace_key(trace, plan=FaultPlan(node_crashes=(("slave2", 0.5),))),
+            trace_key(trace, observability="lean"),
+            trace_key(trace, run_engine="legacy"),
+        }
+        assert len(keys) == 4
+
+    def test_exec_and_cluster_digests_flip_it(self, monkeypatch):
+        trace = small_trace()
+        base = trace_key(trace)
+        monkeypatch.setattr("repro.core.simcache._exec_code_version", "feedfacefeedface")
+        after_exec = trace_key(trace)
+        monkeypatch.setattr(
+            "repro.core.simcache._cluster_code_version", "feedfacefeedface"
+        )
+        assert len({base, after_exec, trace_key(trace)}) == 3
+
+    def test_exec_digest_is_folded_into_trace_keys_only(self, monkeypatch):
+        base = mix_cache_key(build_small_mix())
+        monkeypatch.setattr("repro.core.simcache._exec_code_version", "feedfacefeedface")
+        assert mix_cache_key(build_small_mix()) == base
+
+    def test_dispatch_engine_class_shares_it(self):
+        from repro.perf.clusterpath import FastMultiJobCluster
+
+        assert trace_key(small_trace(), cls=FastMultiJobCluster) == (
+            trace_key(small_trace())
+        )
+
+    def test_exec_code_version_shape(self):
+        version = exec_code_version()
+        assert len(version) == 16
+        int(version, 16)  # hex digest prefix
+
+    def test_submission_and_trace_entries_never_serve_each_other(self, tmp_path):
+        """The two domains of one mix: run_mix's trace entry and a
+        ``MixCache.run`` entry for exactly the submissions run_mix makes.
+        Same outcome, and still neither is ever a hit for the other."""
+        from repro.cluster.cluster import make_cluster
+        from repro.cluster.scheduler import FifoScheduler, MultiJobCluster
+        from repro.cluster.tenancy import _solo_runs, run_mix
+
+        trace = small_trace()
+        solo = _solo_runs(trace, RUN_MIX_SHAPE)
+
+        def submitted():
+            multi = MultiJobCluster(make_cluster(**RUN_MIX_SHAPE), FifoScheduler())
+            for tjob in trace.jobs:
+                multi.submit_chain(
+                    solo[tjob.workload, tjob.scale][2],
+                    arrival_s=tjob.arrival_s,
+                    user=tjob.user,
+                    pool=tjob.pool,
+                    id_prefix=f"t{tjob.index:03d}",
+                )
+            return multi
+
+        traced = MixCache(tmp_path / "trace-first", enabled=True)
+        mix = run_mix(trace, FifoScheduler(), mix_cache=traced)
+        outcome = traced.run(submitted())
+        assert (traced.hits, traced.misses) == (0, 2)
+        assert mix_outcome_payload(outcome) == mix_outcome_payload(mix.outcome)
+
+        dispatched = MixCache(tmp_path / "submissions-first", enabled=True)
+        dispatched.run(submitted())
+        run_mix(trace, FifoScheduler(), mix_cache=dispatched)
+        assert (dispatched.hits, dispatched.misses) == (0, 2)
+
+
+class TestUnwritableRoot:
+    """A cache whose root cannot hold entries — here a regular file, which
+    even root cannot write beneath — still returns every computed result,
+    counts each call as a miss, and warns once per handle."""
+
+    @pytest.fixture()
+    def root(self, tmp_path):
+        path = tmp_path / "not-a-directory"
+        path.write_text("", encoding="utf-8")
+        return path
+
+    def test_mix_cache_run(self, root):
+        expected = mix_outcome_payload(build_small_mix().run())
+        cache = MixCache(root, enabled=True)
+        with pytest.warns(RuntimeWarning, match="cannot write") as warned:
+            for _ in range(2):
+                assert mix_outcome_payload(cache.run(build_small_mix())) == expected
+        assert len(warned) == 1
+        assert (cache.hits, cache.misses) == (0, 2)
+
+    def test_run_mix(self, root):
+        from repro.cluster.scheduler import FifoScheduler
+        from repro.cluster.tenancy import run_mix
+
+        expected = run_mix(small_trace(), FifoScheduler()).to_dict()
+        cache = MixCache(root, enabled=True)
+        with pytest.warns(RuntimeWarning, match="cannot write") as warned:
+            for _ in range(2):
+                mix = run_mix(small_trace(), FifoScheduler(), mix_cache=cache)
+                assert mix.to_dict() == expected
+        assert len(warned) == 1
+        assert (cache.hits, cache.misses) == (0, 2)
+
+    def test_sim_cache_simulate(self, root, spec):
+        expected = dataclasses.asdict(Core(SCALED).run(SyntheticTrace(spec)))
+        cache = SimCache(root, enabled=True)
+        with pytest.warns(RuntimeWarning, match="cannot write") as warned:
+            for _ in range(2):
+                result = cache.simulate(spec, SCALED, engine="reference")
+                assert dataclasses.asdict(result) == expected
+        assert len(warned) == 1
+        assert (cache.hits, cache.misses) == (0, 2)
 
 
 class TestParallelSuite:
