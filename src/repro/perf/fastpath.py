@@ -9,11 +9,10 @@ several times faster.  Three mechanisms, none of which changes a counter:
    struct-of-arrays :class:`~repro.uarch.trace.TraceBatch` chunks instead of
    one ``MicroOp`` object per instruction, eliminating per-op object
    construction and generator suspension.
-2. **Vectorized decode kernels** — the data-independent per-op stages
-   (line-address and set-index decode for the caches, virtual-page decode
-   for the TLBs, the ``pc >> 2`` predictor/BTB keys) are computed for a
-   whole batch at once with NumPy shifts and handed to the scalar loop as
-   plain lists.
+2. **Decode on use** — the address stages are shifts computed only where
+   their result is read: the L1I line per μop, the I-page on a line
+   change, the D-line and D-page in the load/store arms, and the
+   ``pc >> 2`` predictor/BTB key in the branch arm.
 3. **Flattened scalar mechanics** — the inherently sequential parts
    (LRU state machines, branch-history updates, the one-pass timing model)
    run in a single loop over local variables, with the reference engine's
@@ -35,11 +34,6 @@ from __future__ import annotations
 
 import random
 from heapq import heappop, heappush
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _np = None
 
 from repro.uarch.branch import GSharePredictor, TournamentPredictor
 from repro.uarch.frontend import FRONT_DEPTH, FetchEngine
@@ -64,37 +58,6 @@ _BRANCH = int(OpClass.BRANCH)
 _DIV = int(OpClass.DIV)
 
 _MISFETCH_BUBBLE = FetchEngine.MISFETCH_BUBBLE
-
-
-def decode_batch(batch, shifts):
-    """Vectorized per-batch decode of the data-independent address stages.
-
-    Given a :class:`TraceBatch` and the tuple of shift amounts
-    ``(l1i_line, itlb_page, l1d_line, dtlb_page)``, return the decoded
-    columns ``(iline, ipage, dline, dpage, pc2)`` as plain lists ready for
-    the scalar loop.  Uses NumPy when available; the pure-Python fallback
-    computes the identical values.
-    """
-    l1i_shift, itlb_shift, l1d_shift, dtlb_shift = shifts
-    if _np is not None:
-        pc_a = _np.asarray(batch.pc, dtype=_np.int64)
-        addr_a = _np.asarray(batch.addr, dtype=_np.int64)
-        return (
-            (pc_a >> l1i_shift).tolist(),
-            (pc_a >> itlb_shift).tolist(),
-            (addr_a >> l1d_shift).tolist(),
-            (addr_a >> dtlb_shift).tolist(),
-            (pc_a >> 2).tolist(),
-        )
-    pc_c = batch.pc
-    addr_c = batch.addr
-    return (
-        [p >> l1i_shift for p in pc_c],
-        [p >> itlb_shift for p in pc_c],
-        [a >> l1d_shift for a in addr_c],
-        [a >> dtlb_shift for a in addr_c],
-        [p >> 2 for p in pc_c],
-    )
 
 
 def run_fast(
@@ -641,11 +604,9 @@ def run_fast(
     baseline_stalls = (0, 0, 0, 0, 0)
     baseline_retire = 0
 
-    decode_shifts = (l1i_shift, itlb_shift, l1d_shift, dtlb_shift)
     i = 0
     for batch in trace.iter_batches(batch_size):
-        iline_c, ipage_c, dline_c, dpage_c, pc2_c = decode_batch(batch, decode_shifts)
-        for op_, pc_, addr_, taken_, target_, dep1_, dep2_, kernel_, iline_, ipage_, dline_, dpage_, pc2_ in zip(
+        for op_, pc_, addr_, taken_, target_, dep1_, dep2_, kernel_ in zip(
             batch.op,
             batch.pc,
             batch.addr,
@@ -654,11 +615,6 @@ def run_fast(
             batch.dep1,
             batch.dep2,
             batch.kernel,
-            iline_c,
-            ipage_c,
-            dline_c,
-            dpage_c,
-            pc2_c,
         ):
             if virtualized and kernel_ and not prev_kernel:
                 fetch_time += vm_transition
@@ -668,9 +624,10 @@ def run_fast(
             prev_kernel = kernel_
 
             # -- fetch (FetchEngine.fetch) --
+            iline_ = pc_ >> l1i_shift
             if iline_ != current_line:
                 current_line = iline_
-                tlb_latency = translate_i(pc_, ipage_)
+                tlb_latency = translate_i(pc_, pc_ >> itlb_shift)
                 if tlb_latency:
                     fetch_time += tlb_latency
                     itlb_stall += tlb_latency
@@ -784,8 +741,8 @@ def run_fast(
             if op_ == _LOAD:
                 issue = ready if ready > port_load else port_load
                 port_load = issue + 1
-                tlb_latency = translate_d(addr_, dpage_)
-                mem_latency = access_d(addr_, dline_)
+                tlb_latency = translate_d(addr_, addr_ >> dtlb_shift)
+                mem_latency = access_d(addr_, addr_ >> l1d_shift)
                 complete = issue + tlb_latency + mem_latency
                 transfers = d_dram - dram_seen
                 if transfers:
@@ -800,9 +757,9 @@ def run_fast(
             elif op_ == _STORE:
                 issue = ready if ready > port_store else port_store
                 port_store = issue + 1
-                tlb_latency = translate_d(addr_, dpage_)
+                tlb_latency = translate_d(addr_, addr_ >> dtlb_shift)
                 complete = issue + 1 + tlb_latency
-                mem_latency = access_d(addr_, dline_)
+                mem_latency = access_d(addr_, addr_ >> l1d_shift)
                 drain_done = complete + STORE_DRAIN_LATENCY + mem_latency
                 transfers = d_dram - dram_seen
                 if transfers:
@@ -817,7 +774,7 @@ def run_fast(
             elif op_ == _BRANCH:
                 issue = ready
                 complete = issue + lat_branch
-                outcome = resolve_branch(pc2_, taken_, target_)
+                outcome = resolve_branch(pc_ >> 2, taken_, target_)
                 if outcome == 1:
                     # FetchEngine.redirect
                     restart = complete + redirect_gap

@@ -24,12 +24,8 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-
-try:  # NumPy backs the batched fast path; the scalar path never needs it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _np = None
 
 from repro.uarch.isa import MicroOp, OpClass
 
@@ -178,6 +174,8 @@ class TraceSpec:
             raise ValueError("code footprints must be positive")
         if not self.regions:
             raise ValueError("at least one memory region is required")
+        if self.access_bytes <= 0:
+            raise ValueError(f"access_bytes must be positive, got {self.access_bytes}")
 
     def with_instructions(self, instructions: int) -> "TraceSpec":
         """Return a copy of the spec with a different trace length."""
@@ -240,9 +238,8 @@ class TraceBatch:
 
     The batched fast engine (:mod:`repro.perf.fastpath`) consumes micro-ops
     in struct-of-arrays form: one column per :class:`MicroOp` field, in
-    program order.  Columns are plain Python lists internally (the scalar
-    simulation loop indexes them directly); :meth:`arrays` exposes the same
-    columns as NumPy arrays for the vectorized decode kernels.
+    program order.  Columns are plain Python lists, which the engine's
+    simulation loop zips directly.
     """
 
     __slots__ = ("op", "pc", "addr", "taken", "target", "dep1", "dep2", "kernel")
@@ -259,21 +256,6 @@ class TraceBatch:
 
     def __len__(self) -> int:
         return len(self.op)
-
-    def arrays(self) -> dict[str, "object"]:
-        """Return the columns as parallel NumPy arrays (int64/bool)."""
-        if _np is None:  # pragma: no cover - numpy ships with the package
-            raise RuntimeError("NumPy is required for TraceBatch.arrays()")
-        return {
-            "op": _np.asarray(self.op, dtype=_np.int64),
-            "pc": _np.asarray(self.pc, dtype=_np.int64),
-            "addr": _np.asarray(self.addr, dtype=_np.int64),
-            "taken": _np.asarray(self.taken, dtype=bool),
-            "target": _np.asarray(self.target, dtype=_np.int64),
-            "dep1": _np.asarray(self.dep1, dtype=_np.int64),
-            "dep2": _np.asarray(self.dep2, dtype=_np.int64),
-            "kernel": _np.asarray(self.kernel, dtype=bool),
-        }
 
     def micro_ops(self) -> list[MicroOp]:
         """Rehydrate the batch into :class:`MicroOp` objects (tests only)."""
@@ -394,19 +376,6 @@ class SyntheticTrace:
 
     # -- batched generation (fast path) ------------------------------------
 
-    def generate_batch(self, n: int) -> TraceBatch:
-        """Expand the first ``min(n, len(self))`` micro-ops into one batch.
-
-        The batch carries the identical op stream the scalar iterator
-        yields — same RNG consumption, same fields — but in parallel
-        column (struct-of-arrays) form.
-        """
-        if n <= 0:
-            raise ValueError("batch size must be positive")
-        for batch in self.iter_batches(batch_size=n):
-            return batch
-        raise AssertionError("trace produced no micro-ops")  # pragma: no cover
-
     def iter_batches(self, batch_size: int = DEFAULT_BATCH_SIZE):
         """Yield the full stream as :class:`TraceBatch` chunks.
 
@@ -445,18 +414,14 @@ class SyntheticTrace:
                 else:
                     gap = remaining
                 take = min(gap, remaining)
-            produced = 0
-            while produced < take:
-                produced += state.emit_block_cols(
-                    min(take - produced, remaining - produced), cols
-                )
-            remaining -= produced
+            state.emit_run(take, cols)
+            remaining -= take
             if state is kern:
-                kernel_remaining -= produced
-                stats.kernel_instructions += produced
+                kernel_remaining -= take
+                stats.kernel_instructions += take
             elif user_gap > 0 and remaining > 0:
                 kernel_remaining = max(1, int(episode_len * rng.uniform(0.7, 1.3)))
-            stats.instructions += produced
+            stats.instructions += take
             stats.loads += state.block_loads
             stats.stores += state.block_stores
             stats.branches += state.block_branches
@@ -541,6 +506,10 @@ class _ModeState:
         "index",
         "op_choices",
         "op_cum",
+        "op_table",
+        "region_table",
+        "log_one_minus_p",
+        "body_lens",
         "block_loads",
         "block_stores",
         "block_branches",
@@ -611,6 +580,27 @@ class _ModeState:
             acc += weight
             cum.append(acc)
         self.op_cum = cum
+
+        # emit_run's per-mode constants.  Both cumulative lists are
+        # non-decreasing, so bisect_right finds the first threshold above
+        # a draw — the linear scans' pick — and the appended sentinel is
+        # their fall-through (ALU, the last region).
+        self.op_table = tuple(int(op) for op in self.op_choices) + (int(OpClass.ALU),)
+        table = []
+        for cursor in self.cursors:
+            region = cursor.region
+            # Sequential and strided walks advance by a fixed step; 0 marks
+            # the random jumps _data_address draws.
+            step = {"sequential": spec.access_bytes, "strided": region.stride}.get(
+                region.pattern, 0
+            )
+            table.append((cursor, cursor.base, region.size_bytes, step))
+        self.region_table = tuple(table) + (table[-1],)
+        # _geometric's operands.  With p == 1 the draw is always 1: dividing
+        # a finite log by -inf gives 0.0, and int(0.0) + 1 == 1.
+        p = 1.0 / max(1.0, spec.dep_mean)
+        self.log_one_minus_p = math.log(1.0 - p) if p < 1.0 else -math.inf
+        self.body_lens: dict[int, int] = {}
         self.block_loads = 0
         self.block_stores = 0
         self.block_branches = 0
@@ -807,152 +797,151 @@ class _ModeState:
             self.pc = pc
         return ops
 
-    def emit_block_cols(self, budget: int, cols: _Columns) -> int:
-        """Batch twin of :meth:`emit_block`: append fields to *cols*.
+    def emit_run(self, take: int, cols: _Columns) -> None:
+        """Batch twin of the scalar generator's :meth:`emit_block` loop.
 
-        Emits the identical micro-op fields in the identical RNG call
-        order; the only differences are structural (column appends instead
-        of :class:`~repro.uarch.isa.MicroOp` construction, and the cheap
-        per-op samplers inlined).  Floating-point expressions are kept
-        operation-for-operation identical so every ``int()`` truncation
-        lands on the same value.
+        Appends exactly *take* micro-ops — one user or kernel episode — to
+        *cols* as consecutive basic blocks, each given the budget left in
+        the episode.  The fields, and every RNG call and its order, are
+        those :meth:`emit_block` produces; floating-point expressions are
+        kept operation-for-operation identical so every ``int()``
+        truncation lands on the same value.  The generator state stays in
+        locals until the episode ends, and the columns that are constant
+        within a block (``pc``, ``taken``, ``target``, ``kernel``) grow by
+        one ``extend`` per block.
         """
         spec = self.spec
         rng = self.rng
         rng_random = rng.random
-        body_len = min(self._block_body_len(self.pc), max(1, budget - 1))
-        pc = self.pc
-        kernel = self.kernel
-        index = self.index
-        last_load = self.last_load_distance
+        log = math.log
+        dep_density = spec.dep_density
+        log_one_minus_p = self.log_one_minus_p
         op_cum = self.op_cum
-        # Plain ints in the hot loop: IntEnum comparisons cost ~2x.
-        op_choices = [int(choice) for choice in self.op_choices]
-        op_alu = int(OpClass.ALU)
+        op_table = self.op_table
+        weights_cum = self.weights_cum
+        region_table = self.region_table
+        single_region = len(self.cursors) == 1
+        body_lens = self.body_lens
+        sites_get = self.sites.get
+        kernel = self.kernel
+        code_base = self.code_base
+        code_size = self.code_size
+        code_end = code_base + code_size
         op_load = int(OpClass.LOAD)
         op_store = int(OpClass.STORE)
         op_fp = int(OpClass.FP)
-        dep_density = spec.dep_density
-        # Same operands as _geometric: p, then log(1 - p) — division by the
-        # precomputed log is bit-identical to dividing by math.log(1.0 - p).
-        # None marks the degenerate p == 1 case (_geometric returns 1).
-        dep_p = 1.0 / max(1.0, spec.dep_mean)
-        log_one_minus_p = math.log(1.0 - dep_p) if dep_p < 1.0 else None
-        weights_cum = self.weights_cum
-        cursors = self.cursors
-        single_region = len(cursors) == 1
-        log = math.log
+        op_branch = int(OpClass.BRANCH)
 
-        col_op = cols.op
-        col_pc = cols.pc
-        col_addr = cols.addr
-        col_taken = cols.taken
-        col_target = cols.target
-        col_dep1 = cols.dep1
-        col_dep2 = cols.dep2
-        col_kernel = cols.kernel
+        op_append = cols.op.append
+        addr_append = cols.addr.append
+        dep1_append = cols.dep1.append
+        dep2_append = cols.dep2.append
+        pc_extend = cols.pc.extend
+        taken_col = cols.taken
+        target_col = cols.target
+        kernel_extend = cols.kernel.extend
 
-        count = 0
-        for _ in range(body_len):
-            # _pick_op, inlined.
-            r = rng_random()
-            op_class = op_alu
-            for j, threshold in enumerate(op_cum):
-                if r < threshold:
-                    op_class = op_choices[j]
-                    break
-            # _dep_pair, inlined (including _geometric).
-            if rng_random() >= dep_density:
-                dep1 = 0
-                dep2 = 0
-            else:
-                u = rng_random()
-                if log_one_minus_p is None:
-                    d1 = 1
+        pc = self.pc
+        index = self.index
+        # The scalar last_load_distance is index - last_load_at.
+        last_load_at = index - self.last_load_distance if self.last_load_distance else None
+        loads = stores = fp = branches = 0
+        produced = 0
+        while produced < take:
+            budget = take - produced
+            body_len = body_lens.get(pc)
+            if body_len is None:
+                body_len = body_lens[pc] = self._block_body_len(pc)
+            cap = budget - 1 if budget > 1 else 1
+            if body_len > cap:
+                body_len = cap
+            start = index
+            for index in range(start, start + body_len):
+                op = op_table[bisect_right(op_cum, rng_random())]
+                # _dep_pair, inlined (including _geometric: both logs are
+                # negative, so the draw is >= 1 without its max()).
+                if rng_random() >= dep_density:
+                    dep1 = dep2 = 0
                 else:
-                    d1 = int(log(u if u > 1e-12 else 1e-12) / log_one_minus_p) + 1
-                    if d1 < 1:
-                        d1 = 1
-                if rng_random() < 0.4:
                     u = rng_random()
-                    if log_one_minus_p is None:
-                        d2 = 1
+                    dep1 = int(log(u if u > 1e-12 else 1e-12) / log_one_minus_p) + 1
+                    if dep1 > MAX_DEP_DISTANCE:
+                        dep1 = MAX_DEP_DISTANCE
+                    if dep1 > index:
+                        dep1 = index
+                    if rng_random() < 0.4:
+                        u = rng_random()
+                        dep2 = int(log(u if u > 1e-12 else 1e-12) / log_one_minus_p) + 1
+                        if dep2 > MAX_DEP_DISTANCE:
+                            dep2 = MAX_DEP_DISTANCE
+                        if dep2 > index:
+                            dep2 = index
                     else:
-                        d2 = int(log(u if u > 1e-12 else 1e-12) / log_one_minus_p) + 1
-                        if d2 < 1:
-                            d2 = 1
+                        dep2 = 0
+                if op == op_load or op == op_store:
+                    if single_region:
+                        cursor, base, size, step = region_table[0]
+                    else:
+                        cursor, base, size, step = region_table[
+                            bisect_right(weights_cum, rng_random())
+                        ]
+                    if step:
+                        offset = cursor.offset
+                        addr = base + offset
+                        cursor.offset = (offset + step) % size
+                    else:
+                        addr, chase = self._data_address(cursor)
+                        if chase and last_load_at is not None:
+                            dep1 = min(index - last_load_at, MAX_DEP_DISTANCE)
+                    if op == op_load:
+                        loads += 1
+                        last_load_at = index
+                    else:
+                        stores += 1
                 else:
-                    d2 = 0
-                dep1 = d1 if d1 < MAX_DEP_DISTANCE else MAX_DEP_DISTANCE
-                if dep1 > index:
-                    dep1 = index
-                dep2 = d2 if d2 < MAX_DEP_DISTANCE else MAX_DEP_DISTANCE
-                if dep2 > index:
-                    dep2 = index
-            addr = 0
-            if op_class == op_load or op_class == op_store:
-                # _pick_region, inlined.
-                if single_region:
-                    cursor = cursors[0]
-                else:
-                    r = rng_random()
-                    cursor = cursors[-1]
-                    for j, threshold in enumerate(weights_cum):
-                        if r < threshold:
-                            cursor = cursors[j]
-                            break
-                addr, chase = self._data_address(cursor)
-                if chase and last_load:
-                    dep1 = min(last_load, MAX_DEP_DISTANCE)
-                if op_class == op_load:
-                    self.block_loads += 1
-                else:
-                    self.block_stores += 1
-            elif op_class == op_fp:
-                self.block_fp += 1
-            col_op.append(op_class)
-            col_pc.append(pc)
-            col_addr.append(addr)
-            col_taken.append(False)
-            col_target.append(0)
-            col_dep1.append(dep1)
-            col_dep2.append(dep2)
-            col_kernel.append(kernel)
-            if op_class == op_load:
-                last_load = 1
-            elif last_load:
-                last_load += 1
-            pc += 4
-            index += 1
-            count += 1
+                    addr = 0
+                    if op == op_fp:
+                        fp += 1
+                op_append(op)
+                addr_append(addr)
+                dep1_append(dep1)
+                dep2_append(dep2)
+            index = start + body_len
+            taken_col.extend([False] * body_len)
+            target_col.extend([0] * body_len)
+            count = body_len
+            next_pc = pc + 4 * body_len
+            if body_len < budget:
+                branch_pc = next_pc
+                site = sites_get(branch_pc)
+                if site is None:
+                    site = self._branch_site(branch_pc)
+                taken, target = self._resolve_branch(site, branch_pc)
+                next_pc = target if taken else branch_pc + 4
+                op_append(op_branch)
+                addr_append(0)
+                dep1_append(1)
+                dep2_append(0)
+                taken_col.append(taken)
+                target_col.append(next_pc)
+                branches += 1
+                index += 1
+                count += 1
+                # Keep the pc inside the mode's code segment.
+                if not code_base <= next_pc < code_end:
+                    next_pc = code_base + ((next_pc - code_base) % code_size) // 4 * 4
+            pc_extend(range(pc, pc + 4 * count, 4))
+            kernel_extend([kernel] * count)
+            pc = next_pc
+            produced += count
 
-        if count < budget:
-            branch_pc = pc
-            site = self._branch_site(branch_pc)
-            taken, target = self._resolve_branch(site, branch_pc)
-            col_op.append(int(OpClass.BRANCH))
-            col_pc.append(branch_pc)
-            col_addr.append(0)
-            col_taken.append(taken)
-            col_target.append(target if taken else branch_pc + 4)
-            col_dep1.append(1)
-            col_dep2.append(0)
-            col_kernel.append(kernel)
-            self.block_branches += 1
-            index += 1
-            count += 1
-            if last_load:
-                last_load += 1
-            self.pc = target if taken else branch_pc + 4
-            if not self.code_base <= self.pc < self.code_base + self.code_size:
-                self.pc = self.code_base + (
-                    (self.pc - self.code_base) % self.code_size
-                ) // 4 * 4
-        else:
-            self.pc = pc
+        self.pc = pc
         self.index = index
-        self.last_load_distance = last_load
-        return count
+        self.last_load_distance = 0 if last_load_at is None else index - last_load_at
+        self.block_loads += loads
+        self.block_stores += stores
+        self.block_fp += fp
+        self.block_branches += branches
 
     def _resolve_branch(self, site: _BranchSite, pc: int) -> tuple[bool, int]:
         rng = self.rng

@@ -15,8 +15,10 @@ Three promises, each with its own class below:
 runs no workload, and its outputs are computed on first read.
 
 Plus the guard on what the keys digest: every module a dispatch can
-execute is in ``_CLUSTER_VERSIONED_MODULES``, and every module a shadow
-run can execute is in it or in ``_EXEC_VERSIONED_MODULES``.
+execute is in ``_CLUSTER_VERSIONED_MODULES``, every module a shadow
+run can execute is in it or in ``_EXEC_VERSIONED_MODULES``, and every
+module either μop engine can execute is in the ``SimCache`` key's
+``_VERSIONED_MODULES``.
 """
 
 from __future__ import annotations
@@ -611,9 +613,23 @@ class TestDigestCoverage:
             "to simcache._EXEC_VERSIONED_MODULES"
         )
 
+    def test_every_module_a_simulation_can_execute_is_digested(self):
+        """A ``SimCache`` key stands in for a run of either μop engine."""
+        reachable = _reachable(("repro.perf.fastpath", "repro.uarch.pipeline"))
+        assert "repro.uarch.trace" in reachable  # the batch generator
+        assert "repro.uarch.caches" in reachable  # through the core model
+        missing = reachable - set(simcache._VERSIONED_MODULES)
+        assert not missing, (
+            f"{sorted(missing)} can change a SimulationResult but edits to "
+            "them would not invalidate the sim cache: add them to "
+            "simcache._VERSIONED_MODULES"
+        )
+
     def test_digested_modules_exist(self):
         for name in (
-            simcache._CLUSTER_VERSIONED_MODULES + simcache._EXEC_VERSIONED_MODULES
+            simcache._VERSIONED_MODULES
+            + simcache._CLUSTER_VERSIONED_MODULES
+            + simcache._EXEC_VERSIONED_MODULES
         ):
             assert _module_file(name) is not None, name
 

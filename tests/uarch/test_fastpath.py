@@ -1,20 +1,28 @@
 """Fast engine ≡ reference engine, bit for bit.
 
-The fast path (repro.perf.fastpath) re-implements trace generation and the
-core timing loop in batched form; its entire value rests on never changing
-a counter.  These tests enforce that contract:
+The fast path re-implements trace generation (SyntheticTrace.iter_batches,
+one _ModeState.emit_run call per user or kernel episode) and the core
+timing loop (repro.perf.fastpath, which decodes lines, pages and predictor
+keys where it reads them) in batched form; its entire value rests on never
+changing a counter.  These tests enforce that contract:
 
 * a hypothesis property over randomized TraceSpecs and machine variants
   asserting every SimulationResult field matches exactly,
-* batch-stream equivalence (iter_batches ≡ the scalar iterator),
+* batch-stream equivalence: iter_batches ≡ the scalar iterator, the
+  oracle, at batch sizes 1, 7, 777 and DEFAULT_BATCH_SIZE, over specs
+  that vary every region field and access_bytes and include one-μop
+  kernel episodes,
 * a fixed equivalence matrix over representative suite workloads and the
   ablation machines (virtualized, hugepages, prefetch off, each predictor).
+
+test_trace_golden.py pins every suite entry's stream and fast result by
+hash, so a rewrite of either half cannot move a value unnoticed.
 """
 
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.suite import DCBench
 from repro.perf.fastpath import run_fast
@@ -24,7 +32,7 @@ from repro.uarch.config import (
     virtualized_machine,
 )
 from repro.uarch.pipeline import Core, simulate
-from repro.uarch.trace import MemoryRegion, SyntheticTrace, TraceSpec
+from repro.uarch.trace import DEFAULT_BATCH_SIZE, MemoryRegion, SyntheticTrace, TraceSpec
 
 SCALED = scaled_machine(8)
 
@@ -45,25 +53,21 @@ def machine_variant(kind: str):
 
 
 regions_strategy = st.lists(
-    st.tuples(
-        st.sampled_from(["sequential", "strided", "random", "pointer"]),
-        st.integers(10, 22),  # log2 size
-        st.floats(0.1, 1.0),
+    st.builds(
+        MemoryRegion,
+        name=st.just("r"),
+        size_bytes=st.integers(10, 22).map(lambda bits: 1 << bits),
+        weight=st.floats(0.1, 1.0),
+        pattern=st.sampled_from(["sequential", "strided", "random", "pointer"]),
+        stride=st.integers(1, 4096),
+        burst=st.integers(1, 8),
+        # < 1 is the path that draws one extra rng.random() per jump
+        hot_fraction=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+        hot_weight=st.floats(0.0, 1.0),
     ),
     min_size=1,
     max_size=3,
-).map(
-    lambda items: tuple(
-        MemoryRegion(
-            name=f"r{i}",
-            size_bytes=1 << bits,
-            weight=weight,
-            pattern=pattern,
-            stride=256 if pattern == "strided" else 64,
-        )
-        for i, (pattern, bits, weight) in enumerate(items)
-    )
-)
+).map(tuple)
 
 spec_strategy = st.builds(
     TraceSpec,
@@ -87,8 +91,15 @@ spec_strategy = st.builds(
     dep_mean=st.floats(1.0, 12.0),
     dep_density=st.floats(0.0, 1.0),
     partial_register_ratio=st.floats(0.0, 0.3),
+    access_bytes=st.integers(1, 64),
     kernel_fraction=st.floats(0.0, 0.3),
-    kernel_episode_len=st.integers(1, 300),
+    # 1-μop kernel episodes are single-op, budget-1 blocks
+    kernel_episode_len=st.one_of(st.just(1), st.integers(1, 300)),
+)
+
+#: Every kernel episode is one μop: a block on a budget of one, no branch.
+ONE_UOP_EPISODES = TraceSpec(
+    name="one-uop", instructions=3000, kernel_fraction=0.3, kernel_episode_len=1
 )
 
 
@@ -106,22 +117,27 @@ class TestFastEqualsReference:
         fast = run_fast(Core(machine), SyntheticTrace(spec))
         assert dataclasses.asdict(ref) == dataclasses.asdict(fast)
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(spec=spec_strategy)
+    @example(spec=ONE_UOP_EPISODES)
     def test_batch_stream_equals_scalar_stream(self, spec):
+        def fields(uops):
+            return [
+                (u.op, u.pc, u.addr, u.taken, u.target, u.dep1, u.dep2, u.kernel)
+                for u in uops
+            ]
+
         scalar_trace = SyntheticTrace(spec)
-        scalar = scalar_trace.materialize()
-        batch_trace = SyntheticTrace(spec)
-        batched = [
-            uop for batch in batch_trace.iter_batches(batch_size=777)
-            for uop in batch.micro_ops()
-        ]
-        assert len(scalar) == len(batched) == spec.instructions
-        for a, b in zip(scalar, batched):
-            assert (a.op, a.pc, a.addr, a.taken, a.target, a.dep1, a.dep2, a.kernel) == (
-                b.op, b.pc, b.addr, b.taken, b.target, b.dep1, b.dep2, b.kernel
+        scalar = fields(scalar_trace.materialize())
+        assert len(scalar) == spec.instructions
+        for batch_size in (1, 7, 777, DEFAULT_BATCH_SIZE):
+            batch_trace = SyntheticTrace(spec)
+            batched = fields(
+                uop for batch in batch_trace.iter_batches(batch_size=batch_size)
+                for uop in batch.micro_ops()
             )
-        assert scalar_trace.stats == batch_trace.stats
+            assert batched == scalar, f"batch_size={batch_size}"
+            assert batch_trace.stats == scalar_trace.stats, f"batch_size={batch_size}"
 
 
 #: The CI perf tier's equivalence matrix: one workload per family.

@@ -69,6 +69,13 @@ class TestTraceSpecValidation:
         with pytest.raises(ValueError):
             tiny_spec(regions=())
 
+    @pytest.mark.parametrize("access_bytes", [0, -8])
+    def test_rejects_nonpositive_access_bytes(self, access_bytes):
+        # 0 would pin every sequential access to one address; a negative
+        # width walks regions backwards and crashes random ones mid-trace.
+        with pytest.raises(ValueError, match="access_bytes"):
+            tiny_spec(access_bytes=access_bytes)
+
     def test_with_instructions(self):
         spec = tiny_spec().with_instructions(99)
         assert spec.instructions == 99
