@@ -1,110 +1,124 @@
-"""Cluster engine micro-benchmarks: reference vs fast vs warm-cache.
+"""Cluster dispatch wall-clock budgets: the 100k-job day trace and the race.
 
-A scaled-down ``bench-cluster`` run (the CLI twin is ``python -m repro
-bench-cluster``, which times the full pinned matrix and writes the
-repo-root ``BENCH_cluster.json``).  The equivalence rows shrink so the
-perf tier stays quick, but the headline row runs at full pinned scale —
-a day-long 100k-job trace on 1000 simulated nodes — and asserts the
-wall-clock budget the fast path exists to meet:
+The headline row is a day-long trace at data-centre node count — 100 000
+FIFO jobs of 2 maps + 1 reduce, evenly spaced over 24 simulated hours on
+1 000 nodes, ``observability="lean"`` — played through ``MixCache`` on
+the indexed fast path: a miss (key + dispatch + store), then a fresh
+build that must hit.  Budgets carry at least 4× slack over the times
+the harness that used to run this row measured on a 2-core x86-64 box
+when it was retired (cold ≈11.5 s, warm ≈0.5 s: key + columnar entry
+load, no dispatch), so only a real perf regression trips them:
 
-* every engine comparison in the report is bit-identical,
-* the fast engine beats the reference engine cold,
-* the 100k-job scale row dispatches in tens of seconds cold and
-  replays from the mix cache in under a second (asserted with slack
-  for CI machine noise).
+* cold < 75 s and at least 1 000 jobs/s,
+* warm < 2.5 s,
+* the warm payload equals the cold one, with exactly one miss and one hit.
+
+A smaller contended FIFO mix races the two dispatch classes cold: the
+fast path must not lose to the reference loop, and both must produce
+the same payload.  ``bench/`` (``dispatch-scale`` / ``dispatch-policy``)
+is where these paths are timed with variance; this file is the budget.
 """
 
 from __future__ import annotations
 
-import json
+import gc
+import random
+import time
 
 import pytest
 
-from conftest import run_once
-from repro.perf.clusterbench import (
-    DEFAULT_SCALE_JOBS,
-    DEFAULT_SCALE_NODES,
-    MixSpec,
-    _mix_capacity,
-    _mix_fair,
-    _mix_faults,
-    _mix_fifo,
-    _mix_scale,
-    run_cluster_bench,
-    write_cluster_report,
+from repro.cluster import (
+    FifoScheduler,
+    JobWork,
+    MapWork,
+    MultiJobCluster,
+    ReduceWork,
+    make_cluster,
 )
+from repro.core.simcache import MixCache, mix_outcome_payload
+from repro.perf.clusterpath import FastMultiJobCluster
 
-#: The pinned regimes at perf-tier size; the scale row stays full-size.
-SMOKE_MATRIX = [
-    MixSpec("fifo-contended", "fifo", 400, 32, _mix_fifo),
-    MixSpec("fair-preemption", "fair", 60, 8, _mix_fair),
-    MixSpec("capacity-chains", "capacity", 48, 8, _mix_capacity),
-    MixSpec("faults-speculation", "faults", 48, 8, _mix_faults),
-    MixSpec(
-        "scale-day-trace",
-        "scale",
-        DEFAULT_SCALE_JOBS,
-        DEFAULT_SCALE_NODES,
-        _mix_scale,
-        compare_reference=False,
-    ),
-]
+SCALE_JOBS = 100_000
+SCALE_NODES = 1000
+DAY_S = 86_400.0
+
+
+def fifo_mix(cls, jobs: int, nodes: int, spacing_s: float, seed: int):
+    """*jobs* uniform FIFO jobs of 2 maps + 1 reduce, *spacing_s* apart."""
+    cluster = make_cluster(
+        num_slaves=nodes, map_slots=8, reduce_slots=4, block_size=256 * 1024
+    )
+    multi = cls(cluster, scheduler=FifoScheduler(), observability="lean")
+    rng = random.Random(seed)
+    for i in range(jobs):
+        maps = tuple(
+            MapWork(1 << 18, rng.uniform(0.5, 3.0), 1 << 16) for _ in range(2)
+        )
+        reduces = (ReduceWork(1 << 16, rng.uniform(0.3, 1.0), 1 << 16),)
+        multi.submit(
+            JobWork(name=f"j{i}", maps=maps, reduces=reduces),
+            arrival_s=i * spacing_s,
+            user=f"u{i % 5}",
+        )
+    return multi
+
+
+def replay_day_trace(root):
+    """One fresh build of the day trace through ``MixCache(root).run``:
+    ``(cache, host seconds, outcome)``."""
+    multi = fifo_mix(
+        FastMultiJobCluster, SCALE_JOBS, SCALE_NODES, DAY_S / SCALE_JOBS, seed=11
+    )
+    cache = MixCache(root, enabled=True)
+    # As bench/ does: time the call, not the cyclic collector walking
+    # the previous replay's outcome, which the test still holds.
+    gc.collect()
+    gc.freeze()
+    try:
+        start = time.perf_counter()
+        outcome = cache.run(multi)
+        seconds = time.perf_counter() - start
+    finally:
+        gc.unfreeze()
+    return cache, seconds, outcome
 
 
 @pytest.fixture(scope="module")
-def cluster_report(tmp_path_factory):
-    cache_root = tmp_path_factory.mktemp("bench-cluster-cache")
-    return run_cluster_bench(matrix=SMOKE_MATRIX, cache_root=str(cache_root))
-
-
-def test_bench_cluster_report(benchmark, cluster_report, tmp_path):
-    """Write and sanity-check a BENCH_cluster.json from the sampled run."""
-    path = run_once(
-        benchmark,
-        lambda: write_cluster_report(
-            cluster_report, str(tmp_path / "BENCH_cluster.json")
-        ),
-    )
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    assert payload["schema"] == 1
-    assert payload["totals"]["mixes"] == len(SMOKE_MATRIX)
-    for row in payload["mixes"]:
-        assert row["bit_identical"], f"{row['name']}: engines disagree"
-        assert row["jobs_per_sec_fast"] > 0
-    totals = payload["totals"]
+def scale_row(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mix-cache")
+    cold, warm = replay_day_trace(root), replay_day_trace(root)
     print(
-        f"\nengine speedup (cold) {totals['engine_speedup_cold']:.2f}x, "
-        f"fast path (warm cache) {totals['fastpath_speedup_warm']:.1f}x, "
-        f"scale row {totals['scale_jobs']} jobs / {totals['scale_nodes']} "
-        f"nodes: {totals['scale_fast_seconds']:.1f}s cold, "
-        f"{totals['scale_warm_seconds']:.2f}s warm"
+        f"\n{SCALE_JOBS} jobs / {SCALE_NODES} nodes: cold {cold[1]:.1f}s "
+        f"({SCALE_JOBS / cold[1]:.0f} jobs/s), warm {warm[1]:.2f}s"
     )
+    return cold, warm
 
 
-def test_fast_engine_not_slower(cluster_report):
-    totals = cluster_report.totals()
-    assert totals["bit_identical"]
-    assert totals["engine_speedup_cold"] > 1.0, totals
+def test_scale_row_wall_clock(scale_row):
+    (_, cold_s, cold), (_, warm_s, _) = scale_row
+    assert len(cold.reports) == SCALE_JOBS
+    assert not cold.failed_jobs and not cold.cancelled_jobs
+    assert cold_s < 75.0, f"cold {cold_s:.1f}s"
+    assert SCALE_JOBS / cold_s >= 1000, f"{SCALE_JOBS / cold_s:.0f} jobs/s"
+    assert warm_s < 2.5, f"warm {warm_s:.2f}s"
 
 
-def test_scale_row_wall_clock(cluster_report):
-    """The headline claim: 1000 nodes / 100k jobs in seconds.
-
-    Budgets carry ~4x slack over measured times (cold ~18s, warm ~0.6s
-    on the pinned matrix: key + columnar entry load, no dispatch) so
-    only a real perf regression trips them.
-    """
-    totals = cluster_report.totals()
-    assert totals["scale_jobs"] == DEFAULT_SCALE_JOBS
-    assert totals["scale_nodes"] == DEFAULT_SCALE_NODES
-    assert totals["scale_fast_seconds"] < 75.0, totals
-    assert totals["scale_warm_seconds"] < 2.5, totals
-    assert totals["scale_jobs_per_sec"] >= 1000, totals
+def test_scale_row_warm_hit_is_the_cold_run(scale_row):
+    (cold_cache, _, cold), (warm_cache, _, warm) = scale_row
+    assert (cold_cache.hits, cold_cache.misses) == (0, 1)
+    assert (warm_cache.hits, warm_cache.misses) == (1, 0)
+    assert mix_outcome_payload(warm) == mix_outcome_payload(cold)
 
 
-def test_warm_cache_pays_off(cluster_report):
-    totals = cluster_report.totals()
-    assert totals["fastpath_speedup_warm"] >= 5.0, totals
-    # Each mix probes the cache twice: the populating miss, then a hit.
-    assert totals["cache_hit_rate"] == pytest.approx(0.5)
+def test_fast_cold_not_slower_than_reference():
+    """400 jobs arriving faster than 32 nodes drain them."""
+    runs = {}
+    for cls in (MultiJobCluster, FastMultiJobCluster):
+        multi = fifo_mix(cls, 400, 32, spacing_s=0.9, seed=101)
+        start = time.perf_counter()
+        outcome = multi.run()
+        runs[cls] = time.perf_counter() - start, mix_outcome_payload(outcome)
+    (reference_s, reference), (fast_s, fast) = runs.values()
+    print(f"\ncontended FIFO: reference {reference_s:.2f}s, fast {fast_s:.2f}s")
+    assert fast == reference
+    assert fast_s <= reference_s

@@ -22,10 +22,6 @@ Sub-commands mirror how the paper's artefacts are used:
                             ``--engine``, ``--no-mix-cache``,
                             ``--crash-node``, ``--partition``, ``--racks``,
                             ``--rack-fail``, ``--tor-fail``, ``--colocate``)
-* ``bench-cluster``      — time the reference vs fast cluster engines on a
-                            pinned mix matrix plus a day-long scale trace;
-                            writes ``BENCH_cluster.json`` and fails unless
-                            every row is bit-identical
 * ``serve``              — open-loop service traffic through a frontend with
                             graceful degradation (``--rate``, ``--pattern``,
                             ``--deadline``, ``--shed-rate``, ``--limp``,
@@ -395,70 +391,6 @@ def _cmd_characterize(args) -> int:
                   f"{m.l3_hit_ratio_of_l2_misses:>6.0%}{m.dtlb_walks_pki:>7.2f}"
                   f"{m.branch_misprediction_ratio:>8.2%}")
     return 0
-
-
-def _cmd_bench_sim(args) -> int:
-    from repro.perf.bench import run_bench, write_report
-
-    report = run_bench(
-        instructions=args.instructions,
-        workloads=args.workloads or None,
-    )
-    path = write_report(report, args.output)
-    totals = report.totals()
-    header = (f"{'workload':<18s}{'ref s':>8s}{'fast s':>8s}{'warm s':>9s}"
-              f"{'engine x':>9s}{'warm x':>9s}")
-    print(header)
-    print("-" * len(header))
-    for row in report.rows:
-        print(f"{row.name:<18s}{row.reference_seconds:>8.3f}{row.fast_seconds:>8.3f}"
-              f"{row.warm_seconds:>9.4f}{row.engine_speedup:>9.2f}{row.warm_speedup:>9.1f}")
-    print("-" * len(header))
-    print(f"engine speedup (cold): {totals['engine_speedup_cold']:.2f}x   "
-          f"fast path speedup (warm cache): {totals['fastpath_speedup_warm']:.1f}x   "
-          f"bit-identical: {totals['bit_identical']}")
-    print(f"wrote {path}")
-    return 0 if totals["bit_identical"] else 1
-
-
-def _cmd_bench_cluster(args) -> int:
-    from repro.perf.clusterbench import (
-        pinned_matrix,
-        run_cluster_bench,
-        write_cluster_report,
-    )
-
-    matrix = pinned_matrix(
-        scale_jobs=args.scale_jobs, scale_nodes=args.scale_nodes
-    )
-    report = run_cluster_bench(matrix=matrix, cache_root=args.cache_root)
-    path = write_cluster_report(report, args.output)
-    totals = report.totals()
-    header = (f"{'mix':<20s}{'jobs':>7s}{'nodes':>6s}{'ref s':>9s}"
-              f"{'fast s':>9s}{'warm s':>9s}{'engine x':>9s}{'jobs/s':>9s}")
-    print(header)
-    print("-" * len(header))
-    for row in report.rows:
-        ref = (f"{row.reference_seconds:>9.3f}"
-               if row.reference_seconds is not None else f"{'-':>9s}")
-        speedup = (f"{row.engine_speedup:>9.2f}"
-                   if row.engine_speedup is not None else f"{'-':>9s}")
-        print(f"{row.name:<20s}{row.jobs:>7d}{row.nodes:>6d}{ref}"
-              f"{row.fast_seconds:>9.3f}{row.warm_seconds:>9.4f}{speedup}"
-              f"{row.jobs_per_sec_fast:>9.0f}")
-    print("-" * len(header))
-    print(f"engine speedup (cold): {totals['engine_speedup_cold']:.2f}x   "
-          f"fast path speedup (warm cache): "
-          f"{totals['fastpath_speedup_warm']:.1f}x   "
-          f"bit-identical: {totals['bit_identical']}")
-    if "scale_jobs" in totals:
-        print(f"scale row: {totals['scale_jobs']} jobs / "
-              f"{totals['scale_nodes']} nodes in "
-              f"{totals['scale_fast_seconds']:.2f}s cold "
-              f"({totals['scale_jobs_per_sec']} jobs/s), "
-              f"{totals['scale_warm_seconds']:.3f}s warm")
-    print(f"wrote {path}")
-    return 0 if totals["bit_identical"] else 1
 
 
 def _cmd_speedup(_args) -> int:
@@ -1089,30 +1021,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bypass the persistent .repro-cache result cache")
     ch.set_defaults(fn=_cmd_characterize)
 
-    bench = sub.add_parser("bench-sim",
-                           help="time reference vs fast engine, write BENCH_uarch.json")
-    bench.add_argument("workloads", nargs="*", help="workload names (default: all)")
-    bench.add_argument("--instructions", type=int, default=200_000)
-    bench.add_argument("--output", default="BENCH_uarch.json",
-                       help="report path (default: BENCH_uarch.json)")
-    bench.set_defaults(fn=_cmd_bench_sim)
-
-    cbench = sub.add_parser(
-        "bench-cluster",
-        help="time reference vs fast cluster engine, write BENCH_cluster.json",
-    )
-    cbench.add_argument("--scale-jobs", type=_count,
-                        default=100_000, metavar="N",
-                        help="jobs in the day-long scale row (default 100000)")
-    cbench.add_argument("--scale-nodes", type=_count, default=1000, metavar="N",
-                        help="simulated nodes in the scale row (default 1000)")
-    cbench.add_argument("--cache-root", default=None, metavar="DIR",
-                        help="mix-cache directory for the warm runs "
-                             "(default: a throwaway temp dir)")
-    cbench.add_argument("--output", default="BENCH_cluster.json",
-                        help="report path (default: BENCH_cluster.json)")
-    cbench.set_defaults(fn=_cmd_bench_cluster, parser=cbench)
-
     sub.add_parser("speedup", help="the Figure 2 scaling study").set_defaults(
         fn=_cmd_speedup
     )
@@ -1166,8 +1074,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="partition this slave off the network "
                           "(repeatable; e.g. slave1:0.1:1.0)")
     mix.add_argument("--engine", choices=("fast", "reference"), default="fast",
-                     help="cluster dispatch engine (bit-identical by "
-                          "contract; fast is the indexed default)")
+                     help="cluster dispatch engine: fast (indexed, the "
+                          "default) or reference; bit-identical by contract")
     mix.add_argument("--no-mix-cache", action="store_true",
                      help="bypass the persistent .repro-cache mix cache "
                           "(the escape hatch; also REPRO_MIX_CACHE=0)")

@@ -709,7 +709,7 @@ class MixOutcome(Deferred):
     failed_jobs: tuple[str, ...] = ()
     #: jobs never dispatched because an upstream dependency failed
     cancelled_jobs: tuple[str, ...] = ()
-    #: the delivered control-plane event log (empty under engine="legacy");
+    #: the delivered control-plane event log (empty under "lean");
     #: a factory rather than ``()`` so the class carries no ``events``
     #: attribute that would shadow a deferred one (see :meth:`deferred`)
     events: tuple = field(default_factory=tuple)
@@ -999,8 +999,8 @@ class MultiJobCluster:
         self.scheduler = scheduler or FifoScheduler()
         self.plan = plan
         #: ``"full"`` keeps the reference observability surface: per-job
-        #: all-slave /proc sampling at start and finish, and (under
-        #: ``engine="events"``) the control-plane event log.  ``"lean"``
+        #: all-slave /proc sampling at start and finish, and the
+        #: control-plane event log.  ``"lean"``
         #: samples each slave once at the mix origin and once at the mix
         #: end, restricts per-job write rates to nodes the job touched,
         #: and suppresses the event bus — the regime for data-center
@@ -1016,8 +1016,8 @@ class MultiJobCluster:
         self._acct: MixFaultAccounting | None = None
         # Limping hosts whose attempts actually triggered a backup race.
         self._detected_slow: set[str] = set()
-        #: the control-plane event bus (built by run(engine="events");
-        #: stays None under the legacy reference engine, which publishes
+        #: the control-plane event bus (built by run() under
+        #: observability="full"; stays None under "lean", which publishes
         #: nothing)
         self.bus: EventBus | None = None
         self._failures: list[JobFailedError] = []
@@ -1094,23 +1094,19 @@ class MultiJobCluster:
 
     # -- execution -------------------------------------------------------------
 
-    def run(
-        self, engine: str = "events", raise_on_failure: bool = True
-    ) -> MixOutcome:
+    def run(self, raise_on_failure: bool = True) -> MixOutcome:
         """Execute the whole mix and return its :class:`MixOutcome`.
 
-        ``engine="events"`` (the default) drives dispatch through the
-        :class:`~repro.cluster.eventbus.EventBus`: every control-plane
-        transition (submit, stage-ready, dispatch round, attempt
-        finished, job finished/failed/cancelled) is published as a typed
-        event and the delivered log rides on the outcome.
-        ``engine="legacy"`` runs the original straight-line loop and
-        publishes nothing.  Both engines execute the identical per-round
-        logic in the identical order, so their simulation effects —
-        timelines, /proc counters, clock — are bit-identical (pinned by
-        ``tests/cluster/test_eventbus.py``).  Under
-        ``observability="lean"`` the bus is suppressed for either engine
-        (the outcome's ``events`` tuple is empty).
+        One loop: a ``dispatch`` event, then dispatch rounds
+        (:meth:`_run_round`) until the mix quiesces, each followed by the
+        next ``dispatch`` event.  Under ``observability="full"`` every
+        control-plane transition (submit, stage-ready, dispatch round,
+        attempt finished, job finished/failed/cancelled) is published on
+        an :class:`~repro.cluster.eventbus.EventBus` and delivered at
+        once, and the delivered log rides on the outcome.  Under
+        ``"lean"`` no bus is built and the outcome's ``events`` tuple is
+        empty.  Publishing never changes a round, so both levels place
+        and time every task identically.
 
         When a job aborts permanently (a task exhausted its attempts, or
         no live node remained), the mix does not deadlock: the job is
@@ -1122,8 +1118,6 @@ class MultiJobCluster:
         ``False`` the outcome is returned with per-job ``status`` and
         the mix-level ``failed_jobs`` / ``cancelled_jobs`` tuples.
         """
-        if engine not in ("events", "legacy"):
-            raise ValueError(f"unknown engine {engine!r} (want events or legacy)")
         if self._ran:
             raise RuntimeError("mix already ran; build a new MultiJobCluster")
         self._ran = True
@@ -1148,11 +1142,10 @@ class MultiJobCluster:
             # of a pair of all-slave sweeps per job.
             for node in cluster.slaves:
                 node.procfs.sample(origin)
-
-        if engine == "events" and not lean:
-            bus = self.bus = EventBus()
+        else:
+            self.bus = EventBus()
             for job in self.jobs:
-                bus.publish(
+                self._publish(
                     EVENT_SUBMIT,
                     time_s=job.arrival_s,
                     job_id=job.job_id,
@@ -1162,16 +1155,9 @@ class MultiJobCluster:
                     after=job.depends_on.job_id if job.depends_on else None,
                 )
 
-            def on_dispatch(_event) -> None:
-                if self._run_round():
-                    bus.publish(EVENT_DISPATCH, time_s=cluster.clock)
-
-            bus.subscribe(EVENT_DISPATCH, on_dispatch)
-            bus.publish(EVENT_DISPATCH, time_s=origin)
-            bus.pump()
-        else:
-            while self._run_round():
-                pass
+        self._publish(EVENT_DISPATCH, time_s=origin)
+        while self._run_round():
+            self._publish(EVENT_DISPATCH, time_s=cluster.clock)
 
         unfinished = sorted(
             j.job_id for j in self.jobs if j.status == "pending"
@@ -1224,12 +1210,16 @@ class MultiJobCluster:
             events=tuple(self.bus.log) if self.bus is not None else (),
         )
 
-    # -- the dispatch round (shared by both engines) ---------------------------
+    # -- the dispatch round ----------------------------------------------------
 
     def _publish(self, event_type: str, time_s: float, **payload) -> None:
-        """Publish onto the bus when one is live (no-op under legacy)."""
+        """Publish and deliver one event when a bus is live (no-op under
+        ``observability="lean"``).  Every event here has priority 0, so
+        delivering it at once logs it in publication order, as a final
+        drain would, without a queue the size of the whole log."""
         if self.bus is not None:
             self.bus.publish(event_type, time_s=time_s, **payload)
+            self.bus.process_one()
 
     def _floor_of(self, job: ScheduledJob) -> float | None:
         if job.depends_on is not None:
@@ -1256,10 +1246,9 @@ class MultiJobCluster:
     def _run_round(self) -> bool:
         """One round of the dispatch loop; False when the mix quiesced.
 
-        This is the single definition of dispatch semantics — the legacy
-        engine iterates it directly, the events engine runs it from the
-        ``dispatch`` handler — which is what makes the two engines
-        bit-identical by construction.
+        This is the single definition of dispatch semantics: :meth:`run`
+        iterates it, and the fast path overrides only where its
+        candidates come from.
         """
         cluster = self.cluster
         floors = {}

@@ -415,7 +415,7 @@ def run_mix(
     reduce_slots: int = 4,
     block_size: int = 256 * 1024,
     plan: FaultPlan | None = None,
-    engine: str = "events",
+    engine: str = "reference",
     racks: int = 1,
     mix_cache=None,
     observability: str = "full",
@@ -429,39 +429,28 @@ def run_mix(
     uniform multi-rack topology, enabling rack-aware placement,
     three-level delay scheduling and rack-level fault plans.
 
-    ``engine`` selects the dispatch engine and run mode:
+    ``engine`` selects the dispatch class:
 
+    * ``"reference"`` — :class:`~repro.cluster.scheduler.MultiJobCluster`,
+      the straight-line reference loop.
     * ``"fast"`` — the indexed fast path
-      (:class:`~repro.perf.clusterpath.FastMultiJobCluster`), event-bus
-      run.  Bit-identical to ``"reference"`` by contract.
-    * ``"reference"`` — the straight-line reference loop, event-bus run.
-    * ``"events"`` — alias of ``"reference"`` (the historical default).
-    * ``"legacy"`` — the reference loop without an event bus.
+      (:class:`~repro.perf.clusterpath.FastMultiJobCluster`).
+      Bit-identical to ``"reference"`` by contract.
 
     ``mix_cache`` (a :class:`~repro.core.simcache.MixCache`) memoises
     the whole :class:`MixOutcome` plus each trace job's ideal seconds on
     disk, under a key computed before any workload runs: the trace's
     jobs, scheduler config, fault plan, the shared cluster's shape and
-    state (which is also every shadow's shape), run mode, and digests of
-    the cluster and execution code (:func:`~repro.core.simcache.
+    state (which is also every shadow's shape), observability, and
+    digests of the cluster and execution code (:func:`~repro.core.simcache.
     mix_cache_key` with ``trace=``).  A warm hit runs no workload,
     submits nothing and dispatches nothing: the reports are rebuilt from
     the stored outcome, and ``outputs`` are computed on first read by
     re-running each distinct shadow once.  A miss runs the mix as
     without a cache and stores it.
     """
-    engines = {
-        "fast": "events",
-        "reference": "events",
-        "events": "events",
-        "legacy": "legacy",
-    }
-    if engine not in engines:
-        raise ValueError(
-            f"unknown engine {engine!r} "
-            "(want fast, reference, events or legacy)"
-        )
-    run_engine = engines[engine]
+    if engine not in ("fast", "reference"):
+        raise ValueError(f"unknown engine {engine!r} (want fast or reference)")
     shape = dict(
         num_slaves=num_slaves,
         map_slots=map_slots,
@@ -482,7 +471,7 @@ def run_mix(
         )
     key = entry = None
     if mix_cache is not None:
-        key, entry = mix_cache.load_trace(multi, trace, engine=run_engine)
+        key, entry = mix_cache.load_trace(multi, trace)
     if entry is not None:
         outcome, ideals, stages = entry
         result = MixResult(
@@ -506,7 +495,7 @@ def run_mix(
             pool=tjob.pool,
             id_prefix=f"t{tjob.index:03d}",
         )
-    outcome = multi.run(engine=run_engine)
+    outcome = multi.run()
     if mix_cache is not None:
         mix_cache.store_trace(key, outcome, ideals, stages)
     return MixResult(

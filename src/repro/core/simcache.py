@@ -33,8 +33,8 @@ cache** under ``.repro-cache/mix/`` memoises whole
 :class:`~repro.cluster.scheduler.MixOutcome` objects, content-addressed
 by the submitted trace, the scheduler's :meth:`describe` fingerprint,
 the fault plan, the cluster geometry/topology/device state, the
-observability mode, the run engine, and a digest of every cluster-layer
-source module (:func:`cluster_code_version`).  The fast/reference
+observability mode, and a digest of every cluster-layer source module
+(:func:`cluster_code_version`).  The fast/reference
 *dispatch* engine is again excluded from the key — the two are
 bit-identical by contract (``repro.perf.clusterpath``) — while anything
 that changes the outcome's bytes is included.  ``REPRO_MIX_CACHE=0``
@@ -480,14 +480,13 @@ def _trace_record(tjob) -> bytes:
     )
 
 
-def mix_cache_key(multi, run_engine: str = "events", trace=None) -> str:
+def mix_cache_key(multi, trace=None) -> str:
     """Stable content hash for one mix execution's inputs.
 
     *multi* is a :class:`MultiJobCluster` (either dispatch engine — the
     fast path is bit-identical by contract, so the engine class is
-    deliberately not part of the key).  The run engine ("events" vs
-    "legacy") **is** keyed: it decides whether the outcome carries an
-    event log.  So is the observability mode, which decides which
+    deliberately not part of the key).  The observability mode **is**
+    keyed: it decides whether the outcome carries an event log and which
     per-node rates a timeline reports.
 
     The key lives in one of two domains, named in the key itself so the
@@ -511,7 +510,6 @@ def mix_cache_key(multi, run_engine: str = "events", trace=None) -> str:
         "schema": MIX_SCHEMA_VERSION,
         "domain": "submissions" if trace is None else "trace",
         "code": cluster_code_version(),
-        "run_engine": run_engine,
         "observability": multi.observability,
         "scheduler": multi.scheduler.describe(),
         "plan": dataclasses.asdict(multi.plan) if multi.plan is not None else None,
@@ -1053,21 +1051,21 @@ class MixCache(_CacheHandle):
     ) -> None:
         super().__init__(root, mix_cache_enabled() if enabled is None else enabled)
 
-    def run(self, multi, engine: str = "events"):
+    def run(self, multi):
         key = None
         if self.enabled:
-            key = mix_cache_key(multi, run_engine=engine)
+            key = mix_cache_key(multi)
             cached = load_mix(key, self.root)
             if cached is not None:
                 self.hits += 1
                 return cached
         self.misses += 1
-        outcome = multi.run(engine=engine)
+        outcome = multi.run()
         if key is not None:
             self._store(store_mix, key, outcome)
         return outcome
 
-    def load_trace(self, multi, trace, engine: str = "events"):
+    def load_trace(self, multi, trace):
         """Look up the trace entry for playing *trace* on *multi* (not yet
         submitted to) and count the hit or miss.
 
@@ -1077,7 +1075,7 @@ class MixCache(_CacheHandle):
         """
         key = entry = None
         if self.enabled:
-            key = mix_cache_key(multi, run_engine=engine, trace=trace)
+            key = mix_cache_key(multi, trace=trace)
             entry = load_mix(key, self.root, trace_jobs=len(trace.jobs))
         if entry is None:
             self.misses += 1

@@ -10,7 +10,19 @@ reproduces that interface over the simulator:
 * :mod:`repro.perf.session` — a ``PerfSession`` that "programs" a set of
   events, runs a trace on a core, and reads back the counts;
 * :mod:`repro.perf.procfs` — a simulated ``/proc`` exposing the cluster's
-  disk and network activity (the paper's disk-writes-per-second data).
+  disk and network activity (the paper's disk-writes-per-second data);
+* :mod:`repro.perf.sampling` — sampled ``perf record`` profiles of a
+  trace's program counter.
+
+Two fast engines live here too, each bit-identical to the reference it
+replaces (the repo's benchmark, ``bench/``, times both):
+
+* :mod:`repro.perf.fastpath` — ``run_fast``, the batched twin of
+  :meth:`~repro.uarch.pipeline.Core.run` behind
+  ``simulate(..., engine="fast")``;
+* :mod:`repro.perf.clusterpath` — ``FastMultiJobCluster``, the indexed
+  twin of :class:`~repro.cluster.scheduler.MultiJobCluster` behind
+  ``run_mix(..., engine="fast")``.
 """
 
 from repro.perf.events import EVENT_CATALOG, PerfEvent, lookup_event

@@ -23,8 +23,10 @@ overrides only *where* candidates come from, never *how* they are
 charged — task charging, preemption bookkeeping, fault handling and
 event publication all run the inherited reference code.  Equivalence
 (reports, timelines, /proc counters including sample streams, clock,
-event logs) is property-tested in ``tests/cluster/test_clusterpath.py``
-and re-checked by the ``bench-cluster`` CLI on every benchmark run.
+event logs) is property-tested in ``tests/cluster/test_clusterpath.py``,
+pinned by digest in ``tests/cluster/test_dispatch_golden.py``, and
+re-checked against the reference class by ``bench/``'s dispatch
+workloads.
 
 Nodes named by the fault plan (crash or partition targets) are excluded
 from the segment tree and brute-forced with the reference formula —

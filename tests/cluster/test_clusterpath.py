@@ -7,11 +7,12 @@ rests on never changing an outcome byte.  These tests enforce that
 contract:
 
 * a hypothesis property over randomized traces × schedulers ×
-  topologies × fault plans × seeds × run modes asserting the canonical
-  :func:`mix_outcome_payload` (plus per-node procfs state and the
-  cluster clock) matches exactly,
-* a pinned matrix over the regimes the ``bench-cluster`` harness times
-  (FIFO contention, Fair preemption, Capacity chains, fault plans),
+  topologies × fault plans × seeds × observability modes asserting the
+  canonical :func:`mix_outcome_payload` (plus per-node procfs state and
+  the cluster clock) matches exactly,
+* a pinned matrix with one case per dispatch regime (FIFO contention,
+  Fair preemption, Capacity chains, fault plans), whose digests
+  ``test_dispatch_golden.py`` also pins for both classes,
 * a fast-only scale smoke with a wall-clock budget, so a perf
   regression that would break the headline claim fails loudly here.
 """
@@ -139,17 +140,15 @@ def build_mix(cls, seed, scheduler_kind, racks, plan_kind, observability):
     return cluster, multi
 
 
-def assert_engines_agree(
-    seed, scheduler_kind, racks, plan_kind, observability, run_engine
-):
+def assert_engines_agree(seed, scheduler_kind, racks, plan_kind, observability):
     ref_cluster, ref = build_mix(
         MultiJobCluster, seed, scheduler_kind, racks, plan_kind, observability
     )
     fast_cluster, fast = build_mix(
         FastMultiJobCluster, seed, scheduler_kind, racks, plan_kind, observability
     )
-    ref_out = ref.run(engine=run_engine, raise_on_failure=False)
-    fast_out = fast.run(engine=run_engine, raise_on_failure=False)
+    ref_out = ref.run(raise_on_failure=False)
+    fast_out = fast.run(raise_on_failure=False)
     assert mix_outcome_payload(ref_out) == mix_outcome_payload(fast_out)
     assert procfs_state(ref_cluster) == procfs_state(fast_cluster)
     assert ref_cluster.clock == fast_cluster.clock
@@ -163,38 +162,30 @@ class TestFastEqualsReference:
         racks=st.sampled_from([1, 3]),
         plan_kind=st.sampled_from([None, "faults", "slow"]),
         observability=st.sampled_from(["full", "lean"]),
-        run_engine=st.sampled_from(["events", "legacy"]),
     )
     def test_property_bit_identical(
-        self, seed, scheduler_kind, racks, plan_kind, observability, run_engine
+        self, seed, scheduler_kind, racks, plan_kind, observability
     ):
-        assert_engines_agree(
-            seed, scheduler_kind, racks, plan_kind, observability, run_engine
-        )
+        assert_engines_agree(seed, scheduler_kind, racks, plan_kind, observability)
 
 
 #: The CI tier's pinned equivalence matrix: one case per dispatch regime.
 PINNED_CASES = [
-    (7, "fifo", 1, None, "lean", "events"),
-    (11, "fair", 1, None, "full", "events"),
-    (13, "fair", 3, "slow", "full", "events"),
-    (17, "capacity", 3, None, "full", "events"),
-    (19, "fifo", 1, "faults", "full", "events"),
-    (23, "capacity", 1, "faults", "lean", "legacy"),
+    (7, "fifo", 1, None, "lean"),
+    (11, "fair", 1, None, "full"),
+    (13, "fair", 3, "slow", "full"),
+    (17, "capacity", 3, None, "full"),
+    (19, "fifo", 1, "faults", "full"),
+    (23, "capacity", 1, "faults", "lean"),
 ]
 
 
 class TestEquivalenceMatrix:
     @pytest.mark.parametrize(
-        "seed,scheduler_kind,racks,plan_kind,observability,run_engine",
-        PINNED_CASES,
+        "seed,scheduler_kind,racks,plan_kind,observability", PINNED_CASES
     )
-    def test_pinned_case(
-        self, seed, scheduler_kind, racks, plan_kind, observability, run_engine
-    ):
-        assert_engines_agree(
-            seed, scheduler_kind, racks, plan_kind, observability, run_engine
-        )
+    def test_pinned_case(self, seed, scheduler_kind, racks, plan_kind, observability):
+        assert_engines_agree(seed, scheduler_kind, racks, plan_kind, observability)
 
 
 class TestScaleSmoke:
@@ -223,7 +214,7 @@ class TestScaleSmoke:
                 user=f"u{i % 5}",
             )
         start = time.perf_counter()
-        outcome = multi.run(engine="events")
+        outcome = multi.run()
         elapsed = time.perf_counter() - start
         assert len(outcome.reports) == 2000
         assert not outcome.failed_jobs

@@ -2,17 +2,17 @@
 
 Two load-bearing contracts:
 
-* **Engine equivalence** — ``MultiJobCluster.run(engine="events")`` must
-  be bit-identical to the pre-refactor loop (``engine="legacy"``): same
-  timelines, same /proc counters, same clock, over randomized job mixes
-  (the hypothesis property) and real workload chains.
+* **The dispatch log** — under ``observability="full"``
+  ``MultiJobCluster.run`` publishes every control-plane transition and
+  the delivered log rides on the outcome; under ``"lean"`` no bus is
+  built.  That the log never moves a timeline, /proc counter or the
+  clock is pinned by ``test_dispatch_golden.py``.
 * **Deterministic replay** — the same mix produces the same delivered
   event log, and :func:`replay` re-dispatches a recorded log so a fresh
   observer reconstructs exactly the per-job history the live run saw.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cluster import JobWork, MapWork, ReduceWork, make_cluster
 from repro.cluster.eventbus import (
@@ -25,21 +25,7 @@ from repro.cluster.eventbus import (
     EventBus,
     replay,
 )
-from repro.cluster.scheduler import FairScheduler, FifoScheduler, MultiJobCluster
-
-
-def procfs_state(cluster):
-    """Every observable /proc variable of every slave, samples included."""
-    out = []
-    for node in cluster.slaves:
-        proc = node.procfs
-        out.append(
-            (
-                {k: v for k, v in vars(proc).items() if k != "samples"},
-                list(proc.samples),
-            )
-        )
-    return out
+from repro.cluster.scheduler import FifoScheduler, MultiJobCluster
 
 
 def small_cluster():
@@ -166,103 +152,6 @@ class TestEventBus:
         assert replayed == bus.log
 
 
-# -- engine equivalence: bus-driven == legacy dispatch -------------------------
-
-
-def run_both_engines(make_jobs, scheduler_factory=FifoScheduler):
-    """Run the same submission sequence through both engines."""
-    results = {}
-    for engine in ("events", "legacy"):
-        cluster = small_cluster()
-        multi = MultiJobCluster(cluster, scheduler_factory())
-        make_jobs(multi)
-        outcome = multi.run(engine=engine)
-        results[engine] = (cluster, outcome)
-    return results["events"], results["legacy"]
-
-
-class TestEngineEquivalence:
-    def test_single_job(self):
-        (ec, eo), (lc, lo) = run_both_engines(
-            lambda m: m.submit(synthetic_job("j0"))
-        )
-        assert [r.timeline for r in eo.reports] == [r.timeline for r in lo.reports]
-        assert procfs_state(ec) == procfs_state(lc)
-        assert ec.clock == lc.clock
-
-    def test_chain_with_arrivals(self):
-        def build(multi):
-            first = multi.submit(synthetic_job("a", n_maps=4), arrival_s=0.0)
-            multi.submit(synthetic_job("b"), after=first, arrival_s=0.1)
-            multi.submit(synthetic_job("c", n_reduces=0), arrival_s=0.05)
-
-        (ec, eo), (lc, lo) = run_both_engines(build)
-        assert [r.to_dict() for r in eo.reports] == [r.to_dict() for r in lo.reports]
-        assert procfs_state(ec) == procfs_state(lc)
-        assert ec.clock == lc.clock
-        assert ec.network.bytes_moved == lc.network.bytes_moved
-
-    def test_events_engine_is_the_default_and_logs(self):
-        cluster = small_cluster()
-        multi = MultiJobCluster(cluster, FifoScheduler())
-        multi.submit(synthetic_job("j0"))
-        outcome = multi.run()
-        types = [e.type for e in outcome.events]
-        assert EVENT_SUBMIT in types
-        assert EVENT_ATTEMPT_FINISHED in types
-        assert EVENT_JOB_FINISHED in types
-
-    def test_legacy_engine_has_no_event_log(self):
-        cluster = small_cluster()
-        multi = MultiJobCluster(cluster, FifoScheduler())
-        multi.submit(synthetic_job("j0"))
-        assert multi.run(engine="legacy").events == ()
-
-    def test_unknown_engine_rejected(self):
-        multi = MultiJobCluster(small_cluster(), FifoScheduler())
-        multi.submit(synthetic_job("j0"))
-        with pytest.raises(ValueError):
-            multi.run(engine="threads")
-
-    @given(
-        jobs=st.lists(
-            st.tuples(
-                st.integers(1, 4),  # maps
-                st.integers(0, 2),  # reduces
-                st.floats(0.0, 0.15, allow_nan=False),  # cpu seconds
-                st.floats(0.0, 0.5, allow_nan=False),  # arrival
-                st.sampled_from(["alice", "bob"]),
-                st.sampled_from(["batch", "adhoc"]),
-                st.sampled_from([None, 0]),  # chain to previous job?
-            ),
-            min_size=1,
-            max_size=6,
-        ),
-        scheduler=st.sampled_from([FifoScheduler, FairScheduler]),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_randomized_mixes_are_bit_identical(self, jobs, scheduler):
-        def build(multi):
-            previous = None
-            for i, (m, r, cpu, arrival, user, pool, chain) in enumerate(jobs):
-                job = multi.submit(
-                    synthetic_job(f"j{i}", n_maps=m, cpu=cpu, n_reduces=r),
-                    arrival_s=arrival,
-                    user=user,
-                    pool=pool,
-                    after=previous if chain is not None else None,
-                )
-                previous = job
-
-        (ec, eo), (lc, lo) = run_both_engines(build, scheduler)
-        assert [rep.timeline for rep in eo.reports] == [
-            rep.timeline for rep in lo.reports
-        ]
-        assert procfs_state(ec) == procfs_state(lc)
-        assert ec.clock == lc.clock
-        assert ec.network.bytes_moved == lc.network.bytes_moved
-
-
 # -- deterministic event logs --------------------------------------------------
 
 
@@ -277,6 +166,22 @@ class TestDeterministicLog:
         multi = MultiJobCluster(cluster, FifoScheduler())
         self.build(multi)
         return multi.run()
+
+    def test_full_run_logs_every_transition(self):
+        events = self.run_once().events
+        # delivered as published: nothing queued, nothing reordered
+        assert [e.seq for e in events] == list(range(len(events)))
+        types = [e.type for e in events]
+        assert types[0] == EVENT_SUBMIT
+        assert EVENT_DISPATCH in types
+        assert EVENT_ATTEMPT_FINISHED in types
+        assert EVENT_JOB_FINISHED in types
+
+    def test_lean_run_builds_no_bus(self):
+        multi = MultiJobCluster(small_cluster(), FifoScheduler(), observability="lean")
+        self.build(multi)
+        assert multi.run().events == ()
+        assert multi.bus is None
 
     def test_same_mix_same_history(self):
         one = self.run_once()

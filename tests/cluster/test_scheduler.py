@@ -508,7 +508,7 @@ class TestFailurePropagation:
     launching a task, and independent jobs run to completion.
     """
 
-    def build(self, engine):
+    def build(self):
         from repro.cluster.faults import FaultPlan
 
         cluster = small_cluster()
@@ -520,12 +520,11 @@ class TestFailurePropagation:
         head = multi.submit(synthetic_job("head"), arrival_s=0.5)
         mid = multi.submit(synthetic_job("mid"), after=head, arrival_s=0.5)
         tail = multi.submit(synthetic_job("tail"), after=mid, arrival_s=0.5)
-        outcome = multi.run(engine=engine, raise_on_failure=False)
+        outcome = multi.run(raise_on_failure=False)
         return independent, head, mid, tail, outcome
 
-    @pytest.mark.parametrize("engine", ["events", "legacy"])
-    def test_upstream_failure_cancels_the_whole_chain(self, engine):
-        independent, head, mid, tail, outcome = self.build(engine)
+    def test_upstream_failure_cancels_the_whole_chain(self):
+        independent, head, mid, tail, outcome = self.build()
         assert independent.status == "completed"
         assert head.status == "failed"
         assert mid.status == "cancelled"
@@ -533,9 +532,8 @@ class TestFailurePropagation:
         assert outcome.failed_jobs == (head.job_id,)
         assert set(outcome.cancelled_jobs) == {mid.job_id, tail.job_id}
 
-    @pytest.mark.parametrize("engine", ["events", "legacy"])
-    def test_cancelled_jobs_never_dispatch(self, engine):
-        _, _, mid, tail, outcome = self.build(engine)
+    def test_cancelled_jobs_never_dispatch(self):
+        _, _, mid, tail, outcome = self.build()
         for job in (mid, tail):
             report = outcome.report(job.job_id)
             assert report.status == "cancelled"
@@ -543,9 +541,8 @@ class TestFailurePropagation:
             assert report.timeline is None
             assert report.wait_s is None
 
-    @pytest.mark.parametrize("engine", ["events", "legacy"])
-    def test_survivor_report_is_intact(self, engine):
-        independent, _, _, _, outcome = self.build(engine)
+    def test_survivor_report_is_intact(self):
+        independent, _, _, _, outcome = self.build()
         report = outcome.report(independent.job_id)
         assert report.status == "completed"
         assert report.timeline is not None
@@ -570,7 +567,7 @@ class TestFailurePropagation:
             EVENT_JOB_FAILED,
         )
 
-        _, head, mid, _, outcome = self.build("events")
+        _, head, mid, _, outcome = self.build()
         by_type = {}
         for event in outcome.events:
             by_type.setdefault(event.type, []).append(event.payload)

@@ -8,6 +8,7 @@ trace — completes with every job's output bit-identical to the
 fault-free run.
 """
 
+import inspect
 import json
 import math
 
@@ -263,6 +264,16 @@ class TestChaosMix:
                 plan=FaultPlan(node_crashes=(("slave9", 0.1),)),
                 **SMALL,
             )
+
+
+class TestEngineNames:
+    @pytest.mark.parametrize("engine", ["events", "legacy", "threads"])
+    def test_unknown_engine_names_the_two_it_takes(self, engine):
+        with pytest.raises(ValueError, match=r"\(want fast or reference\)$"):
+            run_mix(pinned_trace(), FifoScheduler(), engine=engine, **SMALL)
+
+    def test_reference_is_the_default(self):
+        assert inspect.signature(run_mix).parameters["engine"].default == "reference"
 
 
 # -- shared-LLC co-location ----------------------------------------------------

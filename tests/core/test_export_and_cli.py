@@ -182,6 +182,14 @@ class TestCli:
         with pytest.raises(KeyError):
             main(["characterize", "NotAWorkload"])
 
+    @pytest.mark.parametrize("command", ["bench-sim", "bench-cluster"])
+    def test_retired_bench_commands_are_rejected(self, command, capsys):
+        """``bench/run.py`` is the one benchmark; these are not commands."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestRunFlagValidation:
     """Fault-injection flags reject malformed values with argparse errors."""
@@ -316,6 +324,16 @@ class TestMixCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["mix", "--scheduler", "deadline"])
         assert excinfo.value.code == 2
+
+    def test_mix_engine_is_fast_or_reference(self, capsys):
+        for engine in ("events", "legacy"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["mix", *MIX_SMALL, "--engine", engine])
+            assert excinfo.value.code == 2
+            assert "choose from 'fast', 'reference'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["mix", "--help"])
+        assert "--engine {fast,reference}" in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")

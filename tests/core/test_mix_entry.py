@@ -75,13 +75,15 @@ def round_trip(outcome, root) -> MixOutcome:
     return loaded
 
 
-def blackout_outcome(engine="events"):
+def blackout_outcome(observability="full"):
     """One job completes, then every node dies: the chain head fails and
     its dependents are cancelled (``first_launch_s`` / ``finished_s`` /
     ``timeline`` all ``None``).  Names are deliberately not ASCII."""
     cluster = make_cluster(num_slaves=2, map_slots=2, block_size=64 * 1024)
     plan = FaultPlan(node_crashes=(("slave1", 0.2), ("slave2", 0.2)))
-    multi = MultiJobCluster(cluster, FifoScheduler(), plan=plan)
+    multi = MultiJobCluster(
+        cluster, FifoScheduler(), plan=plan, observability=observability
+    )
 
     def work(name):
         return JobWork(name=name, maps=(MapWork(1 << 12, 0.05, 1 << 10),), reduces=())
@@ -90,7 +92,7 @@ def blackout_outcome(engine="events"):
     head = multi.submit(work("頭"), arrival_s=0.5, user="zoë")
     mid = multi.submit(work("mitté"), after=head, arrival_s=0.5, user="bjørn")
     multi.submit(work("tail\U0001f980"), after=mid, arrival_s=0.5, user="bjørn")
-    return multi.run(engine=engine, raise_on_failure=False)
+    return multi.run(raise_on_failure=False)
 
 
 class TestRoundTrip:
@@ -101,15 +103,14 @@ class TestRoundTrip:
         racks=st.sampled_from([1, 3]),
         plan_kind=st.sampled_from([None, "faults", "slow"]),
         observability=st.sampled_from(["full", "lean"]),
-        run_engine=st.sampled_from(["events", "legacy"]),
     )
     def test_property_loaded_equals_stored(
-        self, seed, scheduler_kind, racks, plan_kind, observability, run_engine
+        self, seed, scheduler_kind, racks, plan_kind, observability
     ):
         _, multi = build_mix(
             FastMultiJobCluster, seed, scheduler_kind, racks, plan_kind, observability
         )
-        outcome = multi.run(engine=run_engine, raise_on_failure=False)
+        outcome = multi.run(raise_on_failure=False)
         with tempfile.TemporaryDirectory() as root:
             loaded = round_trip(outcome, root)
         assert mix_outcome_payload(loaded) == mix_outcome_payload(outcome)
@@ -124,11 +125,11 @@ class TestRoundTrip:
                 )
                 assert list(warm.timeline.node_racks) == list(cold.timeline.node_racks)
 
-    @pytest.mark.parametrize("engine", ["events", "legacy"])
-    def test_failed_and_cancelled_jobs_with_unicode_names(self, tmp_path, engine):
-        outcome = blackout_outcome(engine)
+    @pytest.mark.parametrize("observability", ["full", "lean"])
+    def test_failed_and_cancelled_jobs_with_unicode_names(self, tmp_path, observability):
+        outcome = blackout_outcome(observability)
         assert outcome.failed_jobs and len(outcome.cancelled_jobs) == 2
-        assert bool(outcome.events) == (engine == "events")
+        assert bool(outcome.events) == (observability == "full")
         loaded = round_trip(outcome, tmp_path)
         assert loaded == outcome
         assert mix_outcome_payload(loaded) == mix_outcome_payload(outcome)

@@ -231,12 +231,6 @@ class TestMixCacheKey:
             mix_cache_key(build_small_mix())
         )
 
-    def test_run_engine_is_keyed(self):
-        # "legacy" runs carry no event log, so the outcomes differ.
-        assert mix_cache_key(build_small_mix(), run_engine="legacy") != (
-            mix_cache_key(build_small_mix(), run_engine="events")
-        )
-
     def test_key_folds_in_cluster_code_version(self, monkeypatch):
         base = mix_cache_key(build_small_mix())
         monkeypatch.setattr(
@@ -395,7 +389,6 @@ def trace_key(
     scheduler=None,
     plan=None,
     observability="full",
-    run_engine="events",
     cls=None,
     **shape,
 ):
@@ -407,7 +400,7 @@ def trace_key(
     multi = (cls or MultiJobCluster)(
         cluster, scheduler, plan=plan, observability=observability
     )
-    return mix_cache_key(multi, run_engine, trace=trace)
+    return mix_cache_key(multi, trace=trace)
 
 
 def replace_first_job(trace, **change):
@@ -487,7 +480,7 @@ class TestTraceKey:
         }
         assert len(keys) == 4
 
-    def test_plan_observability_and_run_engine_flip_it(self):
+    def test_plan_and_observability_flip_it(self):
         from repro.cluster.faults import FaultPlan
 
         trace = small_trace()
@@ -495,9 +488,8 @@ class TestTraceKey:
             trace_key(trace),
             trace_key(trace, plan=FaultPlan(node_crashes=(("slave2", 0.5),))),
             trace_key(trace, observability="lean"),
-            trace_key(trace, run_engine="legacy"),
         }
-        assert len(keys) == 4
+        assert len(keys) == 3
 
     def test_exec_and_cluster_digests_flip_it(self, monkeypatch):
         trace = small_trace()
