@@ -254,6 +254,17 @@ class SchedulerState:
         """Pools that currently hold runnable (arrived, unblocked) work."""
         return sorted({j.pool for j in self.runnable if j.pending})
 
+    def sharing_pools(self) -> list[str]:
+        """The pools slots are shared among: pools with demand (sorted),
+        then pools that only hold running attempts, in first-appearance
+        order.  The order is part of the answer: a fair share sums float
+        weights over it."""
+        pools = self.pools_with_demand()
+        for rt in self.running_tasks:
+            if rt.job.pool not in pools:
+                pools.append(rt.job.pool)
+        return pools
+
     def slot_safe(self, rt: RunningTask) -> bool:
         """True when *rt* can be killed without rewriting history: it is
         still running, its job has not entered its reduce phase, and no
@@ -378,6 +389,9 @@ class FairScheduler(Scheduler):
         # last instant each pool was at (min|fair) share while it had demand
         self._min_ok_at: dict[str, float] = {}
         self._fair_ok_at: dict[str, float] = {}
+        # (state, its sharing pools, their weight sum) of the last state
+        # asked for a fair share: a round asks once per pool and victim
+        self._shares: tuple[SchedulerState, frozenset[str], float] | None = None
 
     def pool(self, name: str) -> PoolConfig:
         return self.pools.get(name) or PoolConfig(name)
@@ -392,13 +406,17 @@ class FairScheduler(Scheduler):
 
     def fair_share(self, pool: str, state: SchedulerState) -> float:
         """Weighted share of map slots among pools that have demand."""
-        demand = state.pools_with_demand()
-        for rt in state.running_tasks:
-            if rt.job.pool not in demand:
-                demand.append(rt.job.pool)
-        if pool not in demand:
+        shares = self._shares
+        if shares is None or shares[0] is not state:
+            sharing = state.sharing_pools()
+            shares = self._shares = (
+                state,
+                frozenset(sharing),
+                sum(self.pool(p).weight for p in sharing),
+            )
+        _state, sharing, total_weight = shares
+        if pool not in sharing:
             return 0.0
-        total_weight = sum(self.pool(p).weight for p in demand)
         return state.total_map_slots * self.pool(pool).weight / total_weight
 
     def pick_job(self, now, runnable, state):
@@ -535,14 +553,28 @@ class CapacityScheduler(Scheduler):
         def utilization(name: str) -> float:
             return state.running_in_pool(name) / capacity_slots(self.queue(name))
 
-        for name in sorted({j.pool for j in runnable}, key=lambda q: (utilization(q), q)):
+        # each queue's users, each mapped to (submit key, job) of that
+        # user's earliest job: the earliest job whose user is under the
+        # limit is the earliest of these heads whose user is under it
+        heads: dict[str, dict[str, tuple[tuple[float, int], ScheduledJob]]] = {}
+        for job in runnable:
+            users = heads.get(job.pool)
+            if users is None:
+                users = heads[job.pool] = {}
+            key = (job.arrival_s, job.seq)
+            head = users.get(job.user)
+            if head is None or key < head[0]:
+                users[job.user] = (key, job)
+        for name in sorted(heads, key=lambda q: (utilization(q), q)):
             cfg = self.queue(name)
             user_cap = max(1, math.ceil(cfg.user_limit * capacity_slots(cfg)))
-            for job in sorted(
-                (j for j in runnable if j.pool == name), key=ScheduledJob.submit_key
-            ):
-                if state.running_for_user(job.user, pool=name) < user_cap:
-                    return job
+            under = [
+                head
+                for user, head in heads[name].items()
+                if state.running_for_user(user, pool=name) < user_cap
+            ]
+            if under:
+                return min(under)[1]
         # every queue is user-limited: fall back to global FIFO rather
         # than deadlocking the cluster
         return min(runnable, key=ScheduledJob.submit_key)
@@ -1011,7 +1043,11 @@ class MultiJobCluster:
         self._ids: set[str] = set()
         self._ran = False
         self._running: list[RunningTask] = []
-        self._intervals: list[TaskInterval] = []
+        # a preempted attempt's interval is tombstoned (None) in place;
+        # see _replace_interval
+        self._intervals: list[TaskInterval | None] = []
+        self._interval_index: dict[TaskInterval, list[int]] | None = None
+        self._indexed = 0
         self._faults: _MixFaults | None = None
         self._acct: MixFaultAccounting | None = None
         # Limping hosts whose attempts actually triggered a backup race.
@@ -1198,7 +1234,7 @@ class MultiJobCluster:
             end_s=end_s,
             preemptions=self._preemptions,
             preemption_wasted_s=self._preemption_wasted,
-            task_intervals=list(self._intervals),
+            task_intervals=self._task_intervals(),
             fault_accounting=self._acct,
             fenced_attempts=self.fence.fenced,
             failed_jobs=tuple(
@@ -1485,12 +1521,40 @@ class MultiJobCluster:
             self._running.remove(rt)
             # the attempt's charged I/O stays charged (work really done,
             # then thrown away); shrink its occupancy interval to the kill
-            self._intervals.remove(
-                TaskInterval("map", job.job_id, rt.node.name, rt.start_s, rt.end_s)
+            self._replace_interval(
+                TaskInterval("map", job.job_id, rt.node.name, rt.start_s, rt.end_s),
+                TaskInterval("map", job.job_id, rt.node.name, rt.start_s, now),
             )
-            self._intervals.append(
-                TaskInterval("map", job.job_id, rt.node.name, rt.start_s, now)
-            )
+
+    def _replace_interval(self, old: TaskInterval, new: TaskInterval) -> None:
+        """``list.remove(old)`` then ``append(new)``, without the scan.
+
+        The first call builds an interval -> live positions index; each
+        call indexes what was appended since the last one, and
+        tombstones (``None``) the first live position equal to *old*, as
+        ``list.remove`` would drop it.  :meth:`_task_intervals` compacts
+        once.  Runs that never preempt never build the index.
+        """
+        intervals = self._intervals
+        index = self._interval_index
+        if index is None:
+            index = self._interval_index = {}
+        for pos in range(self._indexed, len(intervals)):
+            index.setdefault(intervals[pos], []).append(pos)
+        positions = index.get(old)
+        if not positions:
+            raise ValueError(f"{old!r} is not a task interval of this mix")
+        intervals[positions.pop(0)] = None
+        if not positions:
+            del index[old]
+        intervals.append(new)
+        self._indexed = len(intervals) - 1
+
+    def _task_intervals(self) -> list[TaskInterval]:
+        """The outcome's intervals: preemption tombstones compacted out."""
+        if self._interval_index is None:
+            return list(self._intervals)
+        return [iv for iv in self._intervals if iv is not None]
 
     def _finish_job(self, job: ScheduledJob) -> None:
         cluster = self.cluster

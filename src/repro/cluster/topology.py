@@ -48,6 +48,12 @@ class Topology:
             if node in seen:
                 raise ValueError(f"node {node!r} assigned to more than one rack")
             seen.add(node)
+        # Lookup caches, built once: dispatch asks is_flat / rack_of per
+        # task.  Plain attributes, not fields, so equality, hashing and
+        # replace() still see only ``assignments``.
+        rack_by_node = dict(self.assignments)
+        object.__setattr__(self, "_rack_by_node", rack_by_node)
+        object.__setattr__(self, "_racks", tuple(dict.fromkeys(rack_by_node.values())))
 
     # -- constructors ---------------------------------------------------------
 
@@ -84,31 +90,23 @@ class Topology:
     # -- queries --------------------------------------------------------------
 
     @property
-    def _rack_by_node(self) -> dict[str, str]:
-        return dict(self.assignments)
-
-    @property
     def racks(self) -> tuple[str, ...]:
         """Rack names in first-appearance order."""
-        seen: list[str] = []
-        for _, rack in self.assignments:
-            if rack not in seen:
-                seen.append(rack)
-        return tuple(seen)
+        return self._racks
 
     @property
     def is_flat(self) -> bool:
         """One failure domain: rack-aware branches must stay stock."""
-        return len(self.racks) <= 1
+        return len(self._racks) <= 1
 
     def has_node(self, name: str) -> bool:
-        return any(node == name for node, _ in self.assignments)
+        return name in self._rack_by_node
 
     def rack_of(self, name: str) -> str:
-        for node, rack in self.assignments:
-            if node == name:
-                return rack
-        raise KeyError(f"node {name!r} is not in the topology")
+        rack = self._rack_by_node.get(name)
+        if rack is None:
+            raise KeyError(f"node {name!r} is not in the topology")
+        return rack
 
     def nodes_in(self, rack: str) -> tuple[str, ...]:
         members = tuple(node for node, r in self.assignments if r == rack)

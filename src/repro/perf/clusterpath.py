@@ -14,6 +14,10 @@ replacing every per-round O(jobs) / O(nodes) rescan with an index:
 * **running attempts** live in an end-time heap mirroring the reference
   loop's permanent ``end_s <= now`` filter, so expiring attempts cost
   O(log running) instead of an O(running) rebuild per round;
+* **running counts** per pool and per user are tallied where the live
+  set changes (push, expiry, preemption, job failure), so Fair and
+  Capacity read them in O(1) instead of recounting the running list;
+  the tallies are built on the first read, so FIFO never keeps them;
 * **map-completion maxima** reuse ``ScheduledJob.last_map_end_s`` (also
   maintained by the reference engine), and jobs whose map phase is done
   wait in a small set rather than being re-discovered by scanning.
@@ -128,26 +132,69 @@ class _MinSegTree:
         return i - self.size
 
 
+class _RunningCounts:
+    """Live running attempts per pool, per ``(user, pool)`` and per
+    ``(user, None)`` — the answers :class:`SchedulerState` recounts."""
+
+    __slots__ = ("pools", "users")
+
+    def __init__(self, running: list[RunningTask]) -> None:
+        self.pools: dict[str, int] = {}
+        self.users: dict[tuple[str, str | None], int] = {}
+        for rt in running:
+            self.add(rt.job, 1)
+
+    def add(self, job: ScheduledJob, step: int) -> None:
+        pools, users = self.pools, self.users
+        pool, user = job.pool, job.user
+        pools[pool] = pools.get(pool, 0) + step
+        key = (user, pool)
+        users[key] = users.get(key, 0) + step
+        key = (user, None)
+        users[key] = users.get(key, 0) + step
+
+
 class _LazyState(SchedulerState):
-    """SchedulerState that materializes ``running_tasks`` on demand.
+    """SchedulerState that materializes ``running_tasks`` on demand and
+    answers running counts from the engine's incremental tallies.
 
     FIFO (and any non-preempting scheduler that ignores running state)
     never reads ``running_tasks``, so the common dispatch round skips
-    the O(running) list build entirely.
+    the O(running) list build entirely; Fair and Capacity read only
+    counts on most rounds, which are O(1).
     """
 
-    def __init__(self, now, runnable, materialize, total_map_slots):
+    def __init__(self, engine: "FastMultiJobCluster", now, runnable):
         self.now = now
         self.runnable = runnable
-        self.total_map_slots = total_map_slots
-        self._materialize = materialize
+        self.total_map_slots = engine._total_map_slots
+        self._engine = engine
         self._materialized = None
 
     @property
     def running_tasks(self) -> list[RunningTask]:
         if self._materialized is None:
-            self._materialized = self._materialize()
+            self._materialized = self._engine._materialize_running()
         return self._materialized
+
+    def running_in_pool(self, pool: str) -> int:
+        return self._engine._running_counts().pools.get(pool, 0)
+
+    def running_for_user(self, user: str, pool: str | None = None) -> int:
+        return self._engine._running_counts().users.get((user, pool), 0)
+
+    def sharing_pools(self) -> list[str]:
+        pools = self.pools_with_demand()
+        idle = [
+            pool
+            for pool, count in self._engine._running_counts().pools.items()
+            if count and pool not in pools
+        ]
+        if len(idle) > 1:
+            # their first-appearance order moves a float weight sum:
+            # only the running list knows it
+            return super().sharing_pools()
+        return pools + idle
 
 
 class FastMultiJobCluster(MultiJobCluster):
@@ -205,6 +252,8 @@ class FastMultiJobCluster(MultiJobCluster):
         self._run_heap: list[tuple[float, int, RunningTask]] = []
         self._removed: set[int] = set()
         self._rt_counter = 0
+        #: built on the first count a scheduler reads, maintained after
+        self._counts: _RunningCounts | None = None
         for job in self.jobs:
             if job.depends_on is not None:
                 self._children.setdefault(job.depends_on, []).append(job)
@@ -357,14 +406,32 @@ class FastMultiJobCluster(MultiJobCluster):
             if id(rt) not in removed and rt.job.status != "failed"
         ]
 
+    def _running_counts(self) -> _RunningCounts:
+        """Counts over :meth:`_materialize_running`, kept in step with it.
+
+        Built from one materialization the first time a scheduler reads
+        a count, so a scheduler that never does (FIFO) never pays for
+        the upkeep.  From then on the counts change where the live set
+        does: a push onto the end-time heap, a live entry's expiry in
+        :meth:`_drop_finished`, a preemption, and a job failure.
+        """
+        counts = self._counts
+        if counts is None:
+            counts = self._counts = _RunningCounts(self._materialize_running())
+        return counts
+
     def _drop_finished(self, now: float) -> None:
         """Permanently drop attempts with ``end_s <= now`` (the heap
         twin of the reference loop's running-list filter)."""
         heap = self._run_heap
         removed = self._removed
+        counts = self._counts
         while heap and heap[0][0] <= now:
             _end, _count, rt = heappop(heap)
-            removed.discard(id(rt))
+            if id(rt) in removed:
+                removed.discard(id(rt))
+            elif counts is not None and rt.job.status != "failed":
+                counts.add(rt.job, -1)
 
     def _observe_starvation(self, obs: float, floors) -> None:
         self._obs_t = obs
@@ -381,11 +448,14 @@ class FastMultiJobCluster(MultiJobCluster):
 
     def _apply_preemptions(self, now, state, victims) -> None:
         super()._apply_preemptions(now, state, victims)
+        counts = self._counts
         for rt in victims:
             # stays in the end-time heap until its end expires; the
             # tombstone hides it from materializations meanwhile
             self._removed.add(id(rt))
             job = rt.job
+            if counts is not None:
+                counts.add(job, -1)
             if job in self._awaiting:
                 # a finished map went back to pending: the job queues
                 # for map dispatch again
@@ -397,6 +467,14 @@ class FastMultiJobCluster(MultiJobCluster):
         if self._fast_ready:
             self._active.pop(job, None)
             self._awaiting.discard(job)
+            counts = self._counts
+            if counts is not None:
+                # its live attempts leave the running set (materializing
+                # filters failed jobs out)
+                removed = self._removed
+                for _end, _count, rt in self._run_heap:
+                    if rt.job is job and id(rt) not in removed:
+                        counts.add(job, -1)
 
     def _finishable(self) -> list[ScheduledJob]:
         return sorted(
@@ -477,9 +555,7 @@ class FastMultiJobCluster(MultiJobCluster):
             return True
         runnable = [job for job, floor in active.items() if floor <= now]
         self._drop_finished(now)
-        state = _LazyState(
-            now, runnable, self._materialize_running, self._total_map_slots
-        )
+        state = _LazyState(self, now, runnable)
         victims = self.scheduler.tasks_to_preempt(now, state)
         if victims:
             self._running = state.running_tasks
@@ -499,6 +575,8 @@ class FastMultiJobCluster(MultiJobCluster):
             rt = self._running.pop()
             heappush(self._run_heap, (rt.end_s, self._rt_counter, rt))
             self._rt_counter += 1
+            if self._counts is not None:
+                self._counts.add(job, 1)
             if not job.pending:
                 # all maps dispatched: park until the reduce phase
                 del active[job]

@@ -101,7 +101,10 @@ class ProcFs:
         self.maps_rack_local = 0
         self.maps_off_rack = 0
         self.bytes_cross_rack = 0
-        self.samples: list[DiskSample] = []
+        # one plain (time_s, writes, sectors written, reads, sectors
+        # read) row per sample: full observability sweeps every slave at
+        # each job start and end, so a sample must not allocate an object
+        self._sample_rows: list[tuple[float, int, int, int, int]] = []
 
     # -- recording (called by the cluster model) ---------------------------
 
@@ -216,30 +219,36 @@ class ProcFs:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample(self, time_s: float) -> DiskSample:
+    def sample(self, time_s: float) -> None:
         """Take a snapshot at simulated time *time_s* and remember it."""
-        snap = DiskSample(
-            time_s=time_s,
-            writes_completed=self.writes_completed,
-            sectors_written=self.sectors_written,
-            reads_completed=self.reads_completed,
-            sectors_read=self.sectors_read,
+        self._sample_rows.append(
+            (
+                time_s,
+                self.writes_completed,
+                self.sectors_written,
+                self.reads_completed,
+                self.sectors_read,
+            )
         )
-        self.samples.append(snap)
-        return snap
+
+    @property
+    def samples(self) -> list[DiskSample]:
+        """Every snapshot taken so far, oldest first (a fresh list)."""
+        return [DiskSample(*row) for row in self._sample_rows]
 
     def disk_writes_per_second(self) -> float:
         """Average write operations per second across the sampled window.
 
         Requires at least two samples (start and end of the measured run).
         """
-        if len(self.samples) < 2:
+        rows = self._sample_rows
+        if len(rows) < 2:
             raise ValueError("need at least two samples to compute a rate")
-        first, last = self.samples[0], self.samples[-1]
-        elapsed = last.time_s - first.time_s
+        (first_s, first_writes, *_), (last_s, last_writes, *_) = rows[0], rows[-1]
+        elapsed = last_s - first_s
         if elapsed <= 0:
             return 0.0
-        return (last.writes_completed - first.writes_completed) / elapsed
+        return (last_writes - first_writes) / elapsed
 
     def bytes_written(self) -> int:
         return self.sectors_written * self.SECTOR_BYTES

@@ -13,6 +13,9 @@ contract:
 * a pinned matrix with one case per dispatch regime (FIFO contention,
   Fair preemption, Capacity chains, fault plans), whose digests
   ``test_dispatch_golden.py`` also pins for both classes,
+* the running-count invariant: every count the fast engine answers
+  from its tallies equals the reference recount over the running list,
+  with pinned mixes that preempt and that fail a job holding slots,
 * a fast-only scale smoke with a wall-clock budget, so a perf
   regression that would break the headline claim fails loudly here.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import random
 import time
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,16 +38,17 @@ from repro.cluster.scheduler import (
     MultiJobCluster,
     PoolConfig,
     QueueConfig,
+    SchedulerState,
 )
 from repro.core.simcache import mix_outcome_payload
-from repro.perf.clusterpath import FastMultiJobCluster
+from repro.perf.clusterpath import FastMultiJobCluster, _LazyState
 
 
 def procfs_state(cluster):
     """Every per-node counter the run touched, samples included."""
     return [
         (
-            {k: v for k, v in vars(node.procfs).items() if k != "samples"},
+            {k: v for k, v in vars(node.procfs).items() if k != "_sample_rows"},
             list(node.procfs.samples),
         )
         for node in cluster.slaves
@@ -118,6 +123,11 @@ def build_mix(cls, seed, scheduler_kind, racks, plan_kind, observability):
             limping_nodes=((rng.choice(names), 4.0),),
             speculative_execution=True,
         )
+    elif plan_kind == "doom":
+        # every node dies at once: jobs still holding maps fail, their
+        # dependents are cancelled
+        at = rng.uniform(0.3, 1.5)
+        plan = FaultPlan(node_crashes=tuple((name, at) for name in names))
     multi = cls(cluster, scheduler=scheduler, plan=plan, observability=observability)
     submit_rng = random.Random(seed + 1)
     for i in range(submit_rng.randint(3, 10)):
@@ -152,6 +162,7 @@ def assert_engines_agree(seed, scheduler_kind, racks, plan_kind, observability):
     assert mix_outcome_payload(ref_out) == mix_outcome_payload(fast_out)
     assert procfs_state(ref_cluster) == procfs_state(fast_cluster)
     assert ref_cluster.clock == fast_cluster.clock
+    return fast_out
 
 
 class TestFastEqualsReference:
@@ -160,13 +171,87 @@ class TestFastEqualsReference:
         seed=st.integers(0, 2**31 - 1),
         scheduler_kind=st.sampled_from(["fifo", "fair", "capacity"]),
         racks=st.sampled_from([1, 3]),
-        plan_kind=st.sampled_from([None, "faults", "slow"]),
+        plan_kind=st.sampled_from([None, "faults", "slow", "doom"]),
         observability=st.sampled_from(["full", "lean"]),
     )
     def test_property_bit_identical(
         self, seed, scheduler_kind, racks, plan_kind, observability
     ):
         assert_engines_agree(seed, scheduler_kind, racks, plan_kind, observability)
+
+
+def recount_checked(name: str, reads: list):
+    """*name* of ``_LazyState``, asserting each answer equals the
+    reference ``SchedulerState`` recount over ``running_tasks``."""
+    fast, recount = getattr(_LazyState, name), getattr(SchedulerState, name)
+
+    def checked(state, *args, **kwargs):
+        answer = fast(state, *args, **kwargs)
+        assert answer == recount(state, *args, **kwargs), (name, args, state.now)
+        reads.append(name)
+        return answer
+
+    return checked
+
+
+def assert_counts_recount(seed, scheduler_kind, racks, plan_kind):
+    """Run one mix on both engines with every fast count read checked
+    against a recount; a scheduler that reads running state must read it.
+    Returns the fast outcome."""
+    reads: list[str] = []
+    patches = [
+        patch.object(_LazyState, name, recount_checked(name, reads))
+        for name in ("running_in_pool", "running_for_user", "sharing_pools")
+    ]
+    for patcher in patches:
+        patcher.start()
+    try:
+        outcome = assert_engines_agree(seed, scheduler_kind, racks, plan_kind, "full")
+    finally:
+        for patcher in patches:
+            patcher.stop()
+    assert bool(reads) == (scheduler_kind != "fifo")
+    return outcome
+
+
+#: Mixes that go wrong when one count update is deleted (checked by
+#: deleting each in turn): the first two preempt, so they need the
+#: preemption decrement; the doom ones fail a job whose maps still hold
+#: slots, so they need the failure decrement.  Every case needs the
+#: push increment and the expiry decrement.
+PREEMPTING_CASES = [(70, "fair", 1, "slow"), (165, "fair", 3, "faults")]
+FAILING_CASES = [(0, "fair", 1, "doom"), (0, "capacity", 3, "doom")]
+
+
+class TestRunningCounts:
+    """The fast engine answers running counts from tallies it keeps in
+    step with the running set; each answer must equal a recount."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        scheduler_kind=st.sampled_from(["fifo", "fair", "capacity"]),
+        racks=st.sampled_from([1, 3]),
+        plan_kind=st.sampled_from([None, "faults", "slow", "doom"]),
+    )
+    def test_property_every_count_equals_a_recount(
+        self, seed, scheduler_kind, racks, plan_kind
+    ):
+        assert_counts_recount(seed, scheduler_kind, racks, plan_kind)
+
+    @pytest.mark.parametrize("case", PREEMPTING_CASES, ids=str)
+    def test_preempting_mix(self, case):
+        assert assert_counts_recount(*case).preemptions > 0
+
+    @pytest.mark.parametrize("case", FAILING_CASES, ids=str)
+    def test_mix_that_fails_a_job(self, case):
+        assert assert_counts_recount(*case).failed_jobs
+
+    @pytest.mark.parametrize("plan_kind", [None, "faults", "doom"])
+    def test_fifo_never_builds_counts(self, plan_kind):
+        _cluster, multi = build_mix(FastMultiJobCluster, 3, "fifo", 1, plan_kind, "full")
+        multi.run(raise_on_failure=False)
+        assert multi._counts is None
 
 
 #: The CI tier's pinned equivalence matrix: one case per dispatch regime.

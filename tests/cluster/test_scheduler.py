@@ -11,6 +11,8 @@ idle-cluster guard.
 """
 
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,9 @@ from repro.cluster.scheduler import (
     MultiJobCluster,
     PoolConfig,
     QueueConfig,
+    RunningTask,
+    ScheduledJob,
+    SchedulerState,
     jain_index,
     make_scheduler,
 )
@@ -42,7 +47,7 @@ def procfs_state(cluster):
         proc = node.procfs
         out.append(
             (
-                {k: v for k, v in vars(proc).items() if k != "samples"},
+                {k: v for k, v in vars(proc).items() if k != "_sample_rows"},
                 list(proc.samples),
             )
         )
@@ -333,6 +338,65 @@ class TestCapacityScheduler:
         multi.submit(elephant("burst", n_maps=8, cpu=0.3), pool="q", user="ada")
         outcome = multi.run()
         assert outcome.peak_concurrency() > 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        jobs=st.lists(
+            st.tuples(
+                st.sampled_from(["q", "r", "s"]),
+                st.sampled_from(["ada", "bo", "cy"]),
+                st.sampled_from([0.0, 0.5, 1.0, 2.0]),  # arrival ties are common
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        running=st.lists(
+            st.tuples(st.sampled_from(["q", "r", "s"]), st.sampled_from(["ada", "bo", "cy"])),
+            max_size=10,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pick_is_the_sorted_scan(self, jobs, running, seed):
+        """Earliest job of the earliest under-limit user == the first
+        under-limit job of a submit-key sort of the queue."""
+        scheduler = CapacityScheduler(
+            queues=[
+                QueueConfig("q", capacity=0.5, user_limit=0.25),
+                QueueConfig("r", capacity=0.3, user_limit=0.5),
+            ]
+        )
+        work = synthetic_job("w", n_maps=1)
+        runnable = [
+            ScheduledJob(f"j{seq}", work, arrival, user=user, pool=pool, seq=seq)
+            for seq, (pool, user, arrival) in enumerate(jobs)
+        ]
+        random.Random(seed).shuffle(runnable)
+        node = small_cluster().slaves[0]
+        tasks = [
+            RunningTask(ScheduledJob("r", work, 0.0, user=user, pool=pool), 0, node, 0, 0.0, 9.0)
+            for pool, user in running
+        ]
+        state = SchedulerState(0.0, runnable, tasks, total_map_slots=8)
+
+        def sorted_scan():
+            def cap(cfg):
+                return max(1, round(cfg.capacity * 8))
+
+            order = sorted(
+                {j.pool for j in runnable},
+                key=lambda q: (state.running_in_pool(q) / cap(scheduler.queue(q)), q),
+            )
+            for name in order:
+                cfg = scheduler.queue(name)
+                user_cap = max(1, math.ceil(cfg.user_limit * cap(cfg)))
+                for job in sorted(
+                    (j for j in runnable if j.pool == name), key=ScheduledJob.submit_key
+                ):
+                    if state.running_for_user(job.user, pool=name) < user_cap:
+                        return job
+            return min(runnable, key=ScheduledJob.submit_key)
+
+        assert scheduler.pick_job(0.0, runnable, state) is sorted_scan()
 
 
 # -- submission validation and the idle-cluster guard --------------------------

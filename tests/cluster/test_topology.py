@@ -14,6 +14,9 @@ Three contracts pin the feature:
   seed demonstrably loses blocks.
 """
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -91,6 +94,42 @@ class TestTopology:
             Topology.uniform(["a", "b"], 0)
         with pytest.raises(ValueError):
             Topology.uniform(["a", "b"], 3)  # more racks than nodes
+
+    def test_unknown_node_error_names_the_node(self):
+        topo = Topology.uniform(["a", "b"], 2)
+        with pytest.raises(KeyError) as excinfo:
+            topo.rack_of("ghost")
+        assert excinfo.value.args == ("node 'ghost' is not in the topology",)
+
+    def test_lookup_caches_stay_out_of_equality_and_hash(self):
+        # racks interleave, so first-appearance order is not sorted order
+        pairs = (("a", "r2"), ("b", "r1"), ("c", "r2"))
+        topo, twin = Topology(pairs), Topology(tuple(pairs))
+        assert topo == twin and hash(topo) == hash(twin)
+        assert topo != Topology(pairs[:2])
+        assert topo.racks == ("r2", "r1")
+        assert repr(topo) == f"Topology(assignments={pairs!r})"
+        assert [f.name for f in dataclasses.fields(topo)] == ["assignments"]
+
+    def test_pickle_round_trip_keeps_lookups(self):
+        topo = Topology.uniform(["a", "b", "c"], 2)
+        clone = pickle.loads(pickle.dumps(topo))
+        assert clone == topo and hash(clone) == hash(topo)
+        assert clone.racks == ("rack1", "rack2") and not clone.is_flat
+        assert clone.rack_of("c") == "rack2" and clone.has_node("a")
+
+    def test_replace_rebuilds_lookups(self):
+        topo = Topology.uniform(["a", "b"], 2)
+        moved = dataclasses.replace(topo, assignments=(("a", "r9"), ("z", "r9")))
+        assert moved.racks == ("r9",) and moved.is_flat
+        assert moved.rack_of("z") == "r9"
+        assert not moved.has_node("b")
+        with pytest.raises(KeyError):
+            moved.rack_of("b")
+        # the original is untouched
+        assert topo.rack_of("b") == "rack2" and not topo.is_flat
+        with pytest.raises(ValueError):
+            dataclasses.replace(topo, assignments=())
 
     def test_make_cluster_one_rack_builds_no_topology(self):
         assert make_cluster(4, racks=1).topology is None

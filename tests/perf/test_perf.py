@@ -3,6 +3,7 @@
 import pytest
 
 from repro.perf import EVENT_CATALOG, PerfSession, ProcFs, lookup_event
+from repro.perf.procfs import DiskSample
 from repro.uarch.config import scaled_machine
 from repro.uarch.trace import TraceSpec
 
@@ -109,6 +110,39 @@ class TestProcFs:
         p.sample(1.0)
         p.sample(1.0)
         assert p.disk_writes_per_second() == 0.0
+
+    def test_samples_view_equals_snapshots_taken_in_order(self):
+        p = ProcFs()
+        expected = []
+        for step, size in enumerate((0, 512, 1000, 4096, 0, 1)):
+            p.record_disk_write(size)
+            if step % 2:
+                p.record_disk_read(size * 3)
+            time_s = 0.5 * step
+            p.sample(time_s)
+            # the counters as they stand at the sample instant
+            expected.append(
+                DiskSample(
+                    time_s=time_s,
+                    writes_completed=p.writes_completed,
+                    sectors_written=p.sectors_written,
+                    reads_completed=p.reads_completed,
+                    sectors_read=p.sectors_read,
+                )
+            )
+        p.record_disk_write(8192)  # after the last sample: not in any
+        assert p.samples == expected
+        assert all(type(s) is DiskSample for s in p.samples)
+        assert p.disk_writes_per_second() == pytest.approx(5 / 2.5)
+
+    def test_samples_is_a_read_only_copy(self):
+        p = ProcFs()
+        assert p.sample(0.0) is None
+        view = p.samples
+        view.clear()
+        assert len(p.samples) == 1
+        with pytest.raises(AttributeError):
+            p.samples = []
 
     def test_rejects_negative_io(self):
         p = ProcFs()
