@@ -43,7 +43,7 @@ class Disk:
         #: 1.0 is a healthy disk and charges bit-identical durations.
         self.slow_factor = 1.0
         self.busy_until = 0.0
-        # Sub-buffer writes accumulate until a 64 KB request is issued,
+        # Sub-buffer writes accumulate until a 16 KB request is issued,
         # like the block layer merging adjacent small writes.
         self._pending_write_bytes = 0
 
@@ -63,9 +63,10 @@ class Disk:
         """Issue a write at time *now*; return its completion time.
 
         The write is accounted as one ``/proc`` operation per flushed
-        64 KB buffer; sub-buffer writes merge with neighbours (as the
-        block layer does), so the op count a ``/proc/diskstats`` sampler
-        sees is proportional to bytes written.
+        :data:`WRITE_OP_BYTES` buffer, all of one write's flushes in one
+        step; sub-buffer writes merge with neighbours (as the block layer
+        does), so the op count a ``/proc/diskstats`` sampler sees is
+        proportional to bytes written.
         """
         if num_bytes < 0:
             raise ValueError("write size must be non-negative")
@@ -74,10 +75,11 @@ class Disk:
         if self.slow_factor != 1.0:
             duration *= self.slow_factor
         self.busy_until = start + duration
-        self._pending_write_bytes += num_bytes
-        while self._pending_write_bytes >= WRITE_OP_BYTES:
-            self.procfs.record_disk_write(WRITE_OP_BYTES)
-            self._pending_write_bytes -= WRITE_OP_BYTES
+        pending = self._pending_write_bytes + num_bytes
+        if pending >= WRITE_OP_BYTES:
+            ops, pending = divmod(pending, WRITE_OP_BYTES)
+            self.procfs.record_disk_writes(ops, WRITE_OP_BYTES)
+        self._pending_write_bytes = pending
         return self.busy_until
 
     def reset(self) -> None:

@@ -14,6 +14,7 @@ Functional output and timing therefore describe the *same* execution.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from repro.cluster.cluster import HadoopCluster, JobTimeline, JobWork, MapWork, ReduceWork
@@ -27,6 +28,9 @@ from repro.mapreduce.io import (
     split_sums,
 )
 from repro.mapreduce.job import MapReduceJob
+
+#: The sort and grouping key of a ``(key, value)`` record.
+_record_key = operator.itemgetter(0)
 
 
 @dataclass
@@ -248,7 +252,7 @@ class LocalEngine:
     def _group(records, sort_keys: bool):
         """Group records by key, sorted when the job requests it."""
         if sort_keys:
-            ordered = sorted(records, key=lambda kv: kv[0])
+            ordered = sorted(records, key=_record_key)
         else:
             # Stable grouping without a total order on keys.
             buckets: dict[object, list] = {}
@@ -256,7 +260,7 @@ class LocalEngine:
                 buckets.setdefault(key, []).append(value)
             return [(key, values) for key, values in buckets.items()]
         grouped = []
-        for key, group in itertools.groupby(ordered, key=lambda kv: kv[0]):
+        for key, group in itertools.groupby(ordered, key=_record_key):
             grouped.append((key, [value for _, value in group]))
         return grouped
 

@@ -104,10 +104,23 @@ def record_sizes(records: Iterable[tuple[object, object]]) -> list[int]:
 
     The engine sizes each record exactly once, through this; every byte
     counter and work estimate is then a sum over (a slice of) the result.
+    An ASCII ``str``, an ``int`` or a ``float`` (exact types: not ``bool``,
+    not a subclass) is sized inline; everything else goes through
+    :data:`_SIZERS`.
     """
     sizer = _SIZERS.get
     return [
-        4 + sizer(type(k), _chain_bytes)(k) + sizer(type(v), _chain_bytes)(v)
+        4
+        + (
+            len(k) if (kind := type(k)) is str and k.isascii()
+            else 8 if kind is int or kind is float
+            else sizer(kind, _chain_bytes)(k)
+        )
+        + (
+            len(v) if (kind := type(v)) is str and v.isascii()
+            else 8 if kind is int or kind is float
+            else sizer(kind, _chain_bytes)(v)
+        )
         for k, v in records
     ]
 

@@ -26,7 +26,7 @@ class DiskSample:
 class ProcFs:
     """Accumulates device counters and renders proc-style views.
 
-    The cluster simulation calls :meth:`record_disk_write` /
+    The cluster simulation calls :meth:`record_disk_writes` /
     :meth:`record_disk_read` / :meth:`record_net` as it executes; analysis
     code calls :meth:`sample` with the simulated time and derives rates
     from successive samples, exactly like a userspace sampler reading
@@ -108,11 +108,12 @@ class ProcFs:
 
     # -- recording (called by the cluster model) ---------------------------
 
-    def record_disk_write(self, num_bytes: int) -> None:
-        if num_bytes < 0:
+    def record_disk_writes(self, ops: int, op_bytes: int) -> None:
+        """Count *ops* completed writes of *op_bytes* each."""
+        if ops < 0 or op_bytes < 0:
             raise ValueError("write size must be non-negative")
-        self.writes_completed += 1
-        self.sectors_written += -(-num_bytes // self.SECTOR_BYTES)
+        self.writes_completed += ops
+        self.sectors_written += ops * -(-op_bytes // self.SECTOR_BYTES)
 
     def record_disk_read(self, num_bytes: int) -> None:
         if num_bytes < 0:

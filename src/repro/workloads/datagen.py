@@ -42,16 +42,22 @@ def make_vocabulary(size: int, seed: int = 7) -> list[str]:
     return list(_vocabulary(size, seed))
 
 
-def zipf_sampler(vocabulary: list[str], rng: random.Random, s: float = 1.1):
-    """Return a () -> word sampler with Zipf-distributed ranks."""
-    weights = [1.0 / (rank + 1) ** s for rank in range(len(vocabulary))]
+@functools.lru_cache(maxsize=32)
+def _zipf_cumulative(size: int, s: float) -> tuple[float, ...]:
+    """Cumulative Zipf(*s*) probabilities of ranks ``0 .. size - 1``."""
+    weights = [1.0 / (rank + 1) ** s for rank in range(size)]
     total = sum(weights)
     cumulative = []
     acc = 0.0
     for w in weights:
         acc += w / total
         cumulative.append(acc)
+    return tuple(cumulative)
 
+
+def zipf_sampler(vocabulary: list[str], rng: random.Random, s: float = 1.1):
+    """Return a () -> word sampler with Zipf-distributed ranks."""
+    cumulative = _zipf_cumulative(len(vocabulary), s)
     last = len(cumulative) - 1  # rounding can leave cumulative[-1] < u
 
     def sample() -> str:
@@ -69,11 +75,15 @@ def generate_documents(
     """Zipf-text documents as (doc-id, text) records."""
     rng = random.Random(seed)
     vocab = make_vocabulary(vocabulary_size, seed)
-    sample = zipf_sampler(vocab, rng)
+    # zipf_sampler's draw, inlined: one rng.random() per word, same index
+    cumulative = _zipf_cumulative(len(vocab), 1.1)
+    last = len(cumulative) - 1
+    rand, uniform, bisect_left = rng.random, rng.uniform, bisect.bisect_left
     docs = []
     for i in range(num_docs):
-        n = max(1, int(words_per_doc * rng.uniform(0.5, 1.5)))
-        docs.append((f"doc{i:06d}", " ".join(sample() for _ in range(n))))
+        n = max(1, int(words_per_doc * uniform(0.5, 1.5)))
+        words = [vocab[bisect_left(cumulative, rand(), 0, last)] for _ in range(n)]
+        docs.append((f"doc{i:06d}", " ".join(words)))
     return docs
 
 
@@ -99,18 +109,43 @@ def generate_html_pages(num_pages: int, seed: int = 17) -> list[tuple[str, str]]
 # ---------------------------------------------------------------------------
 
 
+_SORT_ALPHABET = string.ascii_letters + string.digits
+#: A byte whose top 6 bits index the alphabet maps to that character;
+#: the 8 bytes whose top 6 bits are 62 or 63 are the draws ``choice``
+#: rejects and redraws.
+_SORT_KEY_TABLE = bytes(
+    ord(_SORT_ALPHABET[b >> 2]) if b >> 2 < len(_SORT_ALPHABET) else 0 for b in range(256)
+)
+_SORT_REJECT = bytes(range(4 * len(_SORT_ALPHABET), 256))
+#: 32-bit outputs drawn per refill (about 3 970 key characters).
+_SORT_CHUNK_WORDS = 4096
+
+
 def generate_sort_records(
     num_records: int, payload_bytes: int = 90, seed: int = 19
 ) -> list[tuple[str, str]]:
-    """TeraSort-shaped records: 10-char random key + opaque payload."""
+    """TeraSort-shaped records: 10-char random key + opaque payload.
+
+    The keys are the characters ``rng.choice(alphabet)`` would pick, drawn
+    in bulk.  CPython's ``choice`` over 62 characters is
+    ``alphabet[getrandbits(6)]``, redrawn while the index is 62 or 63, and
+    ``getrandbits(6)`` is the top 6 bits of one 32-bit Mersenne Twister
+    output.  ``getrandbits(32 * k)`` returns the next *k* outputs as
+    little-endian words, so byte ``4 i + 3`` of its little-endian bytes is
+    the top byte of output *i*: translating those bytes, rejected ones
+    deleted, yields the same characters in the same order.  *rng* is
+    private, so drawing past the last key changes nothing.  Every record
+    shares one (immutable) payload string.
+    """
     rng = random.Random(seed)
-    alphabet = string.ascii_letters + string.digits
-    records = []
-    for _ in range(num_records):
-        key = "".join(rng.choice(alphabet) for _ in range(10))
-        payload = "x" * payload_bytes
-        records.append((key, payload))
-    return records
+    need = 10 * num_records
+    chars = bytearray()
+    while len(chars) < need:
+        raw = rng.getrandbits(32 * _SORT_CHUNK_WORDS).to_bytes(4 * _SORT_CHUNK_WORDS, "little")
+        chars += raw[3::4].translate(_SORT_KEY_TABLE, _SORT_REJECT)
+    keys = chars[:need].decode("ascii")
+    payload = "x" * payload_bytes
+    return [(keys[i:i + 10], payload) for i in range(0, need, 10)]
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +261,17 @@ def generate_ratings(
 def generate_web_graph(
     num_pages: int, out_degree: int = 6, seed: int = 37
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """Preferential-attachment directed graph: (page, out-links)."""
+    """Preferential-attachment directed graph: (page, out-links).
+
+    Each link goes to the first node whose running popularity sum exceeds
+    ``pick = rng.randrange(total)``.  The popularities live in a Fenwick
+    (binary-indexed) tree, ``tree[i]`` holding the sum over nodes
+    ``i - (i & -i) .. i - 1``, so that search is O(log n) rather than a
+    scan, and lands on the node the scan would.
+    """
     rng = random.Random(seed)
-    popularity = [1] * num_pages
+    tree = [i & -i for i in range(num_pages + 1)]  # every popularity starts at 1
+    top = 1 << (num_pages.bit_length() - 1) if num_pages else 0
     adjacency: list[tuple[int, tuple[int, ...]]] = []
     total = num_pages
     for page in range(num_pages):
@@ -236,18 +279,22 @@ def generate_web_graph(
         degree = max(1, int(out_degree * rng.uniform(0.3, 1.7)))
         for _ in range(degree):
             # Preferential attachment: sample proportional to popularity.
-            pick = rng.randrange(total)
-            acc = 0
-            target = 0
-            for node, pop in enumerate(popularity):
-                acc += pop
-                if pick < acc:
-                    target = node
-                    break
+            rest = rng.randrange(total)
+            target = 0  # descend to the longest prefix whose sum is <= the draw
+            step = top
+            while step:
+                probe = target + step
+                if probe <= num_pages and tree[probe] <= rest:
+                    target = probe
+                    rest -= tree[probe]
+                step >>= 1
             if target != page:
                 links.add(target)
         for target in links:
-            popularity[target] += 1
+            i = target + 1
+            while i <= num_pages:
+                tree[i] += 1
+                i += i & -i
             total += 1
         adjacency.append((page, tuple(sorted(links))))
     return adjacency

@@ -53,6 +53,40 @@ class TestDisk:
         d.write(0.0, WRITE_OP_BYTES - 1)
         assert d.procfs.writes_completed == 2
 
+    WRITE_SIZES = (0, 1, 16_383, 16_384, 16_385, 5 * 64 * 1024)
+
+    @staticmethod
+    def loop_write(procfs, pending, num_bytes):
+        """The per-op flush loop ``Disk.write`` replaced: the oracle."""
+        pending += num_bytes
+        while pending >= WRITE_OP_BYTES:
+            procfs.record_disk_writes(1, WRITE_OP_BYTES)
+            pending -= WRITE_OP_BYTES
+        return pending
+
+    @staticmethod
+    def counters(procfs):
+        return (procfs.writes_completed, procfs.sectors_written)
+
+    @pytest.mark.parametrize("size", WRITE_SIZES)
+    def test_flush_matches_loop_per_write(self, size):
+        d, oracle = self.make(), ProcFs()
+        d.write(0.0, size)
+        pending = self.loop_write(oracle, 0, size)
+        assert self.counters(d.procfs) == self.counters(oracle)
+        assert d._pending_write_bytes == pending
+
+    def test_flush_matches_loop_across_writes(self):
+        d, oracle, pending = self.make(), ProcFs(), 0
+        for size in self.WRITE_SIZES + self.WRITE_SIZES[::-1]:
+            d.write(0.0, size)
+            pending = self.loop_write(oracle, pending, size)
+            assert self.counters(d.procfs) == self.counters(oracle)
+            assert d._pending_write_bytes == pending
+        # 16 384-byte ops: 1 + 1 + 1 + 20 going up, 20 + 1 + 1 + 1 coming
+        # down (the carried remainders never reach a 47th)
+        assert oracle.writes_completed == 46
+
     def test_read_bytes_accounted(self):
         d = self.make()
         d.read(0.0, 1024)

@@ -151,6 +151,31 @@ class TestValueBytesMatchesOracle:
         assert value_bytes(np.zeros((2, 3), dtype=np.int32)) == 24
 
 
+class TestRecordSizesInline:
+    """``record_sizes`` sizes exact ASCII ``str``, ``int`` and ``float``
+    inline; everything else, ``bool`` (1 byte, not 8) and subclasses
+    included, must still size as :func:`record_bytes` does."""
+
+    @given(st.lists(st.tuples(values, values), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_record_bytes(self, records):
+        assert record_sizes(records) == [record_bytes(k, v) for k, v in records]
+
+    @pytest.mark.parametrize(
+        "record,size",
+        [
+            (("abc", 1), 4 + 3 + 8),
+            ((True, False), 4 + 1 + 1),
+            ((1.5, True), 4 + 8 + 1),
+            ((Colour.BLUE, MyFloat(2.0)), 4 + 8 + 8),
+            (("é", "\ud800"), 4 + 2 + 1),
+            ((MyStr("ab"), ("x", (1, True))), 4 + 2 + 2 + 1 + 2 + 8 + 1),
+        ],
+    )
+    def test_pinned(self, record, size):
+        assert record_sizes([record]) == [record_bytes(*record)] == [size]
+
+
 class TestUnsizable:
     @pytest.mark.parametrize(
         "value",

@@ -87,15 +87,20 @@ class TestPerfSession:
 class TestProcFs:
     def test_disk_write_recording(self):
         p = ProcFs()
-        p.record_disk_write(1024)
+        p.record_disk_writes(1, 1024)
         assert p.writes_completed == 1
         assert p.sectors_written == 2
+        p.record_disk_writes(3, 1000)  # each op rounds up to whole sectors
+        assert p.writes_completed == 4
+        assert p.sectors_written == 2 + 3 * 2
+        p.record_disk_writes(0, 4096)
+        assert (p.writes_completed, p.sectors_written) == (4, 8)
 
     def test_rate_from_samples(self):
         p = ProcFs()
         p.sample(0.0)
         for _ in range(10):
-            p.record_disk_write(512)
+            p.record_disk_writes(1, 512)
         p.sample(2.0)
         assert p.disk_writes_per_second() == pytest.approx(5.0)
 
@@ -115,7 +120,7 @@ class TestProcFs:
         p = ProcFs()
         expected = []
         for step, size in enumerate((0, 512, 1000, 4096, 0, 1)):
-            p.record_disk_write(size)
+            p.record_disk_writes(1, size)
             if step % 2:
                 p.record_disk_read(size * 3)
             time_s = 0.5 * step
@@ -130,7 +135,7 @@ class TestProcFs:
                     sectors_read=p.sectors_read,
                 )
             )
-        p.record_disk_write(8192)  # after the last sample: not in any
+        p.record_disk_writes(1, 8192)  # after the last sample: not in any
         assert p.samples == expected
         assert all(type(s) is DiskSample for s in p.samples)
         assert p.disk_writes_per_second() == pytest.approx(5 / 2.5)
@@ -147,18 +152,21 @@ class TestProcFs:
     def test_rejects_negative_io(self):
         p = ProcFs()
         with pytest.raises(ValueError):
-            p.record_disk_write(-1)
+            p.record_disk_writes(1, -1)
+        with pytest.raises(ValueError):
+            p.record_disk_writes(-1, 512)
         with pytest.raises(ValueError):
             p.record_disk_read(-5)
+        assert (p.writes_completed, p.sectors_written) == (0, 0)
 
     def test_bytes_written(self):
         p = ProcFs()
-        p.record_disk_write(1000)
+        p.record_disk_writes(1, 1000)
         assert p.bytes_written() == 1024  # rounded up to sectors
 
     def test_render_diskstats_shape(self):
         p = ProcFs()
-        p.record_disk_write(512)
+        p.record_disk_writes(1, 512)
         p.record_disk_read(512)
         line = p.render_diskstats()
         assert "sda" in line

@@ -1,5 +1,6 @@
 """Tests for the synthetic data generators."""
 
+import bisect
 import collections
 import random
 import string
@@ -219,6 +220,174 @@ class TestSegmentedCorpus:
                     assert previous in (None, "E", "S")
                 previous = tag
             assert previous in ("E", "S")
+
+
+# -- the replaced generator bodies, kept verbatim as oracles -------------------
+
+
+def oracle_sort_records(
+    num_records: int, payload_bytes: int = 90, seed: int = 19
+) -> list[tuple[str, str]]:
+    """TeraSort-shaped records: 10-char random key + opaque payload."""
+    rng = random.Random(seed)
+    alphabet = string.ascii_letters + string.digits
+    records = []
+    for _ in range(num_records):
+        key = "".join(rng.choice(alphabet) for _ in range(10))
+        payload = "x" * payload_bytes
+        records.append((key, payload))
+    return records
+
+
+def oracle_web_graph(
+    num_pages: int, out_degree: int = 6, seed: int = 37
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Preferential-attachment directed graph: (page, out-links)."""
+    rng = random.Random(seed)
+    popularity = [1] * num_pages
+    adjacency: list[tuple[int, tuple[int, ...]]] = []
+    total = num_pages
+    for page in range(num_pages):
+        links: set[int] = set()
+        degree = max(1, int(out_degree * rng.uniform(0.3, 1.7)))
+        for _ in range(degree):
+            # Preferential attachment: sample proportional to popularity.
+            pick = rng.randrange(total)
+            acc = 0
+            target = 0
+            for node, pop in enumerate(popularity):
+                acc += pop
+                if pick < acc:
+                    target = node
+                    break
+            if target != page:
+                links.add(target)
+        for target in links:
+            popularity[target] += 1
+            total += 1
+        adjacency.append((page, tuple(sorted(links))))
+    return adjacency
+
+
+def oracle_zipf_sampler(vocabulary: list[str], rng: random.Random, s: float = 1.1):
+    """Return a () -> word sampler with Zipf-distributed ranks."""
+    weights = [1.0 / (rank + 1) ** s for rank in range(len(vocabulary))]
+    total = sum(weights)
+    cumulative = []
+    acc = 0.0
+    for w in weights:
+        acc += w / total
+        cumulative.append(acc)
+
+    last = len(cumulative) - 1  # rounding can leave cumulative[-1] < u
+
+    def sample() -> str:
+        return vocabulary[bisect.bisect_left(cumulative, rng.random(), 0, last)]
+
+    return sample
+
+
+def oracle_documents(
+    num_docs: int,
+    words_per_doc: int = 80,
+    vocabulary_size: int = 2000,
+    seed: int = 13,
+) -> list[tuple[str, str]]:
+    """Zipf-text documents as (doc-id, text) records."""
+    rng = random.Random(seed)
+    vocab = datagen.make_vocabulary(vocabulary_size, seed)
+    sample = oracle_zipf_sampler(vocab, rng)
+    docs = []
+    for i in range(num_docs):
+        n = max(1, int(words_per_doc * rng.uniform(0.5, 1.5)))
+        docs.append((f"doc{i:06d}", " ".join(sample() for _ in range(n))))
+    return docs
+
+
+#: Empty, tiny, either side of a power of two (where the Fenwick descent's
+#: top step changes), and about the largest Sort shadow a benchmark mix
+#: runs (26 500 records: several bulk refills).
+ORACLE_SIZES = (0, 1, 2, 3, 7, 63, 64, 65, 1000, 26_500)
+#: ``None`` is each generator's default seed.
+ORACLE_SEEDS = (None, 14, 73)
+
+
+def _seeded(seed):
+    return {} if seed is None else {"seed": seed}
+
+
+class TestGeneratorsMatchTheirOracles:
+    """Each rewritten generator returns exactly what the code it replaced did."""
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_sort_records(self, n, seed):
+        assert datagen.generate_sort_records(n, **_seeded(seed)) == oracle_sort_records(
+            n, **_seeded(seed)
+        )
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_documents(self, n, seed):
+        assert datagen.generate_documents(n, **_seeded(seed)) == oracle_documents(
+            n, **_seeded(seed)
+        )
+
+    # The scan oracle is O(pages²): 26 500 pages would take minutes, and
+    # a mix's PageRank shadow has 450-750 pages.
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("n", [n for n in ORACLE_SIZES if n <= 1000])
+    def test_web_graph(self, n, seed):
+        assert datagen.generate_web_graph(n, **_seeded(seed)) == oracle_web_graph(
+            n, **_seeded(seed)
+        )
+
+    @given(st.integers(0, 300), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_property(self, n, seed):
+        assert datagen.generate_sort_records(n, seed=seed) == oracle_sort_records(n, seed=seed)
+        assert datagen.generate_documents(n, seed=seed) == oracle_documents(n, seed=seed)
+        assert datagen.generate_web_graph(n, seed=seed) == oracle_web_graph(n, seed=seed)
+
+    @given(st.integers(0, 40), st.integers(0, 2**32), st.integers(0, 120))
+    @settings(max_examples=40, deadline=None)
+    def test_options(self, n, seed, width):
+        assert datagen.generate_sort_records(n, payload_bytes=width, seed=seed) == (
+            oracle_sort_records(n, payload_bytes=width, seed=seed)
+        )
+        words = width // 4 + 1
+        assert datagen.generate_documents(
+            n, words_per_doc=words, vocabulary_size=width + 1, seed=seed
+        ) == oracle_documents(n, words_per_doc=words, vocabulary_size=width + 1, seed=seed)
+        assert datagen.generate_web_graph(n, out_degree=width % 9, seed=seed) == (
+            oracle_web_graph(n, out_degree=width % 9, seed=seed)
+        )
+
+    @pytest.mark.parametrize("chunk_words", [1, 2, 3, 17])
+    def test_sort_refill_at_every_boundary(self, monkeypatch, chunk_words):
+        # One-word refills put a chunk boundary between any two key
+        # characters, and inside every key.
+        monkeypatch.setattr(datagen, "_SORT_CHUNK_WORDS", chunk_words)
+        for n in (0, 1, 9, 50):
+            assert datagen.generate_sort_records(n, seed=n) == oracle_sort_records(n, seed=n)
+
+    def test_ordinary_sizes_refill(self):
+        # A refill yields at most one key character per word, so a
+        # 1 000-record input (10 000 characters) takes several.
+        assert 10 * 1000 > 2 * datagen._SORT_CHUNK_WORDS
+
+    @pytest.mark.parametrize("s", [0.5, 1.1])
+    @pytest.mark.parametrize("size", [1, 2, 50, 2000])
+    def test_zipf_sampler(self, size, s):
+        vocabulary = ["w%d" % i for i in range(size)]
+        sample = datagen.zipf_sampler(vocabulary, random.Random(size), s)
+        oracle = oracle_zipf_sampler(vocabulary, random.Random(size), s)
+        assert [sample() for _ in range(500)] == [oracle() for _ in range(500)]
+
+    def test_zipf_table_memo_is_shared_and_bounded(self):
+        assert datagen._zipf_cumulative(300, 1.1) is datagen._zipf_cumulative(300, 1.1)
+        bound = datagen._zipf_cumulative.cache_info().maxsize
+        assert bound is not None and bound <= 64
 
 
 class TestWarehouseTables:
