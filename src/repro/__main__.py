@@ -751,6 +751,7 @@ def _cmd_workflow(args) -> int:
 
     from repro.cluster import make_cluster
     from repro.cluster.workflow import (
+        _DAG_BLOCK_SIZE,
         WorkflowFaultPlan,
         WorkflowRunner,
         build_workflow,
@@ -809,7 +810,7 @@ def _cmd_workflow(args) -> int:
             seed=args.seed,
         )
 
-    cluster = make_cluster(num_slaves=args.slaves, block_size=256 * 1024)
+    cluster = make_cluster(num_slaves=args.slaves, block_size=_DAG_BLOCK_SIZE)
     runner = WorkflowRunner(cluster, scheduler=args.scheduler, plan=plan)
     result = runner.run(workflow)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster.cluster import make_cluster
+from repro.cluster.tenancy import solo_run
 from repro.workloads.base import DataAnalysisWorkload, all_workloads
 
 
@@ -64,21 +64,16 @@ def speedup_study(
     connection latencies — dominates (hence the slow nodes; at the paper's
     scale a map task processes a 64 MB split for tens of seconds).
     """
-    if not slave_counts or sorted(slave_counts) != list(slave_counts):
-        raise ValueError("slave_counts must be ascending and non-empty")
+    if not slave_counts or any(
+        a >= b for a, b in zip(slave_counts, slave_counts[1:])
+    ):
+        raise ValueError("slave_counts must be strictly ascending and non-empty")
     workloads = workloads if workloads is not None else all_workloads()
     result = SpeedupResult(slave_counts=list(slave_counts))
+    shape = dict(map_slots=map_slots, reduce_slots=reduce_slots,
+                 block_size=block_size, cpu_speed=cpu_speed)
     for wl in workloads:
-        timings: dict[int, float] = {}
-        for slaves in slave_counts:
-            cluster = make_cluster(
-                slaves,
-                map_slots=map_slots,
-                reduce_slots=reduce_slots,
-                block_size=block_size,
-                cpu_speed=cpu_speed,
-            )
-            run = wl.run(scale=scale, cluster=cluster)
-            timings[slaves] = run.duration_s
-        result.durations[wl.info.name] = timings
+        result.durations[wl.info.name] = {
+            n: solo_run(wl, scale, num_slaves=n, **shape)[0] for n in slave_counts
+        }
     return result

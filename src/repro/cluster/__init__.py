@@ -171,6 +171,7 @@ from repro.cluster.tenancy import (
     default_queues,
     generate_trace,
     run_mix,
+    solo_run,
 )
 
 __all__ = [
@@ -257,6 +258,7 @@ __all__ = [
     "TenantJobReport",
     "MixResult",
     "run_mix",
+    "solo_run",
     "ColocationReport",
     "characterize_colocation",
     "Event",

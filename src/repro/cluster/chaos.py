@@ -516,7 +516,7 @@ def run_fail_slow_chaos(
     check functional output is untouched by fail-slow hardware.
     """
     from repro.cluster.scheduler import FairScheduler, FifoScheduler
-    from repro.cluster.tenancy import TraceJob, WorkloadTrace, run_mix
+    from repro.cluster.tenancy import TraceJob, WorkloadTrace, run_mix, solo_run
     from repro.workloads import workload as load_workload
 
     if jobs < 1:
@@ -527,8 +527,8 @@ def run_fail_slow_chaos(
     victim = f"slave{num_slaves}"  # slaves are named slave1..slaveN
     limp = ((victim, limp_factor),)
 
-    solo_plain = load_workload(workload_name).run(
-        scale=scale, cluster=make_cluster(num_slaves, block_size=block_size)
+    plain_s, _, plain_output = solo_run(
+        workload_name, scale, num_slaves=num_slaves, block_size=block_size
     )
     solo_limping = load_workload(workload_name).run(
         scale=scale,
@@ -557,7 +557,7 @@ def run_fail_slow_chaos(
                 "small",
             )
         )
-        arrival += solo_plain.duration_s * rng.uniform(1.05, 1.25)
+        arrival += plain_s * rng.uniform(1.05, 1.25)
     trace = WorkloadTrace(tuple(trace_jobs), seed=seed, arrival_rate_per_s=0.0)
     shape = dict(
         num_slaves=num_slaves,
@@ -601,11 +601,9 @@ def run_fail_slow_chaos(
             repr(limping.outputs) == repr(baseline.outputs)
             and repr(speculative.outputs) == repr(baseline.outputs)
         ),
-        single_job_identical=repr(solo_plain.output) == repr(solo_limping.output),
+        single_job_identical=repr(plain_output) == repr(solo_limping.output),
         single_job_slowdown=(
-            solo_limping.duration_s / solo_plain.duration_s
-            if solo_plain.duration_s > 0
-            else 1.0
+            solo_limping.duration_s / plain_s if plain_s > 0 else 1.0
         ),
         stragglers_detected=acct.stragglers_detected,
         speculative_attempts=acct.speculative_attempts,
@@ -771,6 +769,7 @@ def run_workflow_chaos(
     a fresh cluster, so runs are independent and exactly reproducible.
     """
     from repro.cluster.workflow import (
+        _DAG_BLOCK_SIZE,
         WorkflowFaultPlan,
         WorkflowRunner,
         build_workflow,
@@ -780,7 +779,7 @@ def run_workflow_chaos(
     rng = random.Random(f"workflow-chaos:{dag}:{scheduler}:{seed}")
 
     def fresh():
-        return make_cluster(num_slaves=num_slaves, block_size=256 * 1024)
+        return make_cluster(num_slaves=num_slaves, block_size=_DAG_BLOCK_SIZE)
 
     def run(plan=None):
         return WorkflowRunner(fresh(), scheduler=scheduler, plan=plan).run(

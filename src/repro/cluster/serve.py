@@ -31,9 +31,12 @@ its arguments.
 from __future__ import annotations
 
 import heapq
+import inspect
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from repro.perf.procfs import ProcFs
 
@@ -58,14 +61,15 @@ def percentile(values: list[float], p: float) -> float:
 
     Nearest-rank is what latency dashboards actually report: the p-th
     percentile is an observed sample, never an interpolation between
-    two samples.
+    two samples.  The rank is exact on the decimal *p* denotes (in
+    floats, ``99.9 / 100 * 1000`` lands just above 999).
     """
     if not 0 < p <= 100:
         raise ValueError("percentile must be in (0, 100]")
     if not values:
         return float("nan")
     ordered = sorted(values)
-    rank = math.ceil(p / 100 * len(ordered))
+    rank = math.ceil(Fraction(repr(float(p))) * len(ordered) / 100)
     return ordered[rank - 1]
 
 
@@ -114,51 +118,40 @@ def request_classes_from_trace(
     its service demand is the workload's solo (uncontended) duration on
     a fresh cluster of the given shape, its weight the number of trace
     jobs of that kind.  Shadow runs are memoized across calls, keyed on
-    the **full** ``(workload, scale, engine config)`` tuple — recipe-
+    the **full** ``(workload, scale, cluster shape)`` tuple — recipe-
     generated traces repeat the same templates across many calls and
     cluster shapes, and a key that ignored the cluster shape would hand
     one shape's solo duration to another.
     """
+    from repro.cluster.tenancy import solo_run
+
+    shape = _shape_key(num_slaves=num_slaves, map_slots=map_slots,
+                       reduce_slots=reduce_slots, block_size=block_size)
+    counts = Counter((tjob.workload, tjob.scale) for tjob in trace.jobs)
     classes = []
-    counts: dict[tuple[str, float], int] = {}
-    for tjob in trace.jobs:
-        key = (tjob.workload, tjob.scale)
-        counts[key] = counts.get(key, 0) + 1
     for (name, scale), weight in sorted(counts.items()):
-        demand_s = _solo_demand_s(
-            name, scale, num_slaves, map_slots, reduce_slots, block_size
+        key = (name, scale, shape)
+        if key not in _SOLO_SECONDS:
+            _SOLO_SECONDS[key] = solo_run(name, scale, **dict(shape))[0]
+        classes.append(
+            RequestClass(f"{name}@{scale:g}", _SOLO_SECONDS[key], float(weight))
         )
-        classes.append(RequestClass(f"{name}@{scale:g}", demand_s, float(weight)))
     return tuple(classes)
 
 
-#: cross-call shadow-run memo: full (workload, scale, engine-config) key →
-#: solo duration.  The engine config MUST be part of the key (regression
-#: test: tests/cluster/test_serve.py::TestRequestClassMemo).
-_SOLO_DEMANDS: dict[tuple[str, float, int, int, int, int], float] = {}
+#: cross-call memo: ``(workload, scale, _shape_key(...))`` → solo seconds.
+#: The whole cluster shape MUST be in the key (test_serve.py::TestRequestClassMemo).
+_SOLO_SECONDS: dict[tuple, float] = {}
 
 
-def _solo_demand_s(
-    name: str,
-    scale: float,
-    num_slaves: int,
-    map_slots: int,
-    reduce_slots: int,
-    block_size: int,
-) -> float:
-    from repro.cluster.cluster import make_cluster
-    from repro.workloads.base import workload
+def _shape_key(**shape) -> tuple:
+    """Every ``make_cluster`` argument, defaults filled in, sorted: one
+    cluster spelled two ways is one key, and a new argument joins it."""
+    from repro.cluster.tenancy import make_cluster
 
-    key = (name, scale, num_slaves, map_slots, reduce_slots, block_size)
-    if key not in _SOLO_DEMANDS:
-        shadow = make_cluster(
-            num_slaves=num_slaves,
-            map_slots=map_slots,
-            reduce_slots=reduce_slots,
-            block_size=block_size,
-        )
-        _SOLO_DEMANDS[key] = workload(name).run(scale=scale, cluster=shadow).duration_s
-    return _SOLO_DEMANDS[key]
+    bound = inspect.signature(make_cluster).bind(**shape)
+    bound.apply_defaults()
+    return tuple(sorted(bound.arguments.items()))
 
 
 @dataclass(frozen=True)

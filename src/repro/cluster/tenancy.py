@@ -53,6 +53,7 @@ __all__ = [
     "TenantJobReport",
     "MixResult",
     "run_mix",
+    "solo_run",
     "ColocationReport",
     "characterize_colocation",
 ]
@@ -458,6 +459,12 @@ def run_mix(
         block_size=block_size,
         racks=racks,
     )
+
+    def shadows() -> dict:
+        # identical trace jobs share one shadow, for this call only
+        pairs = dict.fromkeys((tjob.workload, tjob.scale) for tjob in trace.jobs)
+        return {pair: solo_run(*pair, **shape) for pair in pairs}
+
     shared = make_cluster(**shape)
     if engine == "fast":
         from repro.perf.clusterpath import FastMultiJobCluster
@@ -480,12 +487,12 @@ def run_mix(
             reports=_tenant_reports(trace, outcome, ideals, stages),
             outcome=outcome,
         )
-        result._defer(outputs=lambda: _outputs(trace, _solo_runs(trace, shape)))
+        result._defer(outputs=lambda: _outputs(trace, shadows()))
         return result
-    solo = _solo_runs(trace, shape)
+    solo = shadows()
     ideals, stages = [], []
     for tjob in trace.jobs:
-        ideal_s, _output, works = solo[tjob.workload, tjob.scale]
+        ideal_s, works, _output = solo[tjob.workload, tjob.scale]
         ideals.append(ideal_s)
         stages.append(len(works))
         multi.submit_chain(
@@ -507,31 +514,23 @@ def run_mix(
     )
 
 
-def _solo_runs(trace: WorkloadTrace, shape: dict) -> dict:
-    """``(workload, scale) → (ideal seconds, output, JobWorks)``: one
-    solo-shadow run per distinct pair in *trace*, each on a fresh cluster
-    of *shape*.  A shadow run is a deterministic function of the pair, so
-    identical trace jobs — the common case in arrival-process traces —
-    share one."""
+def solo_run(name, scale: float, **shape) -> tuple[float, list, object]:
+    """``(duration_s, works, output)`` of workload *name* (or a workload
+    object) run alone at *scale* on a fresh ``make_cluster(**shape)``;
+    ``works`` is one ``JobWork`` per stage.  Deterministic and unmemoised:
+    each caller keeps its own memo scope."""
+    # Imported here: repro.workloads.base itself imports the cluster
+    # package, so a module-level import would be circular (and would
+    # load the workload layers on every `import repro.cluster`).
     from repro.workloads.base import workload
 
-    solo = {}
-    for tjob in trace.jobs:
-        pair = (tjob.workload, tjob.scale)
-        if pair not in solo:
-            run = workload(tjob.workload).run(
-                scale=tjob.scale, cluster=make_cluster(**shape)
-            )
-            solo[pair] = (
-                run.duration_s,
-                run.output,
-                [result.work for result in run.job_results],
-            )
-    return solo
+    wl = workload(name) if isinstance(name, str) else name
+    run = wl.run(scale=scale, cluster=make_cluster(**shape))
+    return run.duration_s, [result.work for result in run.job_results], run.output
 
 
 def _outputs(trace: WorkloadTrace, solo: dict) -> dict[int, object]:
-    return {tjob.index: solo[tjob.workload, tjob.scale][1] for tjob in trace.jobs}
+    return {tjob.index: solo[tjob.workload, tjob.scale][2] for tjob in trace.jobs}
 
 
 def _tenant_reports(trace, outcome, ideals, stages) -> list[TenantJobReport]:

@@ -61,6 +61,7 @@ from repro.cluster.eventbus import (
 from repro.cluster.faults import FaultPlan
 from repro.cluster.journal import WorkflowJournal, WorkflowStageRecord
 from repro.cluster.scheduler import MultiJobCluster, Scheduler, make_scheduler
+from repro.cluster.tenancy import solo_run
 
 __all__ = [
     "StagePolicy",
@@ -832,6 +833,10 @@ class WorkflowRunner:
 
 # -- DAG builders --------------------------------------------------------------
 
+#: HDFS block size of every registry DAG's shadow runs and of the
+#: clusters the CLI and chaos replay it on: the two must agree.
+_DAG_BLOCK_SIZE = 256 * 1024
+
 
 def workflow_from_chain(
     name: str,
@@ -860,31 +865,27 @@ def workflow_from_chain(
     return Workflow(name, stages)
 
 
-def _shadow_works(workload_name: str, scale: float, num_slaves: int):
-    """Solo shadow run: per-stage works + the functional output."""
-    from repro.cluster.cluster import make_cluster
-    from repro.workloads import workload as load_workload
-
-    shadow = make_cluster(num_slaves=num_slaves, block_size=256 * 1024)
-    run = load_workload(workload_name).run(scale=scale, cluster=shadow)
-    return [result.work for result in run.job_results], run.output
-
-
 def hive_chain_workflow(scale: float = 0.05, num_slaves: int = 4) -> Workflow:
     """Hive-bench: a query compiled to chained MapReduce stages."""
-    works, output = _shadow_works("Hive-bench", scale, num_slaves)
+    _, works, output = solo_run(
+        "Hive-bench", scale, num_slaves=num_slaves, block_size=_DAG_BLOCK_SIZE
+    )
     return workflow_from_chain("hive-chain", works, payload=output)
 
 
 def kmeans_workflow(scale: float = 0.05, num_slaves: int = 4) -> Workflow:
     """K-means: an iterative convergence loop over intermediate state."""
-    works, output = _shadow_works("K-means", scale, num_slaves)
+    _, works, output = solo_run(
+        "K-means", scale, num_slaves=num_slaves, block_size=_DAG_BLOCK_SIZE
+    )
     return workflow_from_chain("kmeans", works, payload=output)
 
 
 def pagerank_workflow(scale: float = 0.05, num_slaves: int = 4) -> Workflow:
     """PageRank: power iterations chained through HDFS."""
-    works, output = _shadow_works("PageRank", scale, num_slaves)
+    _, works, output = solo_run(
+        "PageRank", scale, num_slaves=num_slaves, block_size=_DAG_BLOCK_SIZE
+    )
     return workflow_from_chain("pagerank", works, payload=output)
 
 
@@ -896,7 +897,9 @@ def diamond_workflow(scale: float = 0.05, num_slaves: int = 4) -> Workflow:
     failure-propagation tests need: failing one branch must cancel only
     ``join``, while ``side`` (and the surviving branch) complete.
     """
-    works, output = _shadow_works("Grep", scale, num_slaves)
+    _, works, output = solo_run(
+        "Grep", scale, num_slaves=num_slaves, block_size=_DAG_BLOCK_SIZE
+    )
     base = works[0]
     stages = [
         Stage(name="ingest", work=replace(base, name="ingest")),

@@ -76,8 +76,11 @@ class TestSpeedup:
         assert hi - lo > 0.5
 
     def test_rejects_unsorted_slave_counts(self):
-        with pytest.raises(ValueError):
-            speedup_study([workload("Grep")], slave_counts=(4, 1))
+        # a repeated count is not ascending either: it would run one
+        # cluster size twice and repeat a point of the curve
+        for counts in ((4, 1), (1, 1, 4), (1, 4, 4), ()):
+            with pytest.raises(ValueError):
+                speedup_study([workload("Grep")], slave_counts=counts)
 
 
 class TestFindings:

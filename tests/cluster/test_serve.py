@@ -10,8 +10,10 @@ of it.  Everything is seeded, so every assertion here is exact.
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.__main__ import build_parser, main
 from repro.cluster.chaos import run_overload_chaos
@@ -47,6 +49,23 @@ class TestPercentile:
             percentile([1.0], 0.0)
         with pytest.raises(ValueError):
             percentile([1.0], 101.0)
+
+    def test_p999_of_a_thousand_is_not_the_maximum(self):
+        # 99.9 / 100 * 1000 is just above 999 in floats; the rank is 999
+        assert percentile(range(1, 1001), 99.9) == 999
+        for n in range(1000, 5001, 1000):
+            assert percentile(range(1, n + 1), 99.9) == n - n // 1000
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.sampled_from(["50", "95", "99", "99.9"]),
+        n=st.integers(min_value=1, max_value=5000),
+    )
+    @example(p="99.9", n=1000)
+    def test_rank_matches_exact_arithmetic(self, p, n):
+        # values 1..n, so the answer is the rank itself
+        rank = math.ceil(Fraction(p) * n / 100)
+        assert percentile(range(1, n + 1), float(p)) == rank
 
 
 # -- arrival processes ---------------------------------------------------------
@@ -259,7 +278,7 @@ class TestOverloadChaos:
 
 class TestRequestClassMemo:
     """The shadow-run memo must key on the FULL (workload, scale,
-    engine-config) tuple — a key that ignored the cluster shape handed
+    cluster shape) tuple — a key that ignored the cluster shape handed
     one shape's solo duration to another."""
 
     def trace(self) -> WorkloadTrace:
@@ -271,10 +290,28 @@ class TestRequestClassMemo:
 
     def test_memo_hit_skips_the_shadow_run(self, monkeypatch):
         import repro.cluster.serve as serve_mod
+        import repro.cluster.tenancy as tenancy_mod
+
+        def no_shadow(*args, **kwargs):
+            raise AssertionError("a memo hit must not run a shadow")
 
         sentinel = 123.456
-        key = ("Grep", 0.05, 2, 4, 2, 64 * 1024)
-        monkeypatch.setattr(serve_mod, "_SOLO_DEMANDS", {key: sentinel})
+        # every make_cluster argument, defaults filled in, sorted by name
+        shape = (
+            ("block_size", 64 * 1024),
+            ("bytes_per_checksum", 512),
+            ("cpu_speed", 1.0),
+            ("journaling", True),
+            ("map_slots", 4),
+            ("num_slaves", 2),
+            ("racks", 1),
+            ("reduce_slots", 2),
+            ("replication", 3),
+        )
+        monkeypatch.setattr(
+            serve_mod, "_SOLO_SECONDS", {("Grep", 0.05, shape): sentinel}
+        )
+        monkeypatch.setattr(tenancy_mod, "solo_run", no_shadow)
         classes = request_classes_from_trace(
             self.trace(), num_slaves=2, map_slots=4, reduce_slots=2,
             block_size=64 * 1024,
@@ -284,7 +321,7 @@ class TestRequestClassMemo:
     def test_key_includes_the_engine_config(self, monkeypatch):
         import repro.cluster.serve as serve_mod
 
-        monkeypatch.setattr(serve_mod, "_SOLO_DEMANDS", {})
+        monkeypatch.setattr(serve_mod, "_SOLO_SECONDS", {})
         elephant = WorkloadTrace(
             (TraceJob(0, "Sort", 0.3, 0.0, "bo", "batch", "large"),),
             seed=0,
@@ -299,7 +336,7 @@ class TestRequestClassMemo:
             block_size=64 * 1024,
         )
         # two distinct memo entries, one per cluster shape...
-        assert len(serve_mod._SOLO_DEMANDS) == 2
+        assert len(serve_mod._SOLO_SECONDS) == 2
         # ...and the starved cluster really is slower, so sharing one
         # entry across shapes would have been wrong, not just untidy.
         assert small[0].demand_s > big[0].demand_s
@@ -307,14 +344,14 @@ class TestRequestClassMemo:
     def test_scale_still_separates_entries(self, monkeypatch):
         import repro.cluster.serve as serve_mod
 
-        monkeypatch.setattr(serve_mod, "_SOLO_DEMANDS", {})
+        monkeypatch.setattr(serve_mod, "_SOLO_SECONDS", {})
         jobs = (
             TraceJob(0, "Grep", 0.05, 0.0, "ada", "interactive", "small"),
             TraceJob(1, "Grep", 0.2, 0.1, "ada", "interactive", "small"),
         )
         trace = WorkloadTrace(jobs, seed=0, arrival_rate_per_s=0.0)
         classes = request_classes_from_trace(trace, block_size=64 * 1024)
-        assert len(serve_mod._SOLO_DEMANDS) == 2
+        assert len(serve_mod._SOLO_SECONDS) == 2
         assert classes[0].demand_s != classes[1].demand_s
 
 

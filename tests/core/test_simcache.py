@@ -524,16 +524,19 @@ class TestTraceKey:
         Same outcome, and still neither is ever a hit for the other."""
         from repro.cluster.cluster import make_cluster
         from repro.cluster.scheduler import FifoScheduler, MultiJobCluster
-        from repro.cluster.tenancy import _solo_runs, run_mix
+        from repro.cluster.tenancy import run_mix, solo_run
 
         trace = small_trace()
-        solo = _solo_runs(trace, RUN_MIX_SHAPE)
+        solo = {
+            pair: solo_run(*pair, **RUN_MIX_SHAPE)
+            for pair in dict.fromkeys((j.workload, j.scale) for j in trace.jobs)
+        }
 
         def submitted():
             multi = MultiJobCluster(make_cluster(**RUN_MIX_SHAPE), FifoScheduler())
             for tjob in trace.jobs:
                 multi.submit_chain(
-                    solo[tjob.workload, tjob.scale][2],
+                    solo[tjob.workload, tjob.scale][1],
                     arrival_s=tjob.arrival_s,
                     user=tjob.user,
                     pool=tjob.pool,
