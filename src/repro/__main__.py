@@ -44,8 +44,6 @@ import argparse
 import math
 import sys
 
-from repro.core.suite import DCBench
-
 
 def _rate(text: str) -> float:
     """argparse type: a probability in [0, 1] (NaN-proof)."""
@@ -234,6 +232,8 @@ def _workers(text: str):
 
 
 def _cmd_list(_args) -> int:
+    from repro.core.suite import DCBench
+
     suite = DCBench.default()
     print(f"{'workload':<18s}{'group':<15s}info")
     print("-" * 70)
@@ -354,6 +354,7 @@ def _cmd_characterize(args) -> int:
     from repro.core.characterize import characterize, characterize_suite
     from repro.core.export import to_csv, to_json
     from repro.core.simcache import SimCache
+    from repro.core.suite import DCBench
 
     cache = None if args.no_sim_cache else SimCache()
     suite = DCBench.default()
@@ -414,6 +415,7 @@ def _cmd_domains(_args) -> int:
 
 
 def _cmd_colocate(args) -> int:
+    from repro.core.suite import DCBench
     from repro.uarch.config import scaled_machine
     from repro.uarch.multicore import MultiCoreSystem
 
@@ -937,6 +939,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from repro.core.suite import DCBench
     from repro.perf.sampling import profile_trace
 
     suite = DCBench.default()

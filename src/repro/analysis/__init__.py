@@ -8,24 +8,16 @@
   key findings over a set of characterizations.
 """
 
-from repro.analysis.domains import (
-    TOP_SITES,
-    DomainShare,
-    classify_sites,
-    domain_shares,
-    top_domains,
-)
-from repro.analysis.speedup import SpeedupResult, speedup_study
-from repro.analysis.summary import Findings, evaluate_findings
+from repro._lazy import attach
 
-__all__ = [
-    "TOP_SITES",
-    "DomainShare",
-    "classify_sites",
-    "domain_shares",
-    "top_domains",
-    "SpeedupResult",
-    "speedup_study",
-    "Findings",
-    "evaluate_findings",
-]
+__getattr__, __dir__, __all__ = attach(globals(), {
+    "TOP_SITES": "domains",
+    "DomainShare": "domains",
+    "classify_sites": "domains",
+    "domain_shares": "domains",
+    "top_domains": "domains",
+    "SpeedupResult": "speedup",
+    "speedup_study": "speedup",
+    "Findings": "summary",
+    "evaluate_findings": "summary",
+})

@@ -48,241 +48,117 @@ paper measures it:
   checkpoints a restarted JobTracker resumes from.
 """
 
-from repro.cluster.disk import Disk
-from repro.cluster.network import Network, Nic
-from repro.cluster.topology import Topology
-from repro.cluster.node import Node
-from repro.cluster.hdfs import (
-    Block,
-    ChecksumError,
-    DataBlockScanner,
-    Hdfs,
-    HdfsFile,
-)
-from repro.cluster.cluster import (
-    ClusterCheckpoint,
-    HadoopCluster,
-    JobTimeline,
-    JobWork,
-    MapWork,
-    NodeCheckpoint,
-    ReduceWork,
-    StaleClusterError,
-    make_cluster,
-)
-from repro.cluster.journal import (
-    EditLog,
-    EditOp,
-    FsImage,
-    JobHistoryEvent,
-    JobHistoryJournal,
-    NameNodeJournal,
-    replay,
-    restore_into,
-    snapshot,
-)
-from repro.cluster.attempts import (
-    AttemptState,
-    CommitFence,
-    DataLossError,
-    JobFailedError,
-    NodeBlacklist,
-    NodeGraylist,
-    RetryPolicy,
-    TaskAttempt,
-    TaskAttempts,
-)
-from repro.cluster.faults import FaultPlan, FaultyCluster, FaultyTimeline
-from repro.cluster.chaos import (
-    ChaosResult,
-    FailSlowChaosResult,
-    IntegrityChaosResult,
-    MasterCrashResult,
-    OverloadChaosResult,
-    RackChaosResult,
-    chaos_plan,
-    integrity_chaos_plan,
-    run_chaos,
-    run_fail_slow_chaos,
-    run_integrity_chaos,
-    run_master_crash_chaos,
-    run_overload_chaos,
-    run_rack_chaos,
-)
-from repro.cluster.serve import (
-    ArrivalProcess,
-    RequestClass,
-    RequestRecord,
-    ServePolicy,
-    ServeReport,
-    default_request_classes,
-    percentile,
-    request_classes_from_trace,
-    run_service,
-)
-from repro.cluster.scheduler import (
-    CapacityScheduler,
-    FairScheduler,
-    FifoScheduler,
-    JobReport,
-    MixFaultAccounting,
-    MixOutcome,
-    MultiJobCluster,
-    PoolConfig,
-    QueueConfig,
-    Scheduler,
-    jain_index,
-    make_scheduler,
-)
-from repro.cluster.eventbus import (
-    EVENT_TYPES,
-    Event,
-    EventBus,
-)
-from repro.cluster.eventbus import replay as replay_events
-from repro.cluster.workflow import (
-    Stage,
-    StagePolicy,
-    StageReport,
-    Workflow,
-    WorkflowAccounting,
-    WorkflowCheckpoint,
-    WorkflowFaultPlan,
-    WorkflowResult,
-    WorkflowRunner,
-    build_workflow,
-    diamond_workflow,
-    hive_chain_workflow,
-    kmeans_workflow,
-    pagerank_workflow,
-    workflow_from_chain,
-    WORKFLOW_DAGS,
-)
-from repro.cluster.journal import WorkflowJournal, WorkflowStageRecord
-from repro.cluster.chaos import WorkflowChaosResult, run_workflow_chaos
-from repro.cluster.tenancy import (
-    ColocationReport,
-    MixResult,
-    TenantJobReport,
-    TraceJob,
-    WorkloadTrace,
-    characterize_colocation,
-    default_pools,
-    default_queues,
-    generate_trace,
-    run_mix,
-    solo_run,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "Disk",
-    "Network",
-    "Nic",
-    "Node",
-    "Topology",
-    "Hdfs",
-    "HdfsFile",
-    "Block",
-    "ChecksumError",
-    "DataBlockScanner",
-    "ClusterCheckpoint",
-    "HadoopCluster",
-    "JobTimeline",
-    "JobWork",
-    "MapWork",
-    "NodeCheckpoint",
-    "ReduceWork",
-    "StaleClusterError",
-    "make_cluster",
-    "EditLog",
-    "EditOp",
-    "FsImage",
-    "JobHistoryEvent",
-    "JobHistoryJournal",
-    "NameNodeJournal",
-    "replay",
-    "restore_into",
-    "snapshot",
-    "AttemptState",
-    "CommitFence",
-    "DataLossError",
-    "JobFailedError",
-    "NodeBlacklist",
-    "NodeGraylist",
-    "RetryPolicy",
-    "TaskAttempt",
-    "TaskAttempts",
-    "FaultPlan",
-    "FaultyCluster",
-    "FaultyTimeline",
-    "ChaosResult",
-    "FailSlowChaosResult",
-    "IntegrityChaosResult",
-    "MasterCrashResult",
-    "OverloadChaosResult",
-    "RackChaosResult",
-    "chaos_plan",
-    "integrity_chaos_plan",
-    "run_chaos",
-    "run_fail_slow_chaos",
-    "run_integrity_chaos",
-    "run_master_crash_chaos",
-    "run_overload_chaos",
-    "run_rack_chaos",
-    "ArrivalProcess",
-    "RequestClass",
-    "RequestRecord",
-    "ServePolicy",
-    "ServeReport",
-    "default_request_classes",
-    "percentile",
-    "request_classes_from_trace",
-    "run_service",
-    "Scheduler",
-    "FifoScheduler",
-    "FairScheduler",
-    "CapacityScheduler",
-    "PoolConfig",
-    "QueueConfig",
-    "jain_index",
-    "make_scheduler",
-    "JobReport",
-    "MixFaultAccounting",
-    "MixOutcome",
-    "MultiJobCluster",
-    "TraceJob",
-    "WorkloadTrace",
-    "generate_trace",
-    "default_pools",
-    "default_queues",
-    "TenantJobReport",
-    "MixResult",
-    "run_mix",
-    "solo_run",
-    "ColocationReport",
-    "characterize_colocation",
-    "Event",
-    "EventBus",
-    "EVENT_TYPES",
-    "replay_events",
-    "Stage",
-    "StagePolicy",
-    "StageReport",
-    "Workflow",
-    "WorkflowAccounting",
-    "WorkflowCheckpoint",
-    "WorkflowFaultPlan",
-    "WorkflowResult",
-    "WorkflowRunner",
-    "WorkflowJournal",
-    "WorkflowStageRecord",
-    "WorkflowChaosResult",
-    "run_workflow_chaos",
-    "build_workflow",
-    "workflow_from_chain",
-    "hive_chain_workflow",
-    "kmeans_workflow",
-    "pagerank_workflow",
-    "diamond_workflow",
-    "WORKFLOW_DAGS",
-]
+__getattr__, __dir__, __all__ = attach(globals(), {
+    "Disk": "disk",
+    "Network": "network",
+    "Nic": "network",
+    "Node": "node",
+    "Topology": "topology",
+    "Hdfs": "hdfs",
+    "HdfsFile": "hdfs",
+    "Block": "hdfs",
+    "ChecksumError": "hdfs",
+    "DataBlockScanner": "hdfs",
+    "ClusterCheckpoint": "cluster",
+    "HadoopCluster": "cluster",
+    "JobTimeline": "cluster",
+    "JobWork": "cluster",
+    "MapWork": "cluster",
+    "NodeCheckpoint": "cluster",
+    "ReduceWork": "cluster",
+    "StaleClusterError": "cluster",
+    "make_cluster": "cluster",
+    "EditLog": "journal",
+    "EditOp": "journal",
+    "FsImage": "journal",
+    "JobHistoryEvent": "journal",
+    "JobHistoryJournal": "journal",
+    "NameNodeJournal": "journal",
+    "replay": "journal",
+    "restore_into": "journal",
+    "snapshot": "journal",
+    "AttemptState": "attempts",
+    "CommitFence": "attempts",
+    "DataLossError": "attempts",
+    "JobFailedError": "attempts",
+    "NodeBlacklist": "attempts",
+    "NodeGraylist": "attempts",
+    "RetryPolicy": "attempts",
+    "TaskAttempt": "attempts",
+    "TaskAttempts": "attempts",
+    "FaultPlan": "faults",
+    "FaultyCluster": "faults",
+    "FaultyTimeline": "faults",
+    "ChaosResult": "chaos",
+    "FailSlowChaosResult": "chaos",
+    "IntegrityChaosResult": "chaos",
+    "MasterCrashResult": "chaos",
+    "OverloadChaosResult": "chaos",
+    "RackChaosResult": "chaos",
+    "chaos_plan": "chaos",
+    "integrity_chaos_plan": "chaos",
+    "run_chaos": "chaos",
+    "run_fail_slow_chaos": "chaos",
+    "run_integrity_chaos": "chaos",
+    "run_master_crash_chaos": "chaos",
+    "run_overload_chaos": "chaos",
+    "run_rack_chaos": "chaos",
+    "ArrivalProcess": "serve",
+    "RequestClass": "serve",
+    "RequestRecord": "serve",
+    "ServePolicy": "serve",
+    "ServeReport": "serve",
+    "default_request_classes": "serve",
+    "percentile": "serve",
+    "request_classes_from_trace": "serve",
+    "run_service": "serve",
+    "Scheduler": "scheduler",
+    "FifoScheduler": "scheduler",
+    "FairScheduler": "scheduler",
+    "CapacityScheduler": "scheduler",
+    "PoolConfig": "scheduler",
+    "QueueConfig": "scheduler",
+    "jain_index": "scheduler",
+    "make_scheduler": "scheduler",
+    "JobReport": "scheduler",
+    "MixFaultAccounting": "scheduler",
+    "MixOutcome": "scheduler",
+    "MultiJobCluster": "scheduler",
+    "TraceJob": "tenancy",
+    "WorkloadTrace": "tenancy",
+    "generate_trace": "tenancy",
+    "default_pools": "tenancy",
+    "default_queues": "tenancy",
+    "TenantJobReport": "tenancy",
+    "MixResult": "tenancy",
+    "run_mix": "tenancy",
+    "solo_run": "tenancy",
+    "ColocationReport": "tenancy",
+    "characterize_colocation": "tenancy",
+    "Event": "eventbus",
+    "EventBus": "eventbus",
+    "EVENT_TYPES": "eventbus",
+    "replay_events": "eventbus:replay",
+    "Stage": "workflow",
+    "StagePolicy": "workflow",
+    "StageReport": "workflow",
+    "Workflow": "workflow",
+    "WorkflowAccounting": "workflow",
+    "WorkflowCheckpoint": "workflow",
+    "WorkflowFaultPlan": "workflow",
+    "WorkflowResult": "workflow",
+    "WorkflowRunner": "workflow",
+    "WorkflowJournal": "journal",
+    "WorkflowStageRecord": "journal",
+    "WorkflowChaosResult": "chaos",
+    "run_workflow_chaos": "chaos",
+    "build_workflow": "workflow",
+    "workflow_from_chain": "workflow",
+    "hive_chain_workflow": "workflow",
+    "kmeans_workflow": "workflow",
+    "pagerank_workflow": "workflow",
+    "diamond_workflow": "workflow",
+    "WORKFLOW_DAGS": "workflow",
+})

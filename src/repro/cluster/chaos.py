@@ -179,7 +179,7 @@ def run_chaos(
     The fault-free run both provides the comparison baseline and sizes the
     chaos plan (task counts, map-phase window for aiming the node crash).
     """
-    from repro.workloads import workload as load_workload
+    from repro.workloads.base import workload as load_workload
 
     baseline_cluster = make_cluster(num_slaves, block_size=block_size)
     baseline = load_workload(workload_name).run(
@@ -307,7 +307,7 @@ def run_integrity_chaos(
     chaotic output stays bit-identical and no corruption goes undetected
     (``undetected_corrupt_replicas == 0`` after the final scrub).
     """
-    from repro.workloads import workload as load_workload
+    from repro.workloads.base import workload as load_workload
 
     baseline_cluster = make_cluster(num_slaves, block_size=block_size)
     baseline = load_workload(workload_name).run(
@@ -396,7 +396,7 @@ def run_master_crash_chaos(
     then run the identical schedule; the harness caller asserts outputs
     stay bit-identical and ``resume`` never loses to ``restart``.
     """
-    from repro.workloads import workload as load_workload
+    from repro.workloads.base import workload as load_workload
 
     baseline_cluster = make_cluster(num_slaves, block_size=block_size)
     baseline = load_workload(workload_name).run(
@@ -517,7 +517,7 @@ def run_fail_slow_chaos(
     """
     from repro.cluster.scheduler import FairScheduler, FifoScheduler
     from repro.cluster.tenancy import TraceJob, WorkloadTrace, run_mix, solo_run
-    from repro.workloads import workload as load_workload
+    from repro.workloads.base import workload as load_workload
 
     if jobs < 1:
         raise ValueError("chaos needs at least one trace job")
@@ -957,7 +957,7 @@ def run_rack_chaos(
        placement puts consecutive replicas on consecutive nodes, so some
        blocks live entirely inside the victim set and are lost.
     """
-    from repro.workloads import workload as load_workload
+    from repro.workloads.base import workload as load_workload
 
     if mode not in ("power", "tor"):
         raise ValueError("mode must be 'power' or 'tor'")

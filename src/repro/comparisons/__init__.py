@@ -15,20 +15,13 @@ benchmark it stands in for:
   the shared data-analysis workload and lives in :mod:`repro.workloads`).
 """
 
-from repro.comparisons.base import (
-    COMPARISON_NAMES,
-    SERVICE_WORKLOADS,
-    ComparisonRun,
-    ComparisonWorkload,
-    all_comparisons,
-    comparison,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "COMPARISON_NAMES",
-    "SERVICE_WORKLOADS",
-    "ComparisonRun",
-    "ComparisonWorkload",
-    "all_comparisons",
-    "comparison",
-]
+__getattr__, __dir__, __all__ = attach(globals(), {
+    "COMPARISON_NAMES": "base",
+    "SERVICE_WORKLOADS": "base",
+    "ComparisonRun": "base",
+    "ComparisonWorkload": "base",
+    "all_comparisons": "base",
+    "comparison": "base",
+})

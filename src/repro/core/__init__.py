@@ -15,30 +15,22 @@ Quickstart::
     print(result.metrics.ipc)
 """
 
-from repro.core.metrics import Metrics, STALL_CATEGORIES
-from repro.core.characterize import Characterization, characterize
-from repro.core.suite import DCBench, SuiteEntry, FIGURE_ORDER
-from repro.core.report import (
-    render_figure_series,
-    render_metric_table,
-    render_stall_table,
-    render_table1,
-    render_table2,
-    render_table3,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "Metrics",
-    "STALL_CATEGORIES",
-    "Characterization",
-    "characterize",
-    "DCBench",
-    "SuiteEntry",
-    "FIGURE_ORDER",
-    "render_figure_series",
-    "render_metric_table",
-    "render_stall_table",
-    "render_table1",
-    "render_table2",
-    "render_table3",
-]
+from repro.core.characterize import characterize  # a submodule's name: see repro._lazy
+
+__getattr__, __dir__, __all__ = attach(globals(), {
+    "Metrics": "metrics",
+    "STALL_CATEGORIES": "metrics",
+    "Characterization": "characterize",
+    "characterize": "characterize",
+    "DCBench": "suite",
+    "SuiteEntry": "suite",
+    "FIGURE_ORDER": "suite",
+    "render_figure_series": "report",
+    "render_metric_table": "report",
+    "render_stall_table": "report",
+    "render_table1": "report",
+    "render_table2": "report",
+    "render_table3": "report",
+})

@@ -97,13 +97,15 @@ _code_version: str | None = None
 
 
 def _source_digest(module_names: tuple[str, ...]) -> str:
-    """Digest of the names and source bytes of *module_names*."""
-    import importlib
+    """Digest of the names and source bytes of *module_names*.
+
+    Sources are located, not imported: hashing a module must not execute
+    it (a warm ``run_mix`` hit would otherwise load every workload)."""
+    from importlib.util import find_spec
 
     digest = hashlib.sha256()
     for module_name in module_names:
-        module = importlib.import_module(module_name)
-        path = getattr(module, "__file__", None)
+        path = find_spec(module_name).origin
         digest.update(module_name.encode())
         if path and os.path.exists(path):
             with open(path, "rb") as handle:

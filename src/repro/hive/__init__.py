@@ -19,38 +19,22 @@ end:
   (plus the job results for the cluster timing model).
 """
 
-from repro.hive.schema import Column, Table
-from repro.hive.parser import parse_query, Query
-from repro.hive.planner import (
-    canonical_query,
-    plan_fingerprint,
-    plan_query,
-    query_digest,
-    template_digest,
-    QueryPlan,
-)
-from repro.hive.engine import (
-    CacheStats,
-    HiveSession,
-    MaterializationCache,
-    QueryExecution,
-    result_cache_enabled,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "Column",
-    "Table",
-    "parse_query",
-    "Query",
-    "canonical_query",
-    "plan_fingerprint",
-    "plan_query",
-    "query_digest",
-    "template_digest",
-    "QueryPlan",
-    "CacheStats",
-    "HiveSession",
-    "MaterializationCache",
-    "QueryExecution",
-    "result_cache_enabled",
-]
+__getattr__, __dir__, __all__ = attach(globals(), {
+    "Column": "schema",
+    "Table": "schema",
+    "parse_query": "parser",
+    "Query": "parser",
+    "canonical_query": "planner",
+    "plan_fingerprint": "planner",
+    "plan_query": "planner",
+    "query_digest": "planner",
+    "template_digest": "planner",
+    "QueryPlan": "planner",
+    "CacheStats": "engine",
+    "HiveSession": "engine",
+    "MaterializationCache": "engine",
+    "QueryExecution": "engine",
+    "result_cache_enabled": "engine",
+})

@@ -24,20 +24,16 @@ Typical use::
     dict(result.output)  # {'a': 2, 'b': 1}
 """
 
-from repro.mapreduce.job import JobConf, MapReduceJob
-from repro.mapreduce.counters import JobCounters
-from repro.mapreduce.partitioner import hash_partitioner, make_range_partitioner
-from repro.mapreduce.io import DistributedInput, record_bytes
-from repro.mapreduce.engine import JobResult, LocalEngine
+from repro._lazy import attach
 
-__all__ = [
-    "JobConf",
-    "MapReduceJob",
-    "JobCounters",
-    "hash_partitioner",
-    "make_range_partitioner",
-    "DistributedInput",
-    "record_bytes",
-    "JobResult",
-    "LocalEngine",
-]
+__getattr__, __dir__, __all__ = attach(globals(), {
+    "JobConf": "job",
+    "MapReduceJob": "job",
+    "JobCounters": "counters",
+    "hash_partitioner": "partitioner",
+    "make_range_partitioner": "partitioner",
+    "DistributedInput": "io",
+    "record_bytes": "io",
+    "JobResult": "engine",
+    "LocalEngine": "engine",
+})

@@ -16,13 +16,12 @@ data, same network, different execution model (in-memory iteration versus
 per-job HDFS materialisation).
 """
 
-from repro.mpi.runtime import MpiRuntime, MpiStats
-from repro.mpi.programs import mpi_kmeans, mpi_pagerank, mpi_wordcount
+from repro._lazy import attach
 
-__all__ = [
-    "MpiRuntime",
-    "MpiStats",
-    "mpi_kmeans",
-    "mpi_pagerank",
-    "mpi_wordcount",
-]
+__getattr__, __dir__, __all__ = attach(globals(), {
+    "MpiRuntime": "runtime",
+    "MpiStats": "runtime",
+    "mpi_kmeans": "programs",
+    "mpi_pagerank": "programs",
+    "mpi_wordcount": "programs",
+})

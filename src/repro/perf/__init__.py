@@ -25,15 +25,13 @@ replaces (the repo's benchmark, ``bench/``, times both):
   ``run_mix(..., engine="fast")``.
 """
 
-from repro.perf.events import EVENT_CATALOG, PerfEvent, lookup_event
-from repro.perf.session import PerfReading, PerfSession
-from repro.perf.procfs import ProcFs
+from repro._lazy import attach
 
-__all__ = [
-    "EVENT_CATALOG",
-    "PerfEvent",
-    "lookup_event",
-    "PerfReading",
-    "PerfSession",
-    "ProcFs",
-]
+__getattr__, __dir__, __all__ = attach(globals(), {
+    "EVENT_CATALOG": "events",
+    "PerfEvent": "events",
+    "lookup_event": "events",
+    "PerfReading": "session",
+    "PerfSession": "session",
+    "ProcFs": "procfs",
+})

@@ -17,48 +17,25 @@ statistically matching synthetic load:
   wins grow with repetition).
 """
 
-from repro.recipes.instances import (
-    INSTANCE_SCHEMA_VERSION,
-    Instance,
-    InstanceJob,
-    InstanceSchemaError,
-    hive_plan_fingerprints,
-    instance_from_trace,
-    record_instance,
-)
-from repro.recipes.fit import (
-    Recipe,
-    ScaleStats,
-    TemplateStats,
-    UserRecipe,
-    classify_repeats,
-    fit_recipe,
-    repetition_bucket,
-)
-from repro.recipes.generate import generate_from_recipe
-from repro.recipes.repbench import (
-    BucketReport,
-    RepetitionBenchReport,
-    run_repetition_benchmark,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "INSTANCE_SCHEMA_VERSION",
-    "Instance",
-    "InstanceJob",
-    "InstanceSchemaError",
-    "hive_plan_fingerprints",
-    "instance_from_trace",
-    "record_instance",
-    "Recipe",
-    "ScaleStats",
-    "TemplateStats",
-    "UserRecipe",
-    "classify_repeats",
-    "fit_recipe",
-    "repetition_bucket",
-    "generate_from_recipe",
-    "BucketReport",
-    "RepetitionBenchReport",
-    "run_repetition_benchmark",
-]
+__getattr__, __dir__, __all__ = attach(globals(), {
+    "INSTANCE_SCHEMA_VERSION": "instances",
+    "Instance": "instances",
+    "InstanceJob": "instances",
+    "InstanceSchemaError": "instances",
+    "hive_plan_fingerprints": "instances",
+    "instance_from_trace": "instances",
+    "record_instance": "instances",
+    "Recipe": "fit",
+    "ScaleStats": "fit",
+    "TemplateStats": "fit",
+    "UserRecipe": "fit",
+    "classify_repeats": "fit",
+    "fit_recipe": "fit",
+    "repetition_bucket": "fit",
+    "generate_from_recipe": "generate",
+    "BucketReport": "repbench",
+    "RepetitionBenchReport": "repbench",
+    "run_repetition_benchmark": "repbench",
+})

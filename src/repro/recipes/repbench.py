@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from repro.cluster.cluster import make_cluster
-from repro.hive import HiveSession, MaterializationCache
+from repro.hive.engine import HiveSession, MaterializationCache
 from repro.mapreduce.engine import LocalEngine
 from repro.workloads import datagen
 

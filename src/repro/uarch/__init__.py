@@ -13,65 +13,37 @@ with ``perf``: cycles, instructions, cache/TLB miss counters, branch
 mispredictions, and the six pipeline-stall categories of Figure 6.
 """
 
-from repro.uarch.isa import MicroOp, OpClass
-from repro.uarch.config import (
-    CacheConfig,
-    CoreConfig,
-    MachineConfig,
-    TlbConfig,
-    XEON_E5645,
-    hugepage_machine,
-    scaled_machine,
-    virtualized_machine,
-)
-from repro.uarch.caches import Cache, CacheHierarchy
-from repro.uarch.tlb import Tlb, TlbHierarchy, PageWalker
-from repro.uarch.branch import (
-    BimodalPredictor,
-    BranchTargetBuffer,
-    BranchUnit,
-    GSharePredictor,
-    TournamentPredictor,
-    make_direction_predictor,
-)
-from repro.uarch.trace import (
-    MemoryRegion,
-    SyntheticTrace,
-    TraceSpec,
-    TraceStats,
-)
-from repro.uarch.pipeline import Core, SimulationResult, simulate
-from repro.uarch.multicore import CoLocationResult, MultiCoreSystem
+from repro._lazy import attach
 
-__all__ = [
-    "MicroOp",
-    "OpClass",
-    "CacheConfig",
-    "CoreConfig",
-    "MachineConfig",
-    "TlbConfig",
-    "XEON_E5645",
-    "hugepage_machine",
-    "scaled_machine",
-    "virtualized_machine",
-    "Cache",
-    "CacheHierarchy",
-    "Tlb",
-    "TlbHierarchy",
-    "PageWalker",
-    "BimodalPredictor",
-    "BranchTargetBuffer",
-    "BranchUnit",
-    "GSharePredictor",
-    "TournamentPredictor",
-    "make_direction_predictor",
-    "MemoryRegion",
-    "SyntheticTrace",
-    "TraceSpec",
-    "TraceStats",
-    "Core",
-    "SimulationResult",
-    "simulate",
-    "CoLocationResult",
-    "MultiCoreSystem",
-]
+__getattr__, __dir__, __all__ = attach(globals(), {
+    "MicroOp": "isa",
+    "OpClass": "isa",
+    "CacheConfig": "config",
+    "CoreConfig": "config",
+    "MachineConfig": "config",
+    "TlbConfig": "config",
+    "XEON_E5645": "config",
+    "hugepage_machine": "config",
+    "scaled_machine": "config",
+    "virtualized_machine": "config",
+    "Cache": "caches",
+    "CacheHierarchy": "caches",
+    "Tlb": "tlb",
+    "TlbHierarchy": "tlb",
+    "PageWalker": "tlb",
+    "BimodalPredictor": "branch",
+    "BranchTargetBuffer": "branch",
+    "BranchUnit": "branch",
+    "GSharePredictor": "branch",
+    "TournamentPredictor": "branch",
+    "make_direction_predictor": "branch",
+    "MemoryRegion": "trace",
+    "SyntheticTrace": "trace",
+    "TraceSpec": "trace",
+    "TraceStats": "trace",
+    "Core": "pipeline",
+    "SimulationResult": "pipeline",
+    "simulate": "pipeline",
+    "CoLocationResult": "multicore",
+    "MultiCoreSystem": "multicore",
+})

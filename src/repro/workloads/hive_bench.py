@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.cluster.cluster import HadoopCluster
-from repro.hive import HiveSession
+from repro.hive.engine import HiveSession
 from repro.mapreduce.engine import LocalEngine
 from repro.uarch.trace import MemoryRegion
 from repro.workloads import datagen

@@ -556,6 +556,59 @@ class TestTraceKey:
         assert (dispatched.hits, dispatched.misses) == (0, 2)
 
 
+class TestCodeVersions:
+    """The three source digests hash files found on the import path
+    without executing them."""
+
+    @staticmethod
+    def imported_digest(module_names):
+        """The digest as computed by importing every module."""
+        import importlib
+
+        digest = hashlib.sha256()
+        for module_name in module_names:
+            digest.update(module_name.encode())
+            with open(importlib.import_module(module_name).__file__, "rb") as handle:
+                digest.update(handle.read())
+        return digest.hexdigest()[:16]
+
+    def test_digests_equal_the_import_based_computation(self):
+        """Entries stored before sources were located instead of imported
+        still hit."""
+        from repro.core import simcache
+
+        assert code_version() == self.imported_digest(simcache._VERSIONED_MODULES)
+        assert cluster_code_version() == self.imported_digest(
+            simcache._CLUSTER_VERSIONED_MODULES
+        )
+        assert exec_code_version() == self.imported_digest(simcache._EXEC_VERSIONED_MODULES)
+
+    def test_exec_code_version_runs_no_workload_or_hive_module(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.workloads.base import WORKLOAD_NAMES, workload
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import json, sys\n"
+            "from repro.core.simcache import exec_code_version\n"
+            "exec_code_version()\n"
+            "print(json.dumps(list(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        loaded = set(json.loads(out.stdout))
+        workload_modules = {type(workload(name)).__module__ for name in WORKLOAD_NAMES}
+        assert len(workload_modules) == 11
+        assert not loaded & workload_modules
+        assert not [m for m in loaded if m.startswith("repro.hive.")]
+
+
 class TestUnwritableRoot:
     """A cache whose root cannot hold entries — here a regular file, which
     even root cannot write beneath — still returns every computed result,
