@@ -189,7 +189,8 @@ class Network:
             raise ValueError("transfer size must be non-negative")
         if src is dst:
             raise ValueError("local transfers do not use the network")
-        loss = self._loss_for(src, dst)
+        # no per-link overrides: every link has the global rate
+        loss = self._loss_for(src, dst) if self.link_loss else self.loss_rate
         extra_bytes = 0
         lost_segments = 0
         if loss > 0.0 and num_bytes > 0:

@@ -56,11 +56,17 @@ class Node:
             wall *= self.slow_factor
         return wall
 
+    # ``min`` keeps the first of equal values and ``index`` finds the
+    # first equal entry, so both return the first minimal slot (the old
+    # per-slot key scan's answer) without a Python call per slot.
+
     def earliest_map_slot(self) -> int:
-        return min(range(self.map_slots), key=lambda i: self.map_slot_free[i])
+        free = self.map_slot_free
+        return free.index(min(free))
 
     def earliest_reduce_slot(self) -> int:
-        return min(range(self.reduce_slots), key=lambda i: self.reduce_slot_free[i])
+        free = self.reduce_slot_free
+        return free.index(min(free))
 
     def reset(self) -> None:
         """Clear all timing state (between jobs/experiments)."""

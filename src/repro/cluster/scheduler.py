@@ -1191,9 +1191,12 @@ class MultiJobCluster:
                     after=job.depends_on.job_id if job.depends_on else None,
                 )
 
-        self._publish(EVENT_DISPATCH, time_s=origin)
+        bus = self.bus
+        if bus is not None:
+            self._publish(EVENT_DISPATCH, time_s=origin)
         while self._run_round():
-            self._publish(EVENT_DISPATCH, time_s=cluster.clock)
+            if bus is not None:
+                self._publish(EVENT_DISPATCH, time_s=cluster.clock)
 
         unfinished = sorted(
             j.job_id for j in self.jobs if j.status == "pending"
@@ -1250,9 +1253,12 @@ class MultiJobCluster:
 
     def _publish(self, event_type: str, time_s: float, **payload) -> None:
         """Publish and deliver one event when a bus is live (no-op under
-        ``observability="lean"``).  Every event here has priority 0, so
-        delivering it at once logs it in publication order, as a final
-        drain would, without a queue the size of the whole log."""
+        ``observability="lean"``).  The per-round and per-task call sites
+        test ``self.bus`` first, so a lean run builds no event payloads;
+        the rare failure paths rely on the no-op.  Every event here has
+        priority 0, so delivering it at once logs it in publication
+        order, as a final drain would, without a queue the size of the
+        whole log."""
         if self.bus is not None:
             self.bus.publish(event_type, time_s=time_s, **payload)
             self.bus.process_one()
@@ -1294,7 +1300,7 @@ class MultiJobCluster:
             floor = self._floor_of(job)
             if floor is not None:
                 floors[job] = floor
-                if job.job_id not in self._ready_announced:
+                if self.bus is not None and job.job_id not in self._ready_announced:
                     self._ready_announced.add(job.job_id)
                     self._publish(
                         EVENT_STAGE_READY,
@@ -1465,15 +1471,16 @@ class MultiJobCluster:
         self._intervals.append(
             TaskInterval("map", job.job_id, node.name, task_start, end)
         )
-        self._publish(
-            EVENT_ATTEMPT_FINISHED,
-            time_s=end,
-            job_id=job.job_id,
-            task=f"m{m_index}",
-            node=node.name,
-            start_s=task_start,
-            end_s=end,
-        )
+        if self.bus is not None:
+            self._publish(
+                EVENT_ATTEMPT_FINISHED,
+                time_s=end,
+                job_id=job.job_id,
+                task=f"m{m_index}",
+                node=node.name,
+                start_s=task_start,
+                end_s=end,
+            )
 
     def _next_observation(self, floors, natural: float) -> float | None:
         """Earliest unprocessed instant before *natural* worth waking at."""
@@ -1564,8 +1571,8 @@ class MultiJobCluster:
         probe = self._write_probe()
         if self._faults is not None:
             self._reexecute_lost_maps(job, probe)
-        map_end_times = [job.map_ends[i] for i in range(count)]
-        map_nodes = [job.map_nodes[i] for i in range(count)]
+        map_end_times = list(map(job.map_ends.__getitem__, range(count)))
+        map_nodes = list(map(job.map_nodes.__getitem__, range(count)))
         map_outputs = [task.output_bytes for task in work.maps]
         if self._faults is None:
             end, map_phase_end, spans = cluster._charge_reduce_phase(
@@ -1614,26 +1621,29 @@ class MultiJobCluster:
             maps_off_rack=tiers.count("off"),
             node_racks=cluster._node_racks(),
         )
+        bus = self.bus
         for r_index, (node, exec_start, exec_end) in enumerate(spans):
             self._intervals.append(
                 TaskInterval("reduce", job.job_id, node.name, exec_start, exec_end)
             )
-            self._publish(
-                EVENT_ATTEMPT_FINISHED,
-                time_s=exec_end,
-                job_id=job.job_id,
-                task=f"r{r_index}",
-                node=node.name,
-                start_s=exec_start,
-                end_s=exec_end,
-            )
+            if bus is not None:
+                self._publish(
+                    EVENT_ATTEMPT_FINISHED,
+                    time_s=exec_end,
+                    job_id=job.job_id,
+                    task=f"r{r_index}",
+                    node=node.name,
+                    start_s=exec_start,
+                    end_s=exec_end,
+                )
         job.status = "completed"
-        self._publish(
-            EVENT_JOB_FINISHED,
-            time_s=end,
-            job_id=job.job_id,
-            finished_s=end,
-        )
+        if bus is not None:
+            self._publish(
+                EVENT_JOB_FINISHED,
+                time_s=end,
+                job_id=job.job_id,
+                finished_s=end,
+            )
 
     # -- fault-injected charging -----------------------------------------------
 

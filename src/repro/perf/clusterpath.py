@@ -18,9 +18,13 @@ replacing every per-round O(jobs) / O(nodes) rescan with an index:
   set changes (push, expiry, preemption, job failure), so Fair and
   Capacity read them in O(1) instead of recounting the running list;
   the tallies are built on the first read, so FIFO never keeps them;
-* **map-completion maxima** reuse ``ScheduledJob.last_map_end_s`` (also
-  maintained by the reference engine), and jobs whose map phase is done
-  wait in a small set rather than being re-discovered by scanning.
+* **parked jobs** (every map dispatched, reduce phase deferred) sit in
+  a min-heap keyed ``(last_map_end_s, seq)`` — the maximum the reference
+  engine also maintains — so a round pops exactly the jobs the clock
+  has caught up with, in the reference's finishing order, instead of
+  scanning every parked job.  A preempted job leaves the parked set and
+  re-parks with a fresh entry; the entry it left behind is skipped as
+  stale when it surfaces.
 
 The fast path is bit-identical to the reference by construction: it
 overrides only *where* candidates come from, never *how* they are
@@ -249,6 +253,8 @@ class FastMultiJobCluster(MultiJobCluster):
         self._future: list[tuple[float, int, ScheduledJob]] = []
         self._pending_announce: list[ScheduledJob] = []
         self._awaiting: set[ScheduledJob] = set()
+        #: (last_map_end_s, seq, job) per park; stale entries skipped on pop
+        self._parked: list[tuple[float, int, ScheduledJob]] = []
         self._run_heap: list[tuple[float, int, RunningTask]] = []
         self._removed: set[int] = set()
         self._rt_counter = 0
@@ -344,7 +350,8 @@ class FastMultiJobCluster(MultiJobCluster):
             if local_idx is not None and local_time <= best_time + locality_wait:
                 node = self._slaves[local_idx]
                 return node, node.earliest_map_slot(), local_time
-        preferred_racks = cluster._preferred_racks(task)
+        # no rack members: a flat cluster, where no task prefers a rack
+        preferred_racks = self._rack_members and cluster._preferred_racks(task)
         if preferred_racks:
             rack_idx, rack_time = None, _INF
             for rack in preferred_racks:
@@ -476,10 +483,22 @@ class FastMultiJobCluster(MultiJobCluster):
                     if rt.job is job and id(rt) not in removed:
                         counts.add(job, -1)
 
-    def _finishable(self) -> list[ScheduledJob]:
-        return sorted(
-            self._awaiting, key=lambda job: (job.last_map_end_s, job.seq)
-        )
+    def _caught_up(self, now: float) -> list[ScheduledJob]:
+        """Unpark the jobs whose maps all ended by *now*, in
+        ``(last_map_end_s, seq)`` order.
+
+        An entry is stale when its job left the parked set (finished,
+        failed, or preempted back to map dispatch) or re-parked under a
+        different ``last_map_end_s`` after a preemption.
+        """
+        parked, awaiting = self._parked, self._awaiting
+        ready = []
+        while parked and parked[0][0] <= now:
+            end, _seq, job = heappop(parked)
+            if job in awaiting and job.last_map_end_s == end:
+                awaiting.discard(job)
+                ready.append(job)
+        return ready
 
     # -- job lifecycle bookkeeping ---------------------------------------------
 
@@ -497,17 +516,18 @@ class FastMultiJobCluster(MultiJobCluster):
 
     def _flush_announcements(self) -> None:
         """Publish STAGE_READY for newly-floored jobs in submission
-        order — the order the reference's top-of-round jobs scan emits."""
-        self._pending_announce.sort(key=lambda job: job.seq)
-        for job in self._pending_announce:
-            self._ready_announced.add(job.job_id)
-            floor = self._floors[job]
-            self._publish(
-                EVENT_STAGE_READY,
-                time_s=floor,
-                job_id=job.job_id,
-                floor_s=floor,
-            )
+        order — the order the reference's top-of-round jobs scan emits.
+        Without a bus there is nothing to publish."""
+        if self.bus is not None:
+            self._pending_announce.sort(key=lambda job: job.seq)
+            for job in self._pending_announce:
+                floor = self._floors[job]
+                self._publish(
+                    EVENT_STAGE_READY,
+                    time_s=floor,
+                    job_id=job.job_id,
+                    floor_s=floor,
+                )
         self._pending_announce.clear()
 
     # -- the indexed dispatch round --------------------------------------------
@@ -520,12 +540,11 @@ class FastMultiJobCluster(MultiJobCluster):
         active, future = self._active, self._future
         if not active and not future:
             # no dispatchable map work left: run deferred reduce phases
-            ready = self._finishable()
+            ready = self._caught_up(_INF)
             if not ready:
                 return False
             for job in ready:
                 self._finish_or_fail(job)
-                self._awaiting.discard(job)
                 self._on_job_resolved(job)
             return True
         min_floor = future[0][0] if future else _INF
@@ -543,14 +562,10 @@ class FastMultiJobCluster(MultiJobCluster):
             if obs is not None:
                 self._observe_starvation(obs, active)
                 return True
-        caught_up = sorted(
-            (job for job in self._awaiting if job.last_map_end_s <= now),
-            key=lambda job: (job.last_map_end_s, job.seq),
-        )
+        caught_up = self._caught_up(now)
         if caught_up:
             for job in caught_up:
                 self._finish_or_fail(job)
-                self._awaiting.discard(job)
                 self._on_job_resolved(job)
             return True
         runnable = [job for job, floor in active.items() if floor <= now]
@@ -581,4 +596,5 @@ class FastMultiJobCluster(MultiJobCluster):
                 # all maps dispatched: park until the reduce phase
                 del active[job]
                 self._awaiting.add(job)
+                heappush(self._parked, (job.last_map_end_s, job.seq, job))
         return True

@@ -16,6 +16,9 @@ contract:
 * the running-count invariant: every count the fast engine answers
   from its tallies equals the reference recount over the running list,
   with pinned mixes that preempt and that fail a job holding slots,
+* the parked-job heap: a pinned mix whose preempted job re-parks and
+  leaves a stale heap entry that must not finish it early,
+* lean runs never reach the event publisher, on either class,
 * a fast-only scale smoke with a wall-clock budget, so a perf
   regression that would break the headline claim fails loudly here.
 """
@@ -252,6 +255,54 @@ class TestRunningCounts:
         _cluster, multi = build_mix(FastMultiJobCluster, 3, "fifo", 1, plan_kind, "full")
         multi.run(raise_on_failure=False)
         assert multi._counts is None
+
+
+#: Fair with preemption on a limping node: job-0001 parks, has a map
+#: preempted, and re-parks with a later ``last_map_end_s``; its first heap
+#: entry then surfaces while it is parked again and must be skipped.
+STALE_PARK_CASE = (57, "fair", 1, "slow", "full")
+
+
+class TestParkedHeap:
+    """Parked jobs finish from a heap keyed ``(last_map_end_s, seq)``;
+    a preemption leaves a stale entry behind that must never finish
+    the job early."""
+
+    def test_stale_entry_after_repark_is_skipped(self):
+        surfaced = []
+        caught_up = FastMultiJobCluster._caught_up
+
+        def spy(engine, now):
+            surfaced.extend(
+                job.job_id
+                for end, _seq, job in engine._parked
+                if end <= now
+                and job in engine._awaiting
+                and job.last_map_end_s > end
+            )
+            return caught_up(engine, now)
+
+        with patch.object(FastMultiJobCluster, "_caught_up", spy):
+            outcome = assert_engines_agree(*STALE_PARK_CASE)
+        assert outcome.preemptions > 0
+        assert surfaced == ["job-0001"]
+
+
+class TestLeanPublishesNothing:
+    """Under ``observability="lean"`` no call site reaches ``_publish``:
+    no event payload is built for a bus that does not exist."""
+
+    @pytest.mark.parametrize("cls", [MultiJobCluster, FastMultiJobCluster])
+    @pytest.mark.parametrize("scheduler_kind", ["fifo", "fair"])
+    def test_lean_mix_never_publishes(self, cls, scheduler_kind):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lean run published an event")
+
+        _cluster, multi = build_mix(cls, 11, scheduler_kind, 1, None, "lean")
+        with patch.object(MultiJobCluster, "_publish", refuse):
+            outcome = multi.run()
+        assert all(report.status == "completed" for report in outcome.reports)
+        assert outcome.events == ()
 
 
 #: The CI tier's pinned equivalence matrix: one case per dispatch regime.
