@@ -15,9 +15,15 @@ several times faster.  Three mechanisms, none of which changes a counter:
    ``pc >> 2`` predictor/BTB key in the branch arm.
 3. **Flattened scalar mechanics** — the inherently sequential parts
    (LRU state machines, branch-history updates, the one-pass timing model)
-   run in a single loop over local variables, with the reference engine's
-   method-call chains (FetchEngine → TlbHierarchy → Tlb → …) collapsed
-   into closures over flat state.
+   run in a single loop over local variables.  The common case is inlined
+   in that loop: the DTLB and L1D hit (with its move-to-front), and on an
+   I-line change the ITLB and L1I hit.  Only misses call closures over the
+   flat state (``translate_*_miss``/``access_*_miss`` start at the L1
+   miss), and the branch unit reads each predictor counter once.  The
+   RS/load/store buffers drain lazily — stale entries are popped only when
+   a heap reaches capacity, which is exact because the dispatch base never
+   decreases — and one ``deque`` of recent retire times serves both the
+   ROB slot and the retire-width gate.
 
 The sequential mechanics are *transliterated* from the reference modules
 (`uarch/pipeline.py`, `frontend.py`, `caches.py`, `tlb.py`, `branch.py`)
@@ -33,6 +39,7 @@ matter which engine ran first.
 from __future__ import annotations
 
 import random
+from collections import deque
 from heapq import heappop, heappush
 
 from repro.uarch.branch import GSharePredictor, TournamentPredictor
@@ -49,15 +56,6 @@ from repro.uarch.trace import (
     SyntheticTrace,
     TraceSpec,
 )
-
-#: int values of the op classes, hoisted for the hot loop.
-_ALU = int(OpClass.ALU)
-_LOAD = int(OpClass.LOAD)
-_STORE = int(OpClass.STORE)
-_BRANCH = int(OpClass.BRANCH)
-_DIV = int(OpClass.DIV)
-
-_MISFETCH_BUBBLE = FetchEngine.MISFETCH_BUBBLE
 
 
 def run_fast(
@@ -208,11 +206,13 @@ def run_fast(
     rob_cap = core_cfg.rob_entries
     lb_cap = core_cfg.load_buffer_entries
     sb_cap = core_cfg.store_buffer_entries
+    # Buffer heaps drain lazily: entries <= base are popped only once a
+    # heap reaches capacity.  base never decreases (fetch time only grows
+    # and rename lifts base to >= the last dispatch cycle), so a stale
+    # entry can never gate dispatch again; each heap stays <= its cap.
     rs_heap: list[int] = []
     lb_heap: list[int] = []
     sb_heap: list[int] = []
-    rob_ring = [0] * rob_cap
-    rob_count = 0
 
     rng = random.Random((getattr(spec, "seed", 0) or 0) + 0x5A17)
     rng_random = rng.random
@@ -222,16 +222,33 @@ def run_fast(
     # Dense latency table indexed by int op class for the FP/MUL/DIV arm.
     lat_table = [latencies[OpClass(k)] for k in range(len(OpClass))]
 
-    ring_size = MAX_DEP_DISTANCE + 1
-    complete_ring = [0] * ring_size
-    retire_ring_size = max(retire_width + 1, 2)
-    retire_ring = [0] * retire_ring_size
+    # Power-of-two ring of completion times, > MAX_DEP_DISTANCE slots.
+    ring_mask = (1 << MAX_DEP_DISTANCE.bit_length()) - 1
+    complete_ring = [0] * (ring_mask + 1)
+    # retired[-k] is the retire time of the op k back.  The -1 prefill
+    # stands for "no such op": the ROB slot is free (max(-1, base) = base)
+    # and the retire-width gate is -1 + 1 = 0, as in RingTracker/Core.run.
+    history = max(rob_cap, retire_width)
+    retired = deque([-1] * history, history)
+    retire_append = retired.append
+    rob_back = -rob_cap
+    width_back = -retire_width
     last_retire = 0
+
+    # Constants as locals: the loop reads them on every μop.
+    op_alu, op_load, op_store = int(OpClass.ALU), int(OpClass.LOAD), int(OpClass.STORE)
+    op_branch, op_div = int(OpClass.BRANCH), int(OpClass.DIV)
+    front_depth = FRONT_DEPTH
+    rat_penalty = RAT_STALL_PENALTY
+    misfetch_bubble = FetchEngine.MISFETCH_BUBBLE
+    store_drain = STORE_DRAIN_LATENCY
+    drain_hit = STORE_DRAIN_LATENCY + l1d_hitlat
 
     dispatch_cycle = -1
     dispatch_in_cycle = 0
     rat_sampled_cycle = -1
     virtualized = machine.virtualized
+    rat_sampling = rat_conflict_ratio > 0.0
     vm_transition = machine.vm_transition_cycles
     vm_exits = 0
     vm_exit_cycles = 0
@@ -253,21 +270,16 @@ def run_fast(
     load_stall = 0
     store_stall = 0
 
-    # ---- inlined component mechanics --------------------------------------
-    # Each closure transliterates one reference method chain over the flat
-    # locals above; call sites below mirror the reference call order.
+    # ---- out-of-line component mechanics ----------------------------------
+    # The loop below inlines every L1 hit; each closure transliterates the
+    # rest of one reference method chain over the flat locals above, from
+    # the L1 miss on (``ways`` is the L1 set the loop already looked up).
+    # Call sites mirror the reference call order.
 
-    def access_i(addr_: int, line_: int) -> int:
-        """CacheHierarchy.access on the instruction path (L1I → L2 → L3)."""
-        nonlocal l1i_hits, l1i_misses, l1i_evict, l2_hits, l2_misses, l2_evict
+    def access_i_miss(addr_: int, line_: int, ways: list) -> int:
+        """CacheHierarchy.access on the instruction path, from the L1I miss."""
+        nonlocal l1i_misses, l1i_evict, l2_hits, l2_misses, l2_evict
         nonlocal l3_hits, l3_misses, l3_evict, i_dram, i_pref_fills
-        ways = l1i_sets[line_ & l1i_mask if l1i_mask is not None else line_ % l1i_nsets]
-        if line_ in ways:
-            if ways[0] != line_:
-                ways.remove(line_)
-                ways.insert(0, line_)
-            l1i_hits += 1
-            return l1i_hitlat
         l1i_misses += 1
         ways.insert(0, line_)
         if len(ways) > l1i_ways:
@@ -341,17 +353,10 @@ def run_fast(
                 i_pref_fills += 1
         return latency
 
-    def access_d(addr_: int, line_: int) -> int:
-        """CacheHierarchy.access on the data path (L1D → L2 → L3)."""
-        nonlocal l1d_hits, l1d_misses, l1d_evict, l2_hits, l2_misses, l2_evict
+    def access_d_miss(addr_: int, line_: int, ways: list) -> int:
+        """CacheHierarchy.access on the data path, from the L1D miss."""
+        nonlocal l1d_misses, l1d_evict, l2_hits, l2_misses, l2_evict
         nonlocal l3_hits, l3_misses, l3_evict, d_dram, d_pref_fills
-        ways = l1d_sets[line_ & l1d_mask if l1d_mask is not None else line_ % l1d_nsets]
-        if line_ in ways:
-            if ways[0] != line_:
-                ways.remove(line_)
-                ways.insert(0, line_)
-            l1d_hits += 1
-            return l1d_hitlat
         l1d_misses += 1
         ways.insert(0, line_)
         if len(ways) > l1d_ways:
@@ -425,17 +430,9 @@ def run_fast(
                 d_pref_fills += 1
         return latency
 
-    def translate_i(addr_: int, page_: int) -> int:
-        """TlbHierarchy.translate on the instruction side."""
-        nonlocal itlb_hits, itlb_misses, l2tlb_hits, l2tlb_misses
-        nonlocal itlb_hier_walks, walker_walks
-        ways = itlb_sets[page_ & itlb_mask if itlb_mask is not None else page_ % itlb_nsets]
-        if page_ in ways:
-            if ways[0] != page_:
-                ways.remove(page_)
-                ways.insert(0, page_)
-            itlb_hits += 1
-            return 0
+    def translate_i_miss(addr_: int, page_: int, ways: list) -> int:
+        """TlbHierarchy.translate on the instruction side, from the ITLB miss."""
+        nonlocal itlb_misses, l2tlb_hits, l2tlb_misses, itlb_hier_walks, walker_walks
         itlb_misses += 1
         ways.insert(0, page_)
         if len(ways) > itlb_ways:
@@ -456,17 +453,9 @@ def run_fast(
         walker_walks += 1
         return walk_latency
 
-    def translate_d(addr_: int, page_: int) -> int:
-        """TlbHierarchy.translate on the data side."""
-        nonlocal dtlb_hits, dtlb_misses, l2tlb_hits, l2tlb_misses
-        nonlocal dtlb_hier_walks, walker_walks
-        ways = dtlb_sets[page_ & dtlb_mask if dtlb_mask is not None else page_ % dtlb_nsets]
-        if page_ in ways:
-            if ways[0] != page_:
-                ways.remove(page_)
-                ways.insert(0, page_)
-            dtlb_hits += 1
-            return 0
+    def translate_d_miss(addr_: int, page_: int, ways: list) -> int:
+        """TlbHierarchy.translate on the data side, from the DTLB miss."""
+        nonlocal dtlb_misses, l2tlb_hits, l2tlb_misses, dtlb_hier_walks, walker_walks
         dtlb_misses += 1
         ways.insert(0, page_)
         if len(ways) > dtlb_ways:
@@ -488,90 +477,92 @@ def run_fast(
         return walk_latency
 
     def resolve_branch(pc2_: int, taken_: bool, target_: int) -> int:
-        """BranchUnit.resolve: predict, BTB, update, count; returns outcome."""
+        """BranchUnit.resolve: predict, BTB, update, count; returns outcome.
+
+        Each predictor counter is read once: predict and update both use
+        the pre-update values, as the reference does.  One BTB scan serves
+        the reference's lookup (taken and predicted taken) and install.
+        """
         nonlocal bu_branches, bu_mispredicts, bu_misfetches
         nonlocal btb_hits, btb_misses, g_hist
         bu_branches += 1
-        # -- direction predict (pre-update state) --
         if pred_kind == 2:
-            if ch_table[pc2_ & ch_mask] >= 2:
-                predicted = g_table[(pc2_ ^ g_hist) & g_mask] >= 2
+            c_idx = pc2_ & ch_mask
+            b_idx = pc2_ & b_mask
+            g_idx = (pc2_ ^ g_hist) & g_mask
+            chooser = ch_table[c_idx]
+            b_ctr = b_table[b_idx]
+            g_ctr = g_table[g_idx]
+            b_taken = b_ctr >= 2
+            g_taken = g_ctr >= 2
+            predicted = g_taken if chooser >= 2 else b_taken
+            # Chooser trains toward whichever component alone was right.
+            if b_taken != g_taken:
+                if g_taken == taken_:
+                    if chooser < 3:
+                        ch_table[c_idx] = chooser + 1
+                elif chooser > 0:
+                    ch_table[c_idx] = chooser - 1
+            if taken_:
+                if b_ctr < 3:
+                    b_table[b_idx] = b_ctr + 1
+                if g_ctr < 3:
+                    g_table[g_idx] = g_ctr + 1
+                g_hist = ((g_hist << 1) | 1) & g_hist_mask
             else:
-                predicted = b_table[pc2_ & b_mask] >= 2
+                if b_ctr > 0:
+                    b_table[b_idx] = b_ctr - 1
+                if g_ctr > 0:
+                    g_table[g_idx] = g_ctr - 1
+                g_hist = (g_hist << 1) & g_hist_mask
         elif pred_kind == 1:
-            predicted = g_table[(pc2_ ^ g_hist) & g_mask] >= 2
-        else:
-            predicted = b_table[pc2_ & b_mask] >= 2
-        outcome = 0
-        if predicted != taken_:
-            outcome = 1
-        elif taken_:
-            ways = btb_sets[pc2_ & btb_set_mask]
-            stored = None
-            for wi, (tag, tgt) in enumerate(ways):
-                if tag == pc2_:
-                    if wi:
-                        ways.insert(0, ways.pop(wi))
-                    btb_hits += 1
-                    stored = tgt
-                    break
+            g_idx = (pc2_ ^ g_hist) & g_mask
+            g_ctr = g_table[g_idx]
+            predicted = g_ctr >= 2
+            if taken_:
+                if g_ctr < 3:
+                    g_table[g_idx] = g_ctr + 1
+                g_hist = ((g_hist << 1) | 1) & g_hist_mask
             else:
+                if g_ctr > 0:
+                    g_table[g_idx] = g_ctr - 1
+                g_hist = (g_hist << 1) & g_hist_mask
+        else:
+            b_idx = pc2_ & b_mask
+            b_ctr = b_table[b_idx]
+            predicted = b_ctr >= 2
+            if taken_:
+                if b_ctr < 3:
+                    b_table[b_idx] = b_ctr + 1
+            elif b_ctr > 0:
+                b_table[b_idx] = b_ctr - 1
+        if not taken_:
+            if predicted:
+                bu_mispredicts += 1
+                return 1
+            return 0
+        # Taken: the BTB lookup runs only when the direction was right;
+        # the install always runs.  Lookup's move-to-front followed by
+        # install's remove + insert-at-front is one remove + insert.
+        outcome = 0 if predicted else 1
+        ways = btb_sets[pc2_ & btb_set_mask]
+        for wi, (tag, stored) in enumerate(ways):
+            if tag == pc2_:
+                if predicted:
+                    btb_hits += 1
+                    if stored != target_:
+                        outcome = 1
+                if wi or stored != target_:
+                    del ways[wi]
+                    ways.insert(0, (pc2_, target_))
+                break
+        else:
+            if predicted:
                 btb_misses += 1
-            if stored is None:
                 outcome = 2
-            elif stored != target_:
-                outcome = 1
-        if taken_:
-            ways = btb_sets[pc2_ & btb_set_mask]
-            for wi, (tag, _) in enumerate(ways):
-                if tag == pc2_:
-                    ways.pop(wi)
-                    break
             ways.insert(0, (pc2_, target_))
             if len(ways) > btb_ways:
                 ways.pop()
-        # -- direction update --
-        if pred_kind == 2:
-            idx = pc2_ & ch_mask
-            bi_correct = (b_table[pc2_ & b_mask] >= 2) == taken_
-            gs_correct = (g_table[(pc2_ ^ g_hist) & g_mask] >= 2) == taken_
-            ctr = ch_table[idx]
-            if gs_correct and not bi_correct and ctr < 3:
-                ch_table[idx] = ctr + 1
-            elif bi_correct and not gs_correct and ctr > 0:
-                ch_table[idx] = ctr - 1
-            idx = pc2_ & b_mask
-            ctr = b_table[idx]
-            if taken_:
-                if ctr < 3:
-                    b_table[idx] = ctr + 1
-            elif ctr > 0:
-                b_table[idx] = ctr - 1
-            idx = (pc2_ ^ g_hist) & g_mask
-            ctr = g_table[idx]
-            if taken_:
-                if ctr < 3:
-                    g_table[idx] = ctr + 1
-            elif ctr > 0:
-                g_table[idx] = ctr - 1
-            g_hist = ((g_hist << 1) | (1 if taken_ else 0)) & g_hist_mask
-        elif pred_kind == 1:
-            idx = (pc2_ ^ g_hist) & g_mask
-            ctr = g_table[idx]
-            if taken_:
-                if ctr < 3:
-                    g_table[idx] = ctr + 1
-            elif ctr > 0:
-                g_table[idx] = ctr - 1
-            g_hist = ((g_hist << 1) | (1 if taken_ else 0)) & g_hist_mask
-        else:
-            idx = pc2_ & b_mask
-            ctr = b_table[idx]
-            if taken_:
-                if ctr < 3:
-                    b_table[idx] = ctr + 1
-            elif ctr > 0:
-                b_table[idx] = ctr - 1
         if outcome == 1:
             bu_mispredicts += 1
         elif outcome == 2:
@@ -616,35 +607,53 @@ def run_fast(
             batch.dep2,
             batch.kernel,
         ):
-            if virtualized and kernel_ and not prev_kernel:
-                fetch_time += vm_transition
-                slots_used = 0
-                vm_exits += 1
-                vm_exit_cycles += vm_transition
-            prev_kernel = kernel_
+            if virtualized:
+                if kernel_ and not prev_kernel:
+                    fetch_time += vm_transition
+                    slots_used = 0
+                    vm_exits += 1
+                    vm_exit_cycles += vm_transition
+                prev_kernel = kernel_
 
             # -- fetch (FetchEngine.fetch) --
             iline_ = pc_ >> l1i_shift
             if iline_ != current_line:
                 current_line = iline_
-                tlb_latency = translate_i(pc_, pc_ >> itlb_shift)
-                if tlb_latency:
-                    fetch_time += tlb_latency
-                    itlb_stall += tlb_latency
-                    slots_used = 0
-                latency = access_i(pc_, iline_)
-                if latency > l1i_hitlat:
-                    stall = latency - l1i_hitlat - 8  # FETCH_HIDE
-                    if stall > 0:
-                        fetch_time += stall
-                        icache_stall += stall
+                page_ = pc_ >> itlb_shift
+                ways = itlb_sets[
+                    page_ & itlb_mask if itlb_mask is not None else page_ % itlb_nsets
+                ]
+                if page_ in ways:
+                    if ways[0] != page_:
+                        ways.remove(page_)
+                        ways.insert(0, page_)
+                    itlb_hits += 1
+                else:
+                    tlb_latency = translate_i_miss(pc_, page_, ways)
+                    if tlb_latency:
+                        fetch_time += tlb_latency
+                        itlb_stall += tlb_latency
                         slots_used = 0
+                ways = l1i_sets[iline_ & l1i_mask if l1i_mask is not None else iline_ % l1i_nsets]
+                if iline_ in ways:
+                    if ways[0] != iline_:
+                        ways.remove(iline_)
+                        ways.insert(0, iline_)
+                    l1i_hits += 1
+                else:
+                    latency = access_i_miss(pc_, iline_, ways)
+                    if latency > l1i_hitlat:
+                        stall = latency - l1i_hitlat - 8  # FETCH_HIDE
+                        if stall > 0:
+                            fetch_time += stall
+                            icache_stall += stall
+                            slots_used = 0
             fetch_cycle = fetch_time
             slots_used += 1
             if slots_used >= fetch_width:
                 fetch_time += 1
                 slots_used = 0
-            base = fetch_cycle + FRONT_DEPTH
+            base = fetch_cycle + front_depth
 
             # -- rename width --
             if base <= dispatch_cycle:
@@ -657,68 +666,53 @@ def run_fast(
                 dispatch_in_cycle = 0
 
             # -- RAT conflicts --
-            if rat_conflict_ratio > 0.0 and base != rat_sampled_cycle:
+            if rat_sampling and base != rat_sampled_cycle:
                 rat_sampled_cycle = base
                 if rng_random() < rat_conflict_ratio:
-                    rat_stall += RAT_STALL_PENALTY
-                    base += RAT_STALL_PENALTY
+                    rat_stall += rat_penalty
+                    base += rat_penalty
                     dispatch_in_cycle = 0
 
             # -- back-end structural constraints --
+            # BufferTracker.earliest_slot with a lazy drain: after it,
+            # heap[0] > base, so a full buffer always stalls.
             t = base
-            # RS (BufferTracker.earliest_slot)
-            while rs_heap and rs_heap[0] <= base:
-                heappop(rs_heap)
-            if len(rs_heap) < rs_cap:
-                slot = base
-            else:
-                release = rs_heap[0]
-                while rs_heap and rs_heap[0] <= release:
+            if len(rs_heap) >= rs_cap:
+                while rs_heap and rs_heap[0] <= base:
                     heappop(rs_heap)
-                slot = release
-            if slot > base:
-                rs_stall += slot - base
-                if slot > t:
-                    t = slot
+                if len(rs_heap) >= rs_cap:
+                    t = rs_heap[0]
+                    while rs_heap and rs_heap[0] <= t:
+                        heappop(rs_heap)
+                    rs_stall += t - base
             # ROB (RingTracker.earliest_slot)
-            if rob_count < rob_cap:
-                slot = base
-            else:
-                slot = rob_ring[rob_count % rob_cap]
-                if slot < base:
-                    slot = base
+            slot = retired[rob_back]
             if slot > base:
                 rob_stall += slot - base
                 if slot > t:
                     t = slot
-            if op_ == _LOAD:
-                while lb_heap and lb_heap[0] <= base:
-                    heappop(lb_heap)
-                if len(lb_heap) < lb_cap:
-                    slot = base
-                else:
-                    release = lb_heap[0]
-                    while lb_heap and lb_heap[0] <= release:
+            if op_ == op_load:
+                if len(lb_heap) >= lb_cap:
+                    while lb_heap and lb_heap[0] <= base:
                         heappop(lb_heap)
-                    slot = release
-                if slot > base:
-                    load_stall += slot - base
-                    if slot > t:
-                        t = slot
-            elif op_ == _STORE:
-                while sb_heap and sb_heap[0] <= base:
-                    heappop(sb_heap)
-                if len(sb_heap) < sb_cap:
-                    slot = base
-                else:
-                    release = sb_heap[0]
-                    while sb_heap and sb_heap[0] <= release:
+                    if len(lb_heap) >= lb_cap:
+                        slot = lb_heap[0]
+                        while lb_heap and lb_heap[0] <= slot:
+                            heappop(lb_heap)
+                        load_stall += slot - base
+                        if slot > t:
+                            t = slot
+            elif op_ == op_store:
+                if len(sb_heap) >= sb_cap:
+                    while sb_heap and sb_heap[0] <= base:
                         heappop(sb_heap)
-                    slot = release
-                if slot > base:
-                    store_stall += slot - base
-                    if slot > t:
-                        t = slot
+                    if len(sb_heap) >= sb_cap:
+                        slot = sb_heap[0]
+                        while sb_heap and sb_heap[0] <= slot:
+                            heappop(sb_heap)
+                        store_stall += slot - base
+                        if slot > t:
+                            t = slot
 
             if t == dispatch_cycle:
                 dispatch_in_cycle += 1
@@ -729,49 +723,89 @@ def run_fast(
             # -- operand readiness --
             ready = t + 1
             if dep1_:
-                producer = complete_ring[(i - dep1_) % ring_size]
+                producer = complete_ring[(i - dep1_) & ring_mask]
                 if producer > ready:
                     ready = producer
             if dep2_:
-                producer = complete_ring[(i - dep2_) % ring_size]
+                producer = complete_ring[(i - dep2_) & ring_mask]
                 if producer > ready:
                     ready = producer
 
             # -- execute --
-            if op_ == _LOAD:
+            if op_ == op_alu:
+                issue = ready
+                complete = issue + 1
+            elif op_ == op_load:
                 issue = ready if ready > port_load else port_load
                 port_load = issue + 1
-                tlb_latency = translate_d(addr_, addr_ >> dtlb_shift)
-                mem_latency = access_d(addr_, addr_ >> l1d_shift)
-                complete = issue + tlb_latency + mem_latency
-                transfers = d_dram - dram_seen
-                if transfers:
-                    dram_seen = d_dram
-                    dram_free = (dram_free if dram_free > issue else issue) + (
-                        transfers * dram_occupancy
-                    )
-                    if complete < dram_free:
-                        complete = dram_free
+                complete = issue
+                page_ = addr_ >> dtlb_shift
+                ways = dtlb_sets[
+                    page_ & dtlb_mask if dtlb_mask is not None else page_ % dtlb_nsets
+                ]
+                if page_ in ways:
+                    if ways[0] != page_:
+                        ways.remove(page_)
+                        ways.insert(0, page_)
+                    dtlb_hits += 1
+                else:
+                    complete += translate_d_miss(addr_, page_, ways)
+                line_ = addr_ >> l1d_shift
+                ways = l1d_sets[line_ & l1d_mask if l1d_mask is not None else line_ % l1d_nsets]
+                if line_ in ways:
+                    if ways[0] != line_:
+                        ways.remove(line_)
+                        ways.insert(0, line_)
+                    l1d_hits += 1
+                    complete += l1d_hitlat
+                else:
+                    complete += access_d_miss(addr_, line_, ways)
+                    transfers = d_dram - dram_seen
+                    if transfers:
+                        dram_seen = d_dram
+                        dram_free = (dram_free if dram_free > issue else issue) + (
+                            transfers * dram_occupancy
+                        )
+                        if complete < dram_free:
+                            complete = dram_free
                 heappush(lb_heap, complete)
                 loads += 1
-            elif op_ == _STORE:
+            elif op_ == op_store:
                 issue = ready if ready > port_store else port_store
                 port_store = issue + 1
-                tlb_latency = translate_d(addr_, addr_ >> dtlb_shift)
-                complete = issue + 1 + tlb_latency
-                mem_latency = access_d(addr_, addr_ >> l1d_shift)
-                drain_done = complete + STORE_DRAIN_LATENCY + mem_latency
-                transfers = d_dram - dram_seen
-                if transfers:
-                    dram_seen = d_dram
-                    dram_free = (dram_free if dram_free > issue else issue) + (
-                        transfers * dram_occupancy
-                    )
-                    if drain_done < dram_free:
-                        drain_done = dram_free
+                complete = issue + 1
+                page_ = addr_ >> dtlb_shift
+                ways = dtlb_sets[
+                    page_ & dtlb_mask if dtlb_mask is not None else page_ % dtlb_nsets
+                ]
+                if page_ in ways:
+                    if ways[0] != page_:
+                        ways.remove(page_)
+                        ways.insert(0, page_)
+                    dtlb_hits += 1
+                else:
+                    complete += translate_d_miss(addr_, page_, ways)
+                line_ = addr_ >> l1d_shift
+                ways = l1d_sets[line_ & l1d_mask if l1d_mask is not None else line_ % l1d_nsets]
+                if line_ in ways:
+                    if ways[0] != line_:
+                        ways.remove(line_)
+                        ways.insert(0, line_)
+                    l1d_hits += 1
+                    drain_done = complete + drain_hit
+                else:
+                    drain_done = complete + store_drain + access_d_miss(addr_, line_, ways)
+                    transfers = d_dram - dram_seen
+                    if transfers:
+                        dram_seen = d_dram
+                        dram_free = (dram_free if dram_free > issue else issue) + (
+                            transfers * dram_occupancy
+                        )
+                        if drain_done < dram_free:
+                            drain_done = dram_free
                 heappush(sb_heap, drain_done)
                 stores += 1
-            elif op_ == _BRANCH:
+            elif op_ == op_branch:
                 issue = ready
                 complete = issue + lat_branch
                 outcome = resolve_branch(pc_ >> 2, taken_, target_)
@@ -785,36 +819,27 @@ def run_fast(
                         current_line = -1
                 elif outcome == 2:
                     # FetchEngine.misfetch
-                    fetch_time += _MISFETCH_BUBBLE
-                    icache_stall += _MISFETCH_BUBBLE
+                    fetch_time += misfetch_bubble
+                    icache_stall += misfetch_bubble
                     slots_used = 0
-            elif op_ == _ALU:
-                issue = ready
-                complete = issue + 1
             else:
                 issue = ready if ready > port_fp else port_fp
                 latency = lat_table[op_]
-                port_fp = issue + (latency if op_ == _DIV else 1)
+                port_fp = issue + (latency if op_ == op_div else 1)
                 complete = issue + latency
 
             heappush(rs_heap, issue)
-            complete_ring[i % ring_size] = complete
+            complete_ring[i & ring_mask] = complete
 
             # -- in-order retirement --
             retire = complete
             if retire < last_retire:
                 retire = last_retire
-            width_gate = (
-                retire_ring[(i - retire_width) % retire_ring_size] + 1
-                if i >= retire_width
-                else 0
-            )
+            width_gate = retired[width_back] + 1
             if retire < width_gate:
                 retire = width_gate
-            retire_ring[i % retire_ring_size] = retire
+            retire_append(retire)
             last_retire = retire
-            rob_ring[rob_count % rob_cap] = retire
-            rob_count += 1
 
             if kernel_:
                 kernel_instructions += 1

@@ -13,7 +13,12 @@ changing a counter.  These tests enforce that contract:
   that vary every region field and access_bytes and include one-μop
   kernel episodes,
 * a fixed equivalence matrix over representative suite workloads and the
-  ablation machines (virtualized, hugepages, prefetch off, each predictor).
+  ablation machines (virtualized, hugepages, prefetch off, each predictor),
+* a tight machine (2-entry RS, 1-entry load/store buffers, a 3-entry ROB
+  under a 5-wide retire, an 8-entry BTB, 64 predictor entries, and L1D/DTLB
+  with non-power-of-two set counts) that keeps every buffer full and
+  every fallback path of the fast loop live,
+* a direct comparison of the core state each engine leaves behind.
 
 test_trace_golden.py pins every suite entry's stream and fast result by
 hash, so a rewrite of either half cannot move a value unnoticed.
@@ -26,7 +31,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.suite import DCBench
 from repro.perf.fastpath import run_fast
+from repro.uarch.branch import TournamentPredictor
 from repro.uarch.config import (
+    CacheConfig,
+    TlbConfig,
     hugepage_machine,
     scaled_machine,
     virtualized_machine,
@@ -37,7 +45,35 @@ from repro.uarch.trace import DEFAULT_BATCH_SIZE, MemoryRegion, SyntheticTrace, 
 SCALED = scaled_machine(8)
 
 
+PREDICTORS = ["bimodal", "gshare", "tournament"]
+
+
+def tight_machine(predictor: str):
+    """Every buffer a few entries deep; L1D and DTLB with 3 sets."""
+    return dataclasses.replace(
+        SCALED,
+        name=f"tight-{predictor}",
+        core=dataclasses.replace(
+            SCALED.core,
+            rs_entries=2,
+            load_buffer_entries=1,
+            store_buffer_entries=1,
+            rob_entries=3,
+            # wider than the ROB: the retire history must span both
+            retire_width=5,
+            btb_entries=8,
+            btb_associativity=2,
+            predictor=predictor,
+            predictor_entries=64,
+        ),
+        l1d=CacheConfig("L1D", 3 * 8 * 64, 8, 64, hit_latency=4),
+        dtlb=TlbConfig("DTLB", 12, 4),
+    )
+
+
 def machine_variant(kind: str):
+    if kind.startswith("tight-"):
+        return tight_machine(kind.removeprefix("tight-"))
     if kind == "base":
         return SCALED
     if kind == "virt":
@@ -50,6 +86,17 @@ def machine_variant(kind: str):
     return dataclasses.replace(
         SCALED, name=kind, core=dataclasses.replace(SCALED.core, predictor=kind)
     )
+
+
+#: Every machine variant the equivalence property samples.
+MACHINE_KINDS = [
+    "base",
+    "virt",
+    "huge",
+    "noprefetch",
+    *PREDICTORS,
+    *(f"tight-{predictor}" for predictor in PREDICTORS),
+]
 
 
 regions_strategy = st.lists(
@@ -107,15 +154,18 @@ class TestFastEqualsReference:
     @settings(max_examples=30, deadline=None)
     @given(
         spec=spec_strategy,
-        machine_kind=st.sampled_from(
-            ["base", "virt", "huge", "noprefetch", "bimodal", "gshare", "tournament"]
-        ),
+        machine_kind=st.sampled_from(MACHINE_KINDS),
     )
     def test_property_bit_identical(self, spec, machine_kind):
         machine = machine_variant(machine_kind)
-        ref = Core(machine).run(SyntheticTrace(spec))
-        fast = run_fast(Core(machine), SyntheticTrace(spec))
+        core_ref = Core(machine)
+        core_fast = Core(machine)
+        ref = core_ref.run(SyntheticTrace(spec))
+        fast = run_fast(core_fast, SyntheticTrace(spec))
         assert dataclasses.asdict(ref) == dataclasses.asdict(fast)
+        # State a result may not show yet, e.g. a BTB target retrained on
+        # an indirect branch's last visit.
+        assert core_state(core_fast) == core_state(core_ref)
 
     @settings(max_examples=100, deadline=None)
     @given(spec=spec_strategy)
@@ -161,7 +211,7 @@ class TestEquivalenceMatrix:
         assert dataclasses.asdict(ref) == dataclasses.asdict(fast)
 
     @pytest.mark.parametrize(
-        "kind", ["virt", "huge", "noprefetch", "bimodal", "gshare", "tournament"]
+        "kind", ["virt", "huge", "noprefetch", *PREDICTORS, "tight-tournament"]
     )
     def test_machine_variants(self, kind):
         machine = machine_variant(kind)
@@ -171,19 +221,63 @@ class TestEquivalenceMatrix:
         assert dataclasses.asdict(ref) == dataclasses.asdict(fast)
 
     def test_core_state_writeback(self):
-        """After run_fast the core's caches/predictors hold the same state
-        as after a reference run: a second run on the reused core matches."""
+        """After run_fast the core holds the same caches, TLBs, predictor
+        and counters as after a reference run, for every predictor kind,
+        and a second run on the reused core matches."""
         spec = DCBench.default().entry("Grep").trace_spec(10_000).scaled(8)
-        core_ref = Core(SCALED)
-        core_fast = Core(SCALED)
-        first_ref = core_ref.run(SyntheticTrace(spec))
-        first_fast = run_fast(core_fast, SyntheticTrace(spec))
-        assert dataclasses.asdict(first_ref) == dataclasses.asdict(first_fast)
-        second_ref = core_ref.run(SyntheticTrace(spec))
-        second_fast = run_fast(core_fast, SyntheticTrace(spec))
-        assert dataclasses.asdict(second_ref) == dataclasses.asdict(second_fast)
-        # Warm state changed the numbers (i.e. the write-back mattered).
-        assert dataclasses.asdict(first_ref) != dataclasses.asdict(second_ref)
+        for predictor in PREDICTORS:
+            machine = machine_variant(predictor)
+            core_ref = Core(machine)
+            core_fast = Core(machine)
+            first_ref = core_ref.run(SyntheticTrace(spec))
+            first_fast = run_fast(core_fast, SyntheticTrace(spec))
+            assert dataclasses.asdict(first_ref) == dataclasses.asdict(first_fast)
+            assert core_state(core_fast) == core_state(core_ref), predictor
+            second_ref = core_ref.run(SyntheticTrace(spec))
+            second_fast = run_fast(core_fast, SyntheticTrace(spec))
+            assert dataclasses.asdict(second_ref) == dataclasses.asdict(second_fast)
+            # Warm state changed the numbers (i.e. the write-back mattered).
+            assert dataclasses.asdict(first_ref) != dataclasses.asdict(second_ref)
+
+
+def core_state(core: Core) -> dict:
+    """Every piece of core state an engine leaves behind: LRU sets,
+    predictor tables and history, and every counter."""
+    state = {}
+    for name in ("l1i", "l1d", "l2", "l3"):
+        cache = getattr(core, name)
+        state[name] = (
+            cache._sets,
+            cache.hits,
+            cache.misses,
+            cache.evictions,
+            cache.prefetch_hits,
+        )
+    for name in ("icache_path", "dcache_path"):
+        path = getattr(core, name)
+        state[name] = (path.dram_transfers, path.prefetch_fills)
+    for name, tlb in (("itlb", core.itlb.l1), ("dtlb", core.dtlb.l1), ("l2tlb", core.l2tlb)):
+        state[name] = (tlb._sets, tlb.hits, tlb.misses)
+    state["walks"] = (
+        core.itlb.completed_walks,
+        core.dtlb.completed_walks,
+        core.walker.completed_walks,
+    )
+    unit = core.branch_unit
+    state["branch_unit"] = (unit.branches, unit.mispredictions, unit.misfetches)
+    state["btb"] = (unit.btb._sets, unit.btb.hits, unit.btb.misses)
+    direction = unit.direction
+    if isinstance(direction, TournamentPredictor):
+        state["chooser"] = bytes(direction._chooser)
+        components = (direction._bimodal, direction._gshare)
+    else:
+        components = (direction,)
+    for component in components:
+        state[type(component).__name__] = (
+            bytes(component._table),
+            getattr(component, "_history", None),
+        )
+    return state
 
 
 class TestSimulateDispatch:

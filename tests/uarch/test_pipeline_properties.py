@@ -5,12 +5,16 @@ simulator and assert structural truths that must hold for *any* input —
 the guard rails that keep calibration work from breaking the model.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.uarch.backend import BufferTracker
 from repro.uarch.config import scaled_machine
 from repro.uarch.pipeline import Core
 from repro.uarch.trace import MemoryRegion, SyntheticTrace, TraceSpec
+from tests.uarch import test_fastpath
 
 MACHINE = scaled_machine(8)
 
@@ -118,3 +122,33 @@ class TestPipelineInvariants:
         # Identical access stream, larger LRU cache: misses can only drop
         # (modulo prefetch-fill noise — allow a sliver).
         assert big.l3_misses <= small.l3_misses * 1.02 + 8
+
+
+class TestDispatchBaseMonotone:
+    """The premise of the fast engine's lazy buffer drains.
+
+    ``run_fast`` pops stale RS/load/store-buffer entries only once a heap
+    is full.  That is exact only if the ``now`` each buffer is asked about
+    never decreases within a run, so that an entry stale once is stale
+    for good.  Pin it on the reference engine, over every machine variant
+    the fast/reference equivalence property samples.
+    """
+
+    @given(
+        spec=test_fastpath.spec_strategy,
+        machine_kind=st.sampled_from(test_fastpath.MACHINE_KINDS),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_buffer_queries_never_go_back_in_time(self, spec, machine_kind):
+        queries: list[int] = []
+        earliest_slot = BufferTracker.earliest_slot
+
+        def spy(tracker: BufferTracker, now: int) -> int:
+            queries.append(now)
+            return earliest_slot(tracker, now)
+
+        machine = test_fastpath.machine_variant(machine_kind)
+        with mock.patch.object(BufferTracker, "earliest_slot", spy):
+            Core(machine).run(SyntheticTrace(spec))
+        assert len(queries) >= spec.instructions  # the RS sees every μop
+        assert all(a <= b for a, b in zip(queries, queries[1:]))
