@@ -355,6 +355,7 @@ def _cmd_characterize(args) -> int:
     from repro.core.export import to_csv, to_json
     from repro.core.simcache import SimCache
     from repro.core.suite import DCBench
+    from repro.uarch.counters import METRICS
 
     cache = None if args.no_sim_cache else SimCache()
     suite = DCBench.default()
@@ -381,16 +382,13 @@ def _cmd_characterize(args) -> int:
     elif args.format == "json":
         print(to_json(chars))
     else:
-        header = (f"{'workload':<18s}{'ipc':>6s}{'kern':>7s}{'l1i':>7s}{'l2':>7s}"
-                  f"{'l3r':>6s}{'dtlb':>7s}{'branch':>8s}")
+        columns = [(m.name, *m.column) for m in METRICS if m.column]
+        header = f"{'workload':<18s}" + "".join(f"{h:>{w}s}" for _, h, w, _ in columns)
         print(header)
         print("-" * len(header))
         for c in chars:
-            m = c.metrics
-            print(f"{c.name:<18s}{m.ipc:>6.2f}{m.kernel_instruction_fraction:>7.1%}"
-                  f"{m.l1i_mpki:>7.1f}{m.l2_mpki:>7.1f}"
-                  f"{m.l3_hit_ratio_of_l2_misses:>6.0%}{m.dtlb_walks_pki:>7.2f}"
-                  f"{m.branch_misprediction_ratio:>8.2%}")
+            print(f"{c.name:<18s}" + "".join(
+                f"{getattr(c.metrics, name):>{w}{spec}}" for name, _, w, spec in columns))
     return 0
 
 
@@ -866,7 +864,7 @@ def _render_serve_report(label: str, report) -> None:
     print(f"  goodput   {report.goodput_rps:.2f} req/s  "
           f"utilization {report.utilization:.1%}  "
           f"SLO attainment {report.slo_attainment:.1%}")
-    print(f"  {report.procfs.render_overload()}")
+    print(f"  {report.procfs.render('overload')}")
 
 
 def _cmd_serve(args) -> int:

@@ -912,7 +912,7 @@ class FaultyCluster:
     def _note_master_restart(self, stats: _RunStats) -> None:
         self._master_crash_processed = True
         stats.master_crashes += 1
-        self.cluster.master.procfs.record_master_restart()
+        self.cluster.master.procfs.master_restarts += 1
 
     @staticmethod
     def _clamp_downtime(t: float, master_crash: tuple[float, float] | None) -> float:
@@ -1196,7 +1196,7 @@ class FaultyCluster:
                 ))
                 stats.killed_attempts += 1
                 stats.wasted_seconds += crash_time - attempt_start
-                node.procfs.record_task_kill()
+                node.procfs.tasks_killed += 1
                 node.map_slot_free[slot] = crash_time
                 t = crash_time + policy.heartbeat_timeout_s
                 continue
@@ -1210,7 +1210,7 @@ class FaultyCluster:
                 ))
                 stats.killed_attempts += 1
                 stats.wasted_seconds += master_crash[0] - attempt_start
-                node.procfs.record_task_kill()
+                node.procfs.tasks_killed += 1
                 node.map_slot_free[slot] = master_crash[0]
                 t = master_crash[1]
                 continue
@@ -1239,7 +1239,7 @@ class FaultyCluster:
                     stats.killed_attempts += 1
                     stats.zombie_attempts_fenced += 1
                     stats.wasted_seconds += end - attempt_start
-                    node.procfs.record_task_kill()
+                    node.procfs.tasks_killed += 1
                     node.map_slot_free[slot] = end
                     t = lost_at
                     continue
@@ -1256,7 +1256,7 @@ class FaultyCluster:
                 ))
                 stats.failed_map_attempts += 1
                 stats.wasted_seconds += failure_time - attempt_start
-                node.procfs.record_task_failure()
+                node.procfs.tasks_failed += 1
                 node.map_slot_free[slot] = failure_time
                 self.blacklist.record_failure(node.name)
                 attempts.check_exhausted(reason)
@@ -1397,7 +1397,7 @@ class FaultyCluster:
                     # End-to-end CRC catches at-rest rot: the wasted read
                     # time stays in the attempt, the bad replica is
                     # reported, and the reader fails over.
-                    node.procfs.record_checksum_failure()
+                    node.procfs.checksum_failures += 1
                     stats.checksum_failures += 1
                     self._report_bad_replica(
                         file_name, b_index, name, done, node, stats
@@ -1432,7 +1432,7 @@ class FaultyCluster:
             dst.procfs.record_checksum(
                 self.cluster.hdfs.checksum_chunks(num_bytes)
             )
-            dst.procfs.record_checksum_failure()
+            dst.procfs.checksum_failures += 1
             stats.checksum_failures += 1
             now = done
         # Pathological corruption rates: accept after bounded retries so
@@ -1460,7 +1460,7 @@ class FaultyCluster:
         cluster = self.cluster
         hdfs = cluster.hdfs
         stats.bad_blocks_reported += 1
-        reporter.procfs.record_bad_block_report()
+        reporter.procfs.bad_block_reports += 1
         block = hdfs.report_bad_block(file_name, index, node_name)
         if block is None:
             return
@@ -1668,21 +1668,21 @@ class FaultyCluster:
             # The backup is orphaned by the jobtracker crash; the original
             # (which committed before the crash) stands.
             self.cluster.restore(cp)
-            backup_node.procfs.record_speculative()
+            backup_node.procfs.tasks_speculative += 1
             stats.killed_attempts += 1
             stats.wasted_seconds += master_crash[0] - backup_start
-            backup_node.procfs.record_task_kill()
+            backup_node.procfs.tasks_killed += 1
             backup_node.map_slot_free[backup_slot] = master_crash[0]
             return end, node
-        backup_node.procfs.record_speculative()
+        backup_node.procfs.tasks_speculative += 1
         if backup_end < end:
             # The jobtracker kills the slower original the moment the
             # backup commits — it does not run to completion.
             stats.speculative_wins += 1
             stats.killed_attempts += 1
             stats.wasted_seconds += max(0.0, backup_end - attempt_start)
-            node.procfs.record_task_kill()
-            backup_node.procfs.record_speculative_win()
+            node.procfs.tasks_killed += 1
+            backup_node.procfs.speculative_wins += 1
             backup_node.map_slot_free[backup_slot] = backup_end
             node.map_slot_free[slot] = backup_end
             return backup_end, backup_node
@@ -1728,7 +1728,7 @@ class FaultyCluster:
             )
             stats.shuffle_fetch_failures += 1
             stats.wasted_seconds += done - fetch_at
-            reduce_node.procfs.record_fetch_failure()
+            reduce_node.procfs.fetch_failures += 1
             failures += 1
             faults -= 1
             fetch_at = done + policy.fetch_backoff_s(failures)
@@ -1813,7 +1813,7 @@ class FaultyCluster:
                 ))
                 stats.killed_attempts += 1
                 stats.wasted_seconds += master_crash[0] - exec_start
-                node.procfs.record_task_kill()
+                node.procfs.tasks_killed += 1
                 node.reduce_slot_free[slot] = master_crash[0]
                 t = master_crash[1]
                 node, slot = self._pick_reduce_retry_slot(t, attempts.tried_nodes)
@@ -1825,7 +1825,7 @@ class FaultyCluster:
                 ))
                 stats.killed_attempts += 1
                 stats.wasted_seconds += crash_time - exec_start
-                node.procfs.record_task_kill()
+                node.procfs.tasks_killed += 1
                 node.reduce_slot_free[slot] = crash_time
                 if node.name not in self._crashes_processed:
                     self._crashes_processed.add(node.name)
@@ -1856,7 +1856,7 @@ class FaultyCluster:
                     stats.killed_attempts += 1
                     stats.zombie_attempts_fenced += 1
                     stats.wasted_seconds += end - exec_start
-                    node.procfs.record_task_kill()
+                    node.procfs.tasks_killed += 1
                     node.reduce_slot_free[slot] = end
                     t = lost_at
                     node, slot = self._pick_reduce_retry_slot(
@@ -1876,7 +1876,7 @@ class FaultyCluster:
                 ))
                 stats.failed_reduce_attempts += 1
                 stats.wasted_seconds += failure_time - exec_start
-                node.procfs.record_task_failure()
+                node.procfs.tasks_failed += 1
                 node.reduce_slot_free[slot] = failure_time
                 self.blacklist.record_failure(node.name)
                 attempts.check_exhausted("task error")
@@ -1974,21 +1974,21 @@ class FaultyCluster:
             # The backup is orphaned by the jobtracker crash; the original
             # (which committed before the crash) stands.
             self.cluster.restore(cp)
-            backup_node.procfs.record_speculative()
+            backup_node.procfs.tasks_speculative += 1
             stats.killed_attempts += 1
             stats.wasted_seconds += master_crash[0] - backup_start
-            backup_node.procfs.record_task_kill()
+            backup_node.procfs.tasks_killed += 1
             backup_node.reduce_slot_free[backup_slot] = master_crash[0]
             return None
-        backup_node.procfs.record_speculative()
+        backup_node.procfs.tasks_speculative += 1
         if backup_end < end:
             # The jobtracker kills the slower original the moment the
             # backup commits — it does not run to completion.
             stats.speculative_wins += 1
             stats.killed_attempts += 1
             stats.wasted_seconds += max(0.0, backup_end - exec_start)
-            node.procfs.record_task_kill()
-            backup_node.procfs.record_speculative_win()
+            node.procfs.tasks_killed += 1
+            backup_node.procfs.speculative_wins += 1
             node.reduce_slot_free[slot] = backup_end
             return backup_end, backup_node, backup_slot
         stats.wasted_seconds += backup_end - backup_start

@@ -509,7 +509,7 @@ class DataBlockScanner:
                 node.procfs.record_checksum(
                     self.hdfs.checksum_chunks(block.size_bytes)
                 )
-                node.procfs.record_checksum_failure()
+                node.procfs.checksum_failures += 1
                 corrupt.append(block)
             else:
                 node.procfs.record_checksum(chunks)

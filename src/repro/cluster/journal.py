@@ -280,7 +280,7 @@ class NameNodeJournal:
     def record(self, op: str, *args) -> None:
         self.edits.append(op, *args)
         if self.procfs is not None:
-            self.procfs.record_journal_edit()
+            self.procfs.journal_edits += 1
         if len(self.edits) >= self.checkpoint_interval_ops:
             self.roll()
 
@@ -294,7 +294,7 @@ class NameNodeJournal:
         self.edits.truncate_through(last)
         self.rolls += 1
         if self.procfs is not None:
-            self.procfs.record_journal_checkpoint()
+            self.procfs.journal_checkpoints += 1
         return self.fsimage
 
     def recover(self) -> Hdfs:

@@ -1718,7 +1718,7 @@ class MultiJobCluster:
                 # the jobtracker notices after the expiry interval and
                 # reschedules the attempt elsewhere.
                 self._set_map_slot(node, slot, crash)
-                node.procfs.record_task_kill()
+                node.procfs.tasks_killed += 1
                 acct.killed_attempts += 1
                 acct.wasted_task_seconds += crash - task_start
                 self.fence.revoke(task_id, attempt)
@@ -1738,7 +1738,7 @@ class MultiJobCluster:
                 # long partition: tracker declared lost, attempt
                 # rescheduled — but the zombie keeps running behind the
                 # wall and is fenced when it asks to commit after rejoin.
-                node.procfs.record_task_kill()
+                node.procfs.tasks_killed += 1
                 acct.killed_attempts += 1
                 acct.wasted_task_seconds += end - task_start
                 self.fence.revoke(task_id, attempt)
@@ -1804,7 +1804,7 @@ class MultiJobCluster:
             task, backup_node, backup_start, probe=probe
         )
         self._set_map_slot(backup_node, backup_slot, backup_end)
-        backup_node.procfs.record_speculative()
+        backup_node.procfs.tasks_speculative += 1
         crash = faults.crash_time(backup_node.name)
         backup_lost = (
             crash is not None and backup_start < crash < backup_end
@@ -1819,7 +1819,7 @@ class MultiJobCluster:
             acct.speculative_losers_fenced += 1
             acct.killed_attempts += 1
             acct.wasted_task_seconds += backup_end - backup_start
-            backup_node.procfs.record_task_kill()
+            backup_node.procfs.tasks_killed += 1
             return None
         # Backup wins: commit rights move to it and the limping
         # original is fenced when it finally reports in.
@@ -1829,8 +1829,8 @@ class MultiJobCluster:
         acct.killed_attempts += 1
         acct.wasted_task_seconds += end - task_start
         acct.speculative_wins += 1
-        node.procfs.record_task_kill()
-        backup_node.procfs.record_speculative_win()
+        node.procfs.tasks_killed += 1
+        backup_node.procfs.speculative_wins += 1
         return backup_start, backup_end, backup_node, backup_slot, backup_attempt
 
     def _reexecute_lost_maps(
@@ -1974,7 +1974,7 @@ class MultiJobCluster:
                 crash = faults.crash_time(node.name)
                 if crash is not None and exec_start < crash < now:
                     node.reduce_slot_free[slot] = crash
-                    node.procfs.record_task_kill()
+                    node.procfs.tasks_killed += 1
                     acct.killed_attempts += 1
                     acct.reduces_reexecuted += 1
                     acct.wasted_task_seconds += crash - exec_start
@@ -2005,7 +2005,7 @@ class MultiJobCluster:
                     else:
                         # zombie reducer behind the wall: fenced at commit
                         node.reduce_slot_free[slot] = now
-                        node.procfs.record_task_kill()
+                        node.procfs.tasks_killed += 1
                         acct.killed_attempts += 1
                         acct.reduces_reexecuted += 1
                         acct.wasted_task_seconds += now - exec_start
@@ -2109,7 +2109,7 @@ class MultiJobCluster:
             backup_end, task.output_bytes + TASK_LOG_BYTES
         )
         backup_node.reduce_slot_free[backup_slot] = backup_end
-        backup_node.procfs.record_speculative()
+        backup_node.procfs.tasks_speculative += 1
         crash = faults.crash_time(backup_node.name)
         backup_lost = (
             crash is not None and backup_start < crash < backup_end
@@ -2121,7 +2121,7 @@ class MultiJobCluster:
             acct.speculative_losers_fenced += 1
             acct.killed_attempts += 1
             acct.wasted_task_seconds += backup_end - backup_start
-            backup_node.procfs.record_task_kill()
+            backup_node.procfs.tasks_killed += 1
             return None
         self.fence.grant(task_id, backup_attempt)
         self.fence.try_commit(task_id, attempt)
@@ -2129,8 +2129,8 @@ class MultiJobCluster:
         acct.killed_attempts += 1
         acct.wasted_task_seconds += now - exec_start
         acct.speculative_wins += 1
-        node.procfs.record_task_kill()
-        backup_node.procfs.record_speculative_win()
+        node.procfs.tasks_killed += 1
+        backup_node.procfs.speculative_wins += 1
         # The limping original still occupies its slot to its own end.
         node.reduce_slot_free[slot] = now
         return backup_node, backup_slot, backup_start, backup_end, backup_attempt

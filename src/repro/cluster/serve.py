@@ -22,7 +22,7 @@ reports the per-request latency distribution (p50/p95/p99/p999),
 goodput, utilization and SLO attainment.  Every control is off by
 default-shaped knobs on :class:`ServePolicy`; the degradation events are
 counted in the frontend's simulated ``/proc``
-(:meth:`~repro.perf.procfs.ProcFs.render_overload`).  All randomness
+(``ProcFs.render("overload")``).  All randomness
 comes from rng streams seeded per concern (``serve-arrivals``,
 ``serve-classes``, ``serve-shed``), so a report is a pure function of
 its arguments.
@@ -452,7 +452,7 @@ def run_service(
         deadline = submit + policy.deadline_s
         depth = sum(1 for s in admitted_starts if s > submit)
         if policy.admission_control and depth >= policy.max_queue_depth:
-            procfs.record_request_shed()
+            procfs.requests_shed += 1
             finish(index, cls, first, "shed", attempt + 1)
             continue
         if (
@@ -460,7 +460,7 @@ def run_service(
             and depth >= policy.shed_threshold
             and shed_rng.random() < policy.shed_rate
         ):
-            procfs.record_request_shed()
+            procfs.requests_shed += 1
             finish(index, cls, first, "shed", attempt + 1)
             continue
         server = min(range(servers), key=lambda i: free[i])
@@ -469,12 +469,12 @@ def run_service(
         if policy.deadline_admission and start + demand > deadline:
             # Hopeless on arrival: refusing now is cheaper than killing
             # at the deadline after burning queue space or server time.
-            procfs.record_request_shed()
+            procfs.requests_shed += 1
             finish(index, cls, first, "shed", attempt + 1)
             continue
         if policy.kill_at_deadline and start >= deadline:
             # Timed out while still queued; the server never saw it.
-            procfs.record_deadline_kill()
+            procfs.deadline_kills += 1
             if not retry(index, attempt, first, cls, deadline):
                 finish(index, cls, first, "killed", attempt + 1)
             continue
@@ -484,7 +484,7 @@ def run_service(
             free[server] = deadline
             busy_s += deadline - start
             last_event = max(last_event, deadline)
-            procfs.record_deadline_kill()
+            procfs.deadline_kills += 1
             if not retry(index, attempt, first, cls, deadline):
                 finish(index, cls, first, "killed", attempt + 1, start=start)
             continue

@@ -424,7 +424,8 @@ class WorkflowRunner:
     def _record(self, counter: str) -> None:
         """Bump a master ProcFs workflow counter (gated by ``observe``)."""
         if self.observe:
-            getattr(self.cluster.master.procfs, f"record_{counter}")()
+            procfs = self.cluster.master.procfs
+            setattr(procfs, counter, getattr(procfs, counter) + 1)
 
     def _scheduler(self) -> Scheduler:
         # A Scheduler instance keeps per-run state and MultiJobCluster
@@ -517,7 +518,7 @@ class WorkflowRunner:
             self._statuses.pop(name, None)
             self.journal.forget_stage(name)
             self.accounting.lineage_recomputes += 1
-            self._record("lineage_recompute")
+            self._record("lineage_recomputes")
             self.bus.publish(
                 EVENT_HEAL,
                 time_s=now,
@@ -593,7 +594,7 @@ class WorkflowRunner:
         acct_crash_pending = (
             plan.master_crash_after if plan is not None else None
         )
-        self._record("workflow_submitted")
+        self._record("workflows_submitted")
         bus.publish(
             EVENT_SUBMIT,
             time_s=self._origin,
@@ -723,7 +724,7 @@ class WorkflowRunner:
                 if failures[name] <= stage.policy.max_retries:
                     retries[name] += 1
                     acct.stage_retries += 1
-                    self._record("stage_retry")
+                    self._record("stage_retries")
                     retry_floor[name] = wave_end + stage.policy.retry_delay_s(
                         failures[name]
                     )
@@ -752,7 +753,7 @@ class WorkflowRunner:
                     statuses[downstream] = "cancelled"
                     cancelled_by[downstream] = name
                     acct.stages_cancelled += 1
-                    self._record("stage_cancelled")
+                    self._record("stages_cancelled")
                     bus.publish(
                         EVENT_JOB_CANCELLED,
                         time_s=wave_end,
@@ -781,7 +782,7 @@ class WorkflowRunner:
                 acct_crash_pending = None
                 acct.master_crashes += 1
                 if self.observe:
-                    self.cluster.master.procfs.record_master_restart()
+                    self.cluster.master.procfs.master_restarts += 1
                 recovered = {
                     r.stage: r.finished_s for r in self.journal.records
                 }
@@ -813,7 +814,7 @@ class WorkflowRunner:
             )
         complete = all(r.status == "completed" for r in reports)
         if complete:
-            self._record("workflow_completed")
+            self._record("workflows_completed")
         outputs = {
             name: workflow.stage(name).payload
             for name in workflow.sinks()

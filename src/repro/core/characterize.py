@@ -90,7 +90,7 @@ def characterize(
     else:
         result = Core(machine).run(SyntheticTrace(spec), warmup=warmup)
     metrics = Metrics.from_result(result)
-    reading = PerfSession(machine=machine).measure_result(result)
+    reading = PerfSession().measure_result(result)
     return Characterization(
         name=entry.name, group=entry.group, result=result, metrics=metrics, reading=reading
     )

@@ -19,45 +19,29 @@ import io
 import json
 
 from repro.core.characterize import Characterization
-from repro.core.metrics import STALL_CATEGORIES
+from repro.uarch.counters import METRIC_NAMES, STALL_CATEGORIES
 
-#: column order of the export
+#: column order of the export: every metric of the counter table, then
+#: the Figure 6 categories
 COLUMNS = [
     "workload",
     "group",
-    "ipc",
-    "kernel_instruction_fraction",
-    "l1i_mpki",
-    "itlb_walks_pki",
-    "l2_mpki",
-    "l3_hit_ratio_of_l2_misses",
-    "dtlb_walks_pki",
-    "branch_misprediction_ratio",
+    *METRIC_NAMES,
     *[f"stall_{category}" for category in STALL_CATEGORIES],
 ]
 
 
 def characterizations_to_rows(chars: list[Characterization]) -> list[dict]:
     """One dict per workload with every figure metric."""
-    rows = []
-    for c in chars:
-        m = c.metrics
-        row = {
+    return [
+        {
             "workload": c.name,
             "group": c.group,
-            "ipc": m.ipc,
-            "kernel_instruction_fraction": m.kernel_instruction_fraction,
-            "l1i_mpki": m.l1i_mpki,
-            "itlb_walks_pki": m.itlb_walks_pki,
-            "l2_mpki": m.l2_mpki,
-            "l3_hit_ratio_of_l2_misses": m.l3_hit_ratio_of_l2_misses,
-            "dtlb_walks_pki": m.dtlb_walks_pki,
-            "branch_misprediction_ratio": m.branch_misprediction_ratio,
+            **{name: c.metrics.value(name) for name in METRIC_NAMES},
+            **{f"stall_{cat}": c.metrics.value(cat) for cat in STALL_CATEGORIES},
         }
-        for category in STALL_CATEGORIES:
-            row[f"stall_{category}"] = m.stall_breakdown.get(category, 0.0)
-        rows.append(row)
-    return rows
+        for c in chars
+    ]
 
 
 def to_csv(chars: list[Characterization]) -> str:

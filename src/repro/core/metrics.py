@@ -1,71 +1,51 @@
-"""The paper's metric set (Figures 3–12) derived from simulation counters."""
+"""The paper's metric set (Figures 3–12) derived from simulation counters.
+
+:class:`Metrics` is generated from :data:`repro.uarch.counters.METRICS`:
+one float field per scalar figure, in figure order, then the Figure 6
+``stall_breakdown`` (normalised, sums to 1 when there are any stalls).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field, make_dataclass
 
-from repro.uarch.pipeline import SimulationResult
+from repro.uarch.counters import (
+    METRIC_NAMES,
+    METRICS,
+    STALL_CATEGORIES,
+    backend_share,
+    frontend_share,
+    stall_breakdown,
+)
 
-#: Figure 6 stall categories, in the legend's order.
-STALL_CATEGORIES = ("fetch", "rat", "load", "rs_full", "store", "rob_full")
+
+def _from_result(cls, result) -> "Metrics":
+    return cls(*[m.formula(result) for m in METRICS], stall_breakdown(result))
 
 
-@dataclass(frozen=True)
-class Metrics:
-    """One workload's characterization metrics.
+def _value(self, metric: str) -> float:
+    """Look up a scalar metric or a stall category by name."""
+    if metric in STALL_CATEGORIES:
+        return self.stall_breakdown.get(metric, 0.0)
+    return getattr(self, metric)
 
-    Attribute ↔ figure mapping:
 
-    * ``ipc`` — Figure 3
-    * ``kernel_instruction_fraction`` — Figure 4
-    * ``stall_breakdown`` — Figure 6 (normalised, sums to 1 when any stalls)
-    * ``l1i_mpki`` — Figure 7
-    * ``itlb_walks_pki`` — Figure 8
-    * ``l2_mpki`` — Figure 9
-    * ``l3_hit_ratio_of_l2_misses`` — Figure 10 (Equation 1)
-    * ``dtlb_walks_pki`` — Figure 11
-    * ``branch_misprediction_ratio`` — Figure 12
-    """
-
-    ipc: float
-    kernel_instruction_fraction: float
-    l1i_mpki: float
-    itlb_walks_pki: float
-    l2_mpki: float
-    l3_hit_ratio_of_l2_misses: float
-    dtlb_walks_pki: float
-    branch_misprediction_ratio: float
-    stall_breakdown: dict[str, float] = field(default_factory=dict)
-
-    @classmethod
-    def from_result(cls, result: SimulationResult) -> "Metrics":
-        return cls(
-            ipc=result.ipc(),
-            kernel_instruction_fraction=result.kernel_fraction(),
-            l1i_mpki=result.l1i_mpki(),
-            itlb_walks_pki=result.itlb_walks_pki(),
-            l2_mpki=result.l2_mpki(),
-            l3_hit_ratio_of_l2_misses=result.l3_hit_ratio_of_l2_misses(),
-            dtlb_walks_pki=result.dtlb_walks_pki(),
-            branch_misprediction_ratio=result.branch_misprediction_ratio(),
-            stall_breakdown=result.stall_breakdown(),
-        )
-
-    def frontend_stall_share(self) -> float:
-        """Share of stalls before the out-of-order part (fetch + RAT)."""
-        return self.stall_breakdown.get("fetch", 0.0) + self.stall_breakdown.get("rat", 0.0)
-
-    def backend_stall_share(self) -> float:
-        """Share of stalls in the out-of-order part (RS/ROB/LB/SB)."""
-        if not any(self.stall_breakdown.values()):
-            return 0.0
-        return 1.0 - self.frontend_stall_share()
-
-    def value(self, metric: str) -> float:
-        """Look up a scalar metric by name (figure helpers use this)."""
-        if metric in STALL_CATEGORIES:
-            return self.stall_breakdown.get(metric, 0.0)
-        return getattr(self, metric)
+Metrics = make_dataclass(
+    "Metrics",
+    [(name, float) for name in METRIC_NAMES]
+    + [("stall_breakdown", dict, field(default_factory=dict))],
+    frozen=True,
+    namespace={
+        "__module__": __name__,
+        "__doc__": "One workload's characterization metrics: "
+        + ", ".join(f"``{m.name}`` (Figure {m.figure})" for m in METRICS)
+        + " and ``stall_breakdown`` (Figure 6).",
+        "from_result": classmethod(_from_result),
+        "value": _value,
+        "frontend_stall_share": lambda self: frontend_share(self.stall_breakdown),
+        "backend_stall_share": lambda self: backend_share(self.stall_breakdown),
+    },
+)
 
 
 def average_metrics(items: list[Metrics]) -> Metrics:
@@ -78,13 +58,5 @@ def average_metrics(items: list[Metrics]) -> Metrics:
         for cat in STALL_CATEGORIES
     }
     return Metrics(
-        ipc=sum(m.ipc for m in items) / n,
-        kernel_instruction_fraction=sum(m.kernel_instruction_fraction for m in items) / n,
-        l1i_mpki=sum(m.l1i_mpki for m in items) / n,
-        itlb_walks_pki=sum(m.itlb_walks_pki for m in items) / n,
-        l2_mpki=sum(m.l2_mpki for m in items) / n,
-        l3_hit_ratio_of_l2_misses=sum(m.l3_hit_ratio_of_l2_misses for m in items) / n,
-        dtlb_walks_pki=sum(m.dtlb_walks_pki for m in items) / n,
-        branch_misprediction_ratio=sum(m.branch_misprediction_ratio for m in items) / n,
-        stall_breakdown=breakdown,
+        *[sum(getattr(m, name) for m in items) / n for name in METRIC_NAMES], breakdown
     )

@@ -7,22 +7,14 @@ paper's order, with the data-analysis "avg" bar where the paper has one.
 from __future__ import annotations
 
 from repro.core.characterize import Characterization
-from repro.core.metrics import Metrics, STALL_CATEGORIES, average_metrics
+from repro.core.metrics import Metrics, average_metrics
 from repro.core.suite import DATA_ANALYSIS_NAMES
 from repro.uarch.config import MachineConfig, XEON_E5645
+from repro.uarch.counters import METRICS, STALL_CATEGORIES
 from repro.workloads.base import all_workloads
 
 #: figure-number → (metric attribute, y-axis label, value format)
-FIGURE_METRICS = {
-    3: ("ipc", "Instructions per cycle (IPC)", "{:.2f}"),
-    4: ("kernel_instruction_fraction", "kernel instruction fraction", "{:.1%}"),
-    7: ("l1i_mpki", "L1I misses per K-instruction", "{:.1f}"),
-    8: ("itlb_walks_pki", "ITLB-miss page walks per K-instruction", "{:.3f}"),
-    9: ("l2_mpki", "L2 misses per K-instruction", "{:.1f}"),
-    10: ("l3_hit_ratio_of_l2_misses", "L3-hit ratio of L2 misses", "{:.1%}"),
-    11: ("dtlb_walks_pki", "DTLB-miss page walks per K-instruction", "{:.3f}"),
-    12: ("branch_misprediction_ratio", "Branch misprediction ratio", "{:.2%}"),
-}
+FIGURE_METRICS = {m.figure: (m.name, m.label, m.fmt) for m in METRICS}
 
 
 def _with_average(chars: list[Characterization]) -> list[tuple[str, Metrics]]:

@@ -316,9 +316,9 @@ class HiveSession:
             master = getattr(getattr(self.cluster, "cluster", None), "master", None)
         if master is not None:
             if hit:
-                master.procfs.record_result_cache_hit()
+                master.procfs.result_cache_hits += 1
             else:
-                master.procfs.record_result_cache_miss()
+                master.procfs.result_cache_misses += 1
 
 
 def _safe_column_name(name: str) -> str:

@@ -7,8 +7,8 @@ reproduces that interface over the simulator:
 * :mod:`repro.perf.events` — the symbolic event catalogue (event number +
   umask, as in the Intel SDM) with accessors into a
   :class:`~repro.uarch.pipeline.SimulationResult`;
-* :mod:`repro.perf.session` — a ``PerfSession`` that "programs" a set of
-  events, runs a trace on a core, and reads back the counts;
+* :mod:`repro.perf.session` — a ``PerfSession`` that reads every event
+  of the catalogue out of a finished simulation, like ``perf stat``;
 * :mod:`repro.perf.procfs` — a simulated ``/proc`` exposing the cluster's
   disk and network activity (the paper's disk-writes-per-second data);
 * :mod:`repro.perf.sampling` — sampled ``perf record`` profiles of a

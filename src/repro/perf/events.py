@@ -5,14 +5,17 @@ event-select MSRs: a symbolic name, the (event number, umask) pair from the
 Intel SDM, and an extractor that reads the corresponding count from a
 :class:`~repro.uarch.pipeline.SimulationResult`.  The catalogue covers the
 ~20 events the paper collects: cycles, instructions, cache and TLB misses,
-branch activity, and the six pipeline-stall categories.
+branch activity, and the six pipeline-stall categories.  It is generated
+from the counter table, :data:`repro.uarch.counters.COUNTERS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
+from repro.uarch.counters import COUNTERS
 from repro.uarch.pipeline import SimulationResult
 
 
@@ -43,101 +46,13 @@ class PerfEvent:
         return int(self.extract(result))
 
 
-def _catalog() -> dict[str, PerfEvent]:
-    entries = [
-        # name, event, umask, description, extractor
-        ("cycles", 0x3C, 0x00, "Unhalted core cycles", lambda r: r.cycles),
-        ("instructions", 0xC0, 0x00, "Instructions retired", lambda r: r.instructions),
-        (
-            "kernel-instructions",
-            0xC0,
-            0x02,
-            "Instructions retired in ring 0",
-            lambda r: r.kernel_instructions,
-        ),
-        ("branches", 0xC4, 0x00, "Branch instructions retired", lambda r: r.branches),
-        (
-            "branch-misses",
-            0xC5,
-            0x00,
-            "Mispredicted branch instructions retired",
-            lambda r: r.branch_mispredictions,
-        ),
-        ("L1-icache-loads", 0x80, 0x03, "L1I fetches", lambda r: r.l1i_accesses),
-        ("L1-icache-load-misses", 0x80, 0x02, "L1I misses", lambda r: r.l1i_misses),
-        ("L1-dcache-loads", 0x43, 0x01, "L1D accesses", lambda r: r.l1d_accesses),
-        ("L1-dcache-load-misses", 0x51, 0x01, "L1D misses", lambda r: r.l1d_misses),
-        ("l2_rqsts.references", 0x24, 0xFF, "L2 requests", lambda r: r.l2_accesses),
-        ("l2_rqsts.miss", 0x24, 0xAA, "L2 misses", lambda r: r.l2_misses),
-        ("llc.references", 0x2E, 0x4F, "L3 requests", lambda r: r.l3_accesses),
-        ("llc.misses", 0x2E, 0x41, "L3 misses", lambda r: r.l3_misses),
-        (
-            "itlb_misses.walk_completed",
-            0x85,
-            0x02,
-            "Completed page walks from ITLB misses",
-            lambda r: r.itlb_walks,
-        ),
-        (
-            "dtlb_misses.walk_completed",
-            0x49,
-            0x02,
-            "Completed page walks from DTLB misses",
-            lambda r: r.dtlb_walks,
-        ),
-        ("mem_inst_retired.loads", 0x0B, 0x01, "Loads retired", lambda r: r.loads),
-        ("mem_inst_retired.stores", 0x0B, 0x02, "Stores retired", lambda r: r.stores),
-        (
-            "ild_stall.any",
-            0x87,
-            0x0F,
-            "Instruction-fetch stall cycles (L1I + ITLB)",
-            lambda r: r.fetch_stall_cycles,
-        ),
-        (
-            "rat_stalls.any",
-            0xD2,
-            0x0F,
-            "Register-allocation-table stall cycles",
-            lambda r: r.rat_stall_cycles,
-        ),
-        (
-            "resource_stalls.load",
-            0xA2,
-            0x02,
-            "Load-buffer-full stall cycles",
-            lambda r: r.load_stall_cycles,
-        ),
-        (
-            "resource_stalls.rs_full",
-            0xA2,
-            0x04,
-            "Reservation-station-full stall cycles",
-            lambda r: r.rs_full_stall_cycles,
-        ),
-        (
-            "resource_stalls.store",
-            0xA2,
-            0x08,
-            "Store-buffer-full stall cycles",
-            lambda r: r.store_stall_cycles,
-        ),
-        (
-            "resource_stalls.rob_full",
-            0xA2,
-            0x10,
-            "Re-order-buffer-full stall cycles",
-            lambda r: r.rob_full_stall_cycles,
-        ),
-    ]
-    return {
-        name: PerfEvent(name, event, umask, desc, fn)
-        for name, event, umask, desc, fn in entries
-    }
-
-
-#: All supported events, keyed by symbolic name.
-EVENT_CATALOG: dict[str, PerfEvent] = _catalog()
+#: All supported events, keyed by symbolic name: one per counter-table row
+#: that has a PMU event.
+EVENT_CATALOG: dict[str, PerfEvent] = {
+    c.pmu: PerfEvent(c.pmu, c.event_select, c.umask, c.description, attrgetter(c.field))
+    for c in COUNTERS
+    if c.pmu
+}
 
 
 def lookup_event(name: str) -> PerfEvent:

@@ -23,84 +23,82 @@ class DiskSample:
     sectors_read: int
 
 
+#: Every counter, by the status line that renders it (an integer attribute
+#: of :class:`ProcFs`, zero at start, in this order).
+COUNTER_GROUPS: dict[str, tuple[str, ...]] = {
+    "diskstats": ("writes_completed", "sectors_written", "reads_completed", "sectors_read"),
+    "netdev": ("net_rx_bytes", "net_tx_bytes"),
+    # Resilience (the tasktracker's view of Hadoop's fault handling):
+    # failed/killed/speculative attempts hosted by this node, plus shuffle
+    # fetches that died on its reducers.  Kills issued by a preempting
+    # scheduler (fair-share reclaim) also count in tasks_killed.
+    "resilience": (
+        "tasks_failed", "tasks_killed", "tasks_preempted", "tasks_speculative",
+        "fetch_failures",
+    ),
+    # Control plane (the master's view): namenode edit-log appends,
+    # SecondaryNameNode checkpoint merges, jobtracker restarts after a
+    # master crash.
+    "control_plane": ("journal_edits", "journal_checkpoints", "master_restarts"),
+    # Data integrity (the HDFS client/datanode view): CRC chunks verified
+    # on read, verifications that failed (bit-rot or in-flight corruption),
+    # bad-block reports filed with the namenode, DataBlockScanner scrub
+    # traffic; and the NIC's TCP view: segments retransmitted on lossy
+    # links and the wire bytes they cost.
+    "integrity": (
+        "checksum_verifications", "checksum_failures", "bad_block_reports", "scrub_bytes",
+        "net_retransmits", "net_retransmit_bytes",
+    ),
+    # Overload/fail-slow (the service frontend's and jobtracker's view):
+    # requests refused by admission control or load shedding, requests
+    # killed at their deadline, speculative races won against a limping host.
+    "overload": ("requests_shed", "deadline_kills", "speculative_wins"),
+    # Workflow (the DAG orchestrator's view, kept on the master): workflows
+    # entering/leaving the system, stage-level retries (distinct from
+    # task-attempt retries), minimal-subgraph re-executions after total
+    # output loss, stages cancelled by an upstream permanent failure.
+    "workflow": (
+        "workflows_submitted", "workflows_completed", "stage_retries",
+        "lineage_recomputes", "stages_cancelled",
+    ),
+    # Warehouse (the HiveServer's view, kept on the master): recurring
+    # statements served from the materialization cache vs run cold.
+    "warehouse": ("result_cache_hits", "result_cache_misses"),
+    # Topology/locality (the jobtracker's delay-scheduling view of this
+    # tasktracker): map tasks launched here by locality tier, and wire
+    # bytes this node moved across a rack boundary.  Pure observation —
+    # recording never touches the simulated clock.
+    "topology": ("maps_node_local", "maps_rack_local", "maps_off_rack", "bytes_cross_rack"),
+}
+
+#: The groups rendered in their ``/proc`` file's shape.
+PROC_LINES = {
+    "diskstats": (
+        "   8       0 sda {reads_completed} 0 {sectors_read} 0 "
+        "{writes_completed} 0 {sectors_written} 0 0 0 0"
+    ),
+    "netdev": "  eth0: {net_rx_bytes} 0 0 0 0 0 0 0 {net_tx_bytes} 0 0 0 0 0 0 0",
+}
+
+
 class ProcFs:
     """Accumulates device counters and renders proc-style views.
 
     The cluster simulation calls :meth:`record_disk_writes` /
-    :meth:`record_disk_read` / :meth:`record_net` as it executes; analysis
-    code calls :meth:`sample` with the simulated time and derives rates
-    from successive samples, exactly like a userspace sampler reading
-    ``/proc/diskstats``.
+    :meth:`record_disk_read` / :meth:`record_net` as it executes and
+    increments the plain event counters of :data:`COUNTER_GROUPS`
+    directly; analysis code calls :meth:`sample` with the simulated time
+    and derives rates from successive samples, exactly like a userspace
+    sampler reading ``/proc/diskstats``.
     """
 
     SECTOR_BYTES = 512
 
     def __init__(self, node_name: str = "node") -> None:
         self.node_name = node_name
-        self.writes_completed = 0
-        self.sectors_written = 0
-        self.reads_completed = 0
-        self.sectors_read = 0
-        self.net_rx_bytes = 0
-        self.net_tx_bytes = 0
-        # Resilience counters (the tasktracker's view of Hadoop's fault
-        # handling): failed/killed/speculative attempts hosted by this
-        # node, plus shuffle fetches that died on this node's reducers.
-        self.tasks_failed = 0
-        self.tasks_killed = 0
-        # Kills issued by a preempting scheduler (fair-share reclaim)
-        # rather than by fault recovery; also counted in tasks_killed.
-        self.tasks_preempted = 0
-        self.tasks_speculative = 0
-        self.fetch_failures = 0
-        # Control-plane counters (the master's view): namenode edit-log
-        # appends, SecondaryNameNode checkpoint merges, and jobtracker
-        # restarts after a master crash.
-        self.journal_edits = 0
-        self.journal_checkpoints = 0
-        self.master_restarts = 0
-        # Data-integrity counters (the HDFS client/datanode view): CRC
-        # chunks verified on read, verifications that failed (bit-rot or
-        # in-flight corruption), bad-block reports filed with the
-        # namenode, and DataBlockScanner scrub traffic.
-        self.checksum_verifications = 0
-        self.checksum_failures = 0
-        self.bad_block_reports = 0
-        self.scrub_bytes = 0
-        # Gray-network counters (the NIC's TCP view): segments
-        # retransmitted on lossy links and the wire bytes they cost.
-        self.net_retransmits = 0
-        self.net_retransmit_bytes = 0
-        # Overload/fail-slow counters (the service frontend's and
-        # jobtracker's degradation view): requests refused by admission
-        # control or load shedding, requests killed at their deadline,
-        # and speculative races won against a limping host.
-        self.requests_shed = 0
-        self.deadline_kills = 0
-        self.speculative_wins = 0
-        # Workflow counters (the DAG orchestrator's view, kept on the
-        # master): workflows entering/leaving the system, stage-level
-        # retries (distinct from task-attempt retries), minimal-subgraph
-        # re-executions after total output loss, and stages cancelled by
-        # an upstream permanent failure.
-        self.workflows_submitted = 0
-        self.workflows_completed = 0
-        self.stage_retries = 0
-        self.lineage_recomputes = 0
-        self.stages_cancelled = 0
-        # Warehouse counters (the HiveServer's view, kept on the master):
-        # recurring statements served from the query/result
-        # materialization cache vs compiled and executed cold.
-        self.result_cache_hits = 0
-        self.result_cache_misses = 0
-        # Topology/locality counters (the jobtracker's delay-scheduling
-        # view of this tasktracker): map tasks launched here by locality
-        # tier, and wire bytes this node moved across a rack boundary.
-        # Pure observation — recording never touches the simulated clock.
-        self.maps_node_local = 0
-        self.maps_rack_local = 0
-        self.maps_off_rack = 0
-        self.bytes_cross_rack = 0
+        for names in COUNTER_GROUPS.values():
+            for name in names:
+                setattr(self, name, 0)
         # one plain (time_s, writes, sectors written, reads, sectors
         # read) row per sample: full observability sweeps every slave at
         # each job start and end, so a sample must not allocate an object
@@ -125,41 +123,14 @@ class ProcFs:
         self.net_rx_bytes += rx_bytes
         self.net_tx_bytes += tx_bytes
 
-    def record_task_failure(self) -> None:
-        self.tasks_failed += 1
-
-    def record_task_kill(self) -> None:
-        self.tasks_killed += 1
-
     def record_task_preemption(self) -> None:
         self.tasks_killed += 1
         self.tasks_preempted += 1
-
-    def record_speculative(self) -> None:
-        self.tasks_speculative += 1
-
-    def record_fetch_failure(self) -> None:
-        self.fetch_failures += 1
-
-    def record_journal_edit(self) -> None:
-        self.journal_edits += 1
-
-    def record_journal_checkpoint(self) -> None:
-        self.journal_checkpoints += 1
-
-    def record_master_restart(self) -> None:
-        self.master_restarts += 1
 
     def record_checksum(self, chunks: int) -> None:
         if chunks < 0:
             raise ValueError("checksum chunk count must be non-negative")
         self.checksum_verifications += chunks
-
-    def record_checksum_failure(self) -> None:
-        self.checksum_failures += 1
-
-    def record_bad_block_report(self) -> None:
-        self.bad_block_reports += 1
 
     def record_scrub(self, num_bytes: int) -> None:
         if num_bytes < 0:
@@ -171,36 +142,6 @@ class ProcFs:
             raise ValueError("retransmit counts must be non-negative")
         self.net_retransmits += segments
         self.net_retransmit_bytes += num_bytes
-
-    def record_request_shed(self) -> None:
-        self.requests_shed += 1
-
-    def record_deadline_kill(self) -> None:
-        self.deadline_kills += 1
-
-    def record_speculative_win(self) -> None:
-        self.speculative_wins += 1
-
-    def record_workflow_submitted(self) -> None:
-        self.workflows_submitted += 1
-
-    def record_workflow_completed(self) -> None:
-        self.workflows_completed += 1
-
-    def record_stage_retry(self) -> None:
-        self.stage_retries += 1
-
-    def record_lineage_recompute(self) -> None:
-        self.lineage_recomputes += 1
-
-    def record_stage_cancelled(self) -> None:
-        self.stages_cancelled += 1
-
-    def record_result_cache_hit(self) -> None:
-        self.result_cache_hits += 1
-
-    def record_result_cache_miss(self) -> None:
-        self.result_cache_misses += 1
 
     def record_map_locality(self, tier: str) -> None:
         """Count one map launch by its delay-scheduling tier."""
@@ -256,79 +197,11 @@ class ProcFs:
 
     # -- proc-style rendering ------------------------------------------------
 
-    def render_diskstats(self) -> str:
-        """A ``/proc/diskstats``-flavoured line for this node's disk."""
-        return (
-            f"   8       0 sda {self.reads_completed} 0 {self.sectors_read} 0 "
-            f"{self.writes_completed} 0 {self.sectors_written} 0 0 0 0"
-        )
-
-    def render_netdev(self) -> str:
-        """A ``/proc/net/dev``-flavoured line for this node's NIC."""
-        return (
-            f"  eth0: {self.net_rx_bytes} 0 0 0 0 0 0 0 "
-            f"{self.net_tx_bytes} 0 0 0 0 0 0 0"
-        )
-
-    def render_resilience(self) -> str:
-        """A tasktracker-status-flavoured line of the resilience counters."""
-        return (
-            f"{self.node_name}: tasks_failed {self.tasks_failed} "
-            f"tasks_killed {self.tasks_killed} "
-            f"tasks_preempted {self.tasks_preempted} "
-            f"tasks_speculative {self.tasks_speculative} "
-            f"fetch_failures {self.fetch_failures}"
-        )
-
-    def render_integrity(self) -> str:
-        """A datanode-status line of the integrity/gray-network counters."""
-        return (
-            f"{self.node_name}: checksum_verifications {self.checksum_verifications} "
-            f"checksum_failures {self.checksum_failures} "
-            f"bad_block_reports {self.bad_block_reports} "
-            f"scrub_bytes {self.scrub_bytes} "
-            f"net_retransmits {self.net_retransmits} "
-            f"net_retransmit_bytes {self.net_retransmit_bytes}"
-        )
-
-    def render_overload(self) -> str:
-        """A frontend-status line of the overload/fail-slow counters."""
-        return (
-            f"{self.node_name}: requests_shed {self.requests_shed} "
-            f"deadline_kills {self.deadline_kills} "
-            f"speculative_wins {self.speculative_wins}"
-        )
-
-    def render_control_plane(self) -> str:
-        """A namenode/jobtracker-status line of the control-plane counters."""
-        return (
-            f"{self.node_name}: journal_edits {self.journal_edits} "
-            f"journal_checkpoints {self.journal_checkpoints} "
-            f"master_restarts {self.master_restarts}"
-        )
-
-    def render_topology(self) -> str:
-        """A jobtracker-status line of the locality/failure-domain counters."""
-        return (
-            f"{self.node_name}: maps_node_local {self.maps_node_local} "
-            f"maps_rack_local {self.maps_rack_local} "
-            f"maps_off_rack {self.maps_off_rack} "
-            f"bytes_cross_rack {self.bytes_cross_rack}"
-        )
-
-    def render_warehouse(self) -> str:
-        """A HiveServer-status line of the materialization-cache counters."""
-        return (
-            f"{self.node_name}: result_cache_hits {self.result_cache_hits} "
-            f"result_cache_misses {self.result_cache_misses}"
-        )
-
-    def render_workflow(self) -> str:
-        """An orchestrator-status line of the DAG workflow counters."""
-        return (
-            f"{self.node_name}: workflows_submitted {self.workflows_submitted} "
-            f"workflows_completed {self.workflows_completed} "
-            f"stage_retries {self.stage_retries} "
-            f"lineage_recomputes {self.lineage_recomputes} "
-            f"stages_cancelled {self.stages_cancelled}"
-        )
+    def render(self, group: str) -> str:
+        """One status line of a :data:`COUNTER_GROUPS` group: the
+        ``/proc/diskstats`` and ``/proc/net/dev`` shapes for ``diskstats``
+        and ``netdev``, ``<node>: <counter> <value> ...`` for the rest."""
+        names = COUNTER_GROUPS[group]
+        if group in PROC_LINES:
+            return PROC_LINES[group].format_map(vars(self))
+        return f"{self.node_name}: " + " ".join(f"{name} {getattr(self, name)}" for name in names)

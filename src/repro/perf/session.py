@@ -1,19 +1,18 @@
-"""Perf sessions: program events, run, read counts.
+"""Perf sessions: read the programmed events out of a simulation.
 
-:class:`PerfSession` is the analogue of ``perf stat -e <events> -- cmd``:
-you list the symbolic events to monitor, hand it a trace (or spec) and a
-machine, and read back a :class:`PerfReading` mapping event names to
-counts, plus the derived per-kilo-instruction rates the paper reports.
+:class:`PerfSession` is the analogue of ``perf stat``: it reads every
+event of the catalogue out of a finished
+:class:`~repro.uarch.pipeline.SimulationResult` into a
+:class:`PerfReading` mapping event names to counts, plus the derived
+per-kilo-instruction rates the paper reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.perf.events import EVENT_CATALOG, lookup_event
-from repro.uarch.config import MachineConfig, XEON_E5645
-from repro.uarch.pipeline import Core, SimulationResult
-from repro.uarch.trace import SyntheticTrace, TraceSpec
+from repro.perf.events import EVENT_CATALOG
+from repro.uarch.pipeline import SimulationResult
 
 
 @dataclass
@@ -40,37 +39,11 @@ class PerfReading:
 
 
 class PerfSession:
-    """Measure a set of PMU events over one workload run.
-
-    ``events=None`` programs the full catalogue (the paper collects ~20
-    events, well past the 4 physical counters; real ``perf`` multiplexes —
-    the simulator simply exposes everything).
-    """
-
-    def __init__(
-        self,
-        events: list[str] | None = None,
-        machine: MachineConfig = XEON_E5645,
-    ) -> None:
-        names = list(EVENT_CATALOG) if events is None else list(events)
-        self.events = [lookup_event(name) for name in names]
-        self.machine = machine
-
-    def measure(self, trace_or_spec, warmup: int | None = None) -> PerfReading:
-        """Run *trace_or_spec* on a fresh core and read the counters."""
-        if isinstance(trace_or_spec, TraceSpec):
-            trace = SyntheticTrace(trace_or_spec)
-        else:
-            trace = trace_or_spec
-        result = Core(self.machine).run(trace, warmup=warmup)
-        counts = {event.name: event.read(result) for event in self.events}
-        # `instructions` is needed for the per-Ki rates even if the caller
-        # did not ask for it explicitly.
-        counts.setdefault("instructions", result.instructions)
-        return PerfReading(workload=result.name, counts=counts, result=result)
+    """Measure the full event catalogue (the paper collects ~20 events,
+    well past the 4 physical counters; real ``perf`` multiplexes — the
+    simulator simply exposes everything)."""
 
     def measure_result(self, result: SimulationResult) -> PerfReading:
-        """Read the programmed events out of an existing simulation result."""
-        counts = {event.name: event.read(result) for event in self.events}
-        counts.setdefault("instructions", result.instructions)
+        """Read every catalogue event out of an existing simulation result."""
+        counts = {event.name: event.read(result) for event in EVENT_CATALOG.values()}
         return PerfReading(workload=result.name, counts=counts, result=result)

@@ -28,6 +28,7 @@ from repro.uarch.backend import BufferTracker, ExecutionModel, RingTracker
 from repro.uarch.branch import BRANCH_MISFETCH, BRANCH_MISPREDICT, BranchUnit
 from repro.uarch.caches import Cache, CacheHierarchy
 from repro.uarch.config import MachineConfig, XEON_E5645
+from repro.uarch.counters import Rates
 from repro.uarch.frontend import FRONT_DEPTH, FetchEngine
 from repro.uarch.isa import OpClass
 from repro.uarch.tlb import PageWalker, Tlb, TlbHierarchy
@@ -41,11 +42,13 @@ RAT_STALL_PENALTY = 3
 
 
 @dataclass
-class SimulationResult:
-    """Raw counters and derived metrics from one trace simulation.
+class SimulationResult(Rates):
+    """Raw counters from one trace simulation.
 
     Field names follow the paper's counter vocabulary: "stall" fields are
-    cycle counts, "misses"/"walks" are event counts.
+    cycle counts, "misses"/"walks" are event counts.  The derived metrics
+    (one method per figure, and the Figure 6 breakdown) come from the
+    counter table in :mod:`repro.uarch.counters`.
     """
 
     name: str
@@ -80,66 +83,6 @@ class SimulationResult:
     # not part of the six categories, reported for completeness
     mispredict_stall_cycles: int = 0
     extra: dict[str, float] = field(default_factory=dict)
-
-    # -- derived metrics (the paper's figures) ------------------------------
-
-    def ipc(self) -> float:
-        """Figure 3: instructions per cycle."""
-        return self.instructions / self.cycles if self.cycles else 0.0
-
-    def kernel_fraction(self) -> float:
-        """Figure 4: fraction of instructions retired in kernel mode."""
-        return self.kernel_instructions / self.instructions if self.instructions else 0.0
-
-    def l1i_mpki(self) -> float:
-        """Figure 7: L1I misses per kilo-instruction."""
-        return 1000.0 * self.l1i_misses / self.instructions if self.instructions else 0.0
-
-    def itlb_walks_pki(self) -> float:
-        """Figure 8: ITLB-miss completed page walks per kilo-instruction."""
-        return 1000.0 * self.itlb_walks / self.instructions if self.instructions else 0.0
-
-    def l2_mpki(self) -> float:
-        """Figure 9: L2 misses per kilo-instruction."""
-        return 1000.0 * self.l2_misses / self.instructions if self.instructions else 0.0
-
-    def l3_hit_ratio_of_l2_misses(self) -> float:
-        """Figure 10: (L2 misses − L3 misses) / L2 misses (Equation 1)."""
-        if self.l2_misses == 0:
-            return 0.0
-        return max(0.0, (self.l2_misses - self.l3_misses) / self.l2_misses)
-
-    def dtlb_walks_pki(self) -> float:
-        """Figure 11: DTLB-miss completed page walks per kilo-instruction."""
-        return 1000.0 * self.dtlb_walks / self.instructions if self.instructions else 0.0
-
-    def branch_misprediction_ratio(self) -> float:
-        """Figure 12: mispredicted branches / retired branches."""
-        return self.branch_mispredictions / self.branches if self.branches else 0.0
-
-    def stall_breakdown(self) -> dict[str, float]:
-        """Figure 6: the six stall categories, normalised to sum to 1."""
-        raw = {
-            "fetch": self.fetch_stall_cycles,
-            "rat": self.rat_stall_cycles,
-            "load": self.load_stall_cycles,
-            "rs_full": self.rs_full_stall_cycles,
-            "store": self.store_stall_cycles,
-            "rob_full": self.rob_full_stall_cycles,
-        }
-        total = sum(raw.values())
-        if total == 0:
-            return {key: 0.0 for key in raw}
-        return {key: value / total for key, value in raw.items()}
-
-    def frontend_stall_share(self) -> float:
-        """Share of stalls before the out-of-order part (fetch + RAT)."""
-        breakdown = self.stall_breakdown()
-        return breakdown["fetch"] + breakdown["rat"]
-
-    def backend_stall_share(self) -> float:
-        """Share of stalls in the out-of-order part (RS + ROB + buffers)."""
-        return 1.0 - self.frontend_stall_share() if any(self.stall_breakdown().values()) else 0.0
 
 
 class Core:

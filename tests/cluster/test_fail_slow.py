@@ -182,7 +182,7 @@ class TestSoloFailSlow:
         cluster = make_cluster(**SHAPE)
         workload("WordCount").run(scale=0.05, cluster=cluster)
         for node in cluster.slaves:
-            assert node.procfs.render_overload() == (
+            assert node.procfs.render("overload") == (
                 f"{node.name}: requests_shed 0 deadline_kills 0 "
                 f"speculative_wins 0"
             )

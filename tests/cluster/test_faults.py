@@ -419,5 +419,5 @@ class TestAccountingSurfaces:
         speculative = sum(n.procfs.tasks_speculative for n in cluster.slaves)
         assert failed == result.failed_attempts
         assert speculative == result.speculative_attempts
-        line = cluster.slaves[0].procfs.render_resilience()
+        line = cluster.slaves[0].procfs.render("resilience")
         assert "tasks_failed" in line and "fetch_failures" in line

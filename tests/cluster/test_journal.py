@@ -182,7 +182,7 @@ class TestReplayContract:
         cluster = make_cluster(4, block_size=1024)
         cluster.hdfs.create_file("f", 4096)
         assert cluster.master.procfs.journal_edits == 1
-        assert "journal_edits 1" in cluster.master.procfs.render_control_plane()
+        assert "journal_edits 1" in cluster.master.procfs.render("control_plane")
 
 
 def balanced_work(maps=8, reduces=2, slaves=4) -> JobWork:

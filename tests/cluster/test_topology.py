@@ -331,7 +331,7 @@ class TestObservationalFreedom:
                 procfs.maps_off_rack) == (1, 1, 1)
         with pytest.raises(ValueError):
             procfs.record_map_locality("nearby")
-        line = procfs.render_topology()
+        line = procfs.render("topology")
         assert "maps_rack_local 1" in line and "bytes_cross_rack 0" in line
 
 

@@ -199,7 +199,7 @@ class TestFaultFreeRun:
         assert proc.workflows_completed == 1
         assert proc.stage_retries == 0
         assert proc.lineage_recomputes == 0
-        assert "workflows_submitted 1" in proc.render_workflow()
+        assert "workflows_submitted 1" in proc.render("workflow")
 
     def test_runner_is_single_use(self, diamond):
         runner = WorkflowRunner(fresh_cluster())

@@ -169,7 +169,7 @@ class TestAccounting:
         procfs = session.cluster.master.procfs
         assert procfs.result_cache_hits == 1
         assert procfs.result_cache_misses == 1
-        line = procfs.render_warehouse()
+        line = procfs.render("warehouse")
         assert "result_cache_hits 1" in line
         assert "result_cache_misses 1" in line
 

@@ -5,6 +5,7 @@ import pytest
 from repro.perf import EVENT_CATALOG, PerfSession, ProcFs, lookup_event
 from repro.perf.procfs import DiskSample
 from repro.uarch.config import scaled_machine
+from repro.uarch.pipeline import simulate
 from repro.uarch.trace import TraceSpec
 
 
@@ -44,44 +45,31 @@ class TestEventCatalog:
 class TestPerfSession:
     MACHINE = scaled_machine(8)
 
+    def reading(self):
+        return PerfSession().measure_result(simulate(TraceSpec("t", 20_000), self.MACHINE))
+
     def test_measure_reads_all_events(self):
-        session = PerfSession(machine=self.MACHINE)
-        reading = session.measure(TraceSpec("t", 20_000))
-        assert set(reading.counts) >= set(EVENT_CATALOG)
+        reading = self.reading()
+        assert list(reading.counts) == list(EVENT_CATALOG)
         assert reading.counts["instructions"] > 0
         assert reading.counts["cycles"] > 0
 
-    def test_selected_events_only(self):
-        session = PerfSession(events=["cycles", "branches"], machine=self.MACHINE)
-        reading = session.measure(TraceSpec("t", 10_000))
-        assert "cycles" in reading.counts and "branches" in reading.counts
-        assert "l2_rqsts.miss" not in reading.counts
-        # instructions always included for rate computation
-        assert "instructions" in reading.counts
-
     def test_per_kilo_instructions(self):
-        session = PerfSession(machine=self.MACHINE)
-        reading = session.measure(TraceSpec("t", 20_000))
+        reading = self.reading()
         rate = reading.per_kilo_instructions("l2_rqsts.miss")
         assert rate == pytest.approx(
             1000 * reading["l2_rqsts.miss"] / reading["instructions"]
         )
 
     def test_ratio(self):
-        session = PerfSession(machine=self.MACHINE)
-        reading = session.measure(TraceSpec("t", 20_000))
+        reading = self.reading()
         ipc = reading.ratio("instructions", "cycles")
         assert 0 < ipc <= 4.0
 
     def test_consistency_with_result(self):
-        session = PerfSession(machine=self.MACHINE)
-        reading = session.measure(TraceSpec("t", 20_000))
+        reading = self.reading()
         assert reading.counts["cycles"] == reading.result.cycles
         assert reading.counts["instructions"] == reading.result.instructions
-
-    def test_unknown_event_rejected_at_construction(self):
-        with pytest.raises(KeyError):
-            PerfSession(events=["bogus-event"])
 
 
 class TestProcFs:
@@ -168,23 +156,23 @@ class TestProcFs:
         p = ProcFs()
         p.record_disk_writes(1, 512)
         p.record_disk_read(512)
-        line = p.render_diskstats()
+        line = p.render("diskstats")
         assert "sda" in line
         fields = line.split()
         assert fields[3] == "1"  # reads completed
 
     def test_resilience_counters(self):
         p = ProcFs(node_name="slave1")
-        p.record_task_failure()
-        p.record_task_failure()
-        p.record_task_kill()
-        p.record_speculative()
-        p.record_fetch_failure()
+        p.tasks_failed += 1
+        p.tasks_failed += 1
+        p.tasks_killed += 1
+        p.tasks_speculative += 1
+        p.fetch_failures += 1
         assert p.tasks_failed == 2
         assert p.tasks_killed == 1
         assert p.tasks_speculative == 1
         assert p.fetch_failures == 1
-        line = p.render_resilience()
+        line = p.render("resilience")
         assert line.startswith("slave1:")
         assert "tasks_failed 2" in line
         assert "tasks_killed 1" in line
@@ -193,6 +181,6 @@ class TestProcFs:
     def test_render_netdev_shape(self):
         p = ProcFs()
         p.record_net(rx_bytes=100, tx_bytes=50)
-        line = p.render_netdev()
+        line = p.render("netdev")
         assert line.strip().startswith("eth0:")
         assert " 100 " in line and " 50 " in line

@@ -7,7 +7,8 @@ keys where it reads them) in batched form; its entire value rests on never
 changing a counter.  These tests enforce that contract:
 
 * a hypothesis property over randomized TraceSpecs and machine variants
-  asserting every SimulationResult field matches exactly,
+  asserting every SimulationResult field matches exactly and satisfies
+  the counter table's relations (repro.uarch.counters.violations),
 * batch-stream equivalence: iter_batches ≡ the scalar iterator, the
   oracle, at batch sizes 1, 7, 777 and DEFAULT_BATCH_SIZE, over specs
   that vary every region field and access_bytes and include one-μop
@@ -41,6 +42,7 @@ from repro.uarch.config import (
 )
 from repro.uarch.pipeline import Core, simulate
 from repro.uarch.trace import DEFAULT_BATCH_SIZE, MemoryRegion, SyntheticTrace, TraceSpec
+from tests.uarch.test_counters import broken
 
 SCALED = scaled_machine(8)
 
@@ -166,6 +168,15 @@ class TestFastEqualsReference:
         # State a result may not show yet, e.g. a BTB target retrained on
         # an indirect branch's last visit.
         assert core_state(core_fast) == core_state(core_ref)
+        # The counter table's relations hold on both engines; the stall
+        # bound only without a warmup cut (see test_counters.py).
+        for result in (ref, fast):
+            assert broken(result, machine, stall_bound=False) == []
+        cold_ref = Core(machine).run(SyntheticTrace(spec), warmup=0)
+        cold_fast = run_fast(Core(machine), SyntheticTrace(spec), warmup=0)
+        assert dataclasses.asdict(cold_ref) == dataclasses.asdict(cold_fast)
+        for result in (cold_ref, cold_fast):
+            assert broken(result, machine) == []
 
     @settings(max_examples=100, deadline=None)
     @given(spec=spec_strategy)

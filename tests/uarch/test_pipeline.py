@@ -64,7 +64,7 @@ class TestCoreBasics:
     def test_kernel_instructions_counted(self):
         ops = [MicroOp(OpClass.ALU, 0x400000, kernel=(i % 4 == 0)) for i in range(400)]
         result = Core(SMALL_MACHINE).run(ops, warmup=0)
-        assert result.kernel_fraction() == pytest.approx(0.25)
+        assert result.kernel_instruction_fraction() == pytest.approx(0.25)
 
     def test_simulate_accepts_spec(self):
         result = simulate(TraceSpec("s", 2000), SMALL_MACHINE)

@@ -82,7 +82,7 @@ class TestPipelineInvariants:
         assert 0 < result.ipc() <= MACHINE.core.retire_width
         assert 0.0 <= result.l3_hit_ratio_of_l2_misses() <= 1.0
         assert 0.0 <= result.branch_misprediction_ratio() <= 1.0
-        assert 0.0 <= result.kernel_fraction() <= 1.0
+        assert 0.0 <= result.kernel_instruction_fraction() <= 1.0
 
     @given(spec_strategy())
     @settings(max_examples=15, deadline=None)
