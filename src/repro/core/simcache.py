@@ -19,10 +19,11 @@ so their results are interchangeable.  Cache hits are required to be
 bit-identical to cold runs — ``tests/core/test_simcache.py`` round-trips
 results through the store and compares every field.
 
-Layout: one JSON file per result under ``.repro-cache/sim/<key[:2]>/<key>.json``
-(the two-level fan-out keeps directories small).  Writes are atomic
-(``os.replace`` of a same-directory temp file) so concurrent workers and
-interrupted runs can never publish a torn file.
+Layout: one sealed binary file per result (format at "sealed entries"
+below) under ``.repro-cache/sim/<key[:2]>/<key>.sim``; the two-level
+fan-out keeps directories small.  Writes are atomic (``os.replace`` of a
+same-directory temp file) so concurrent workers and interrupted runs can
+never publish a torn file; a damaged or foreign entry is a miss.
 
 Escape hatches: ``REPRO_SIM_CACHE=0`` (or ``--no-sim-cache`` on the CLI and
 pytest runs) disables the cache; ``REPRO_CACHE_DIR`` relocates it;
@@ -39,10 +40,11 @@ observability mode, and a digest of every cluster-layer source module
 bit-identical by contract (``repro.perf.clusterpath``) — while anything
 that changes the outcome's bytes is included.  ``REPRO_MIX_CACHE=0``
 (or ``--no-mix-cache``) disables it independently of the uarch cache.
-A mix entry is one columnar binary file, ``mix/<key[:2]>/<key>.mix``
-(layout at "mix entry codec" below and in ``docs/performance.md``): a
-day-long trace is tens of thousands of reports, and a hit should cost
-what rebuilding them costs, not what parsing their JSON would.
+A mix entry is the same container with a columnar payload,
+``mix/<key[:2]>/<key>.mix`` (layout at "mix entry codec" below and in
+``docs/performance.md``): a day-long trace is tens of thousands of
+reports, and a hit should cost what rebuilding them costs, not what
+parsing their JSON would.
 ``run_mix`` keys its entries on the *trace* rather than on the executed
 submissions (see :func:`mix_cache_key`), so a warm replay runs no
 workload at all.
@@ -64,16 +66,21 @@ import sys
 import tempfile
 import warnings
 from array import array
+from contextlib import suppress
+from functools import cache
 from itertools import accumulate, chain
 from operator import attrgetter
 from pathlib import Path
 
 from repro.uarch.config import MachineConfig
+from repro.uarch.counters import COUNTERS
 from repro.uarch.pipeline import Core, SimulationResult
 from repro.uarch.trace import SyntheticTrace, TraceSpec
 
-#: Bump when the on-disk entry format (not the simulated values) changes.
-SCHEMA_VERSION = 1
+#: Bump when the on-disk entry format (not the simulated values) changes;
+#: folded into every sim key, so entries of an older layout become
+#: unreachable — there is no reader for them.  (1 was the JSON entry.)
+SCHEMA_VERSION = 2
 
 #: Default cache root, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -93,11 +100,9 @@ _VERSIONED_MODULES = (
     "repro.perf.fastpath",
 )
 
-_code_version: str | None = None
-
-
+@cache
 def _source_digest(module_names: tuple[str, ...]) -> str:
-    """Digest of the names and source bytes of *module_names*.
+    """Digest of the names and source bytes of *module_names*, once per process.
 
     Sources are located, not imported: hashing a module must not execute
     it (a warm ``run_mix`` hit would otherwise load every workload)."""
@@ -114,19 +119,21 @@ def _source_digest(module_names: tuple[str, ...]) -> str:
 
 
 def code_version() -> str:
-    """Digest of the timing-model source files (cached per process)."""
-    global _code_version
-    if _code_version is None:
-        _code_version = _source_digest(_VERSIONED_MODULES)
-    return _code_version
+    """Digest of the timing-model source files."""
+    return _source_digest(_VERSIONED_MODULES)
 
 
-def cache_enabled(default: bool = True) -> bool:
-    """Honour the ``REPRO_SIM_CACHE`` escape hatch (0/false/off disable)."""
-    value = os.environ.get("REPRO_SIM_CACHE")
+def _switch(variable: str, default: bool) -> bool:
+    """Honour an on/off environment variable (0/false/off/no disable)."""
+    value = os.environ.get(variable)
     if value is None:
         return default
     return value.strip().lower() not in {"0", "false", "off", "no", ""}
+
+
+def cache_enabled(default: bool = True) -> bool:
+    """Honour the ``REPRO_SIM_CACHE`` escape hatch."""
+    return _switch("REPRO_SIM_CACHE", default)
 
 
 def cache_dir(root: str | os.PathLike | None = None) -> Path:
@@ -136,21 +143,139 @@ def cache_dir(root: str | os.PathLike | None = None) -> Path:
     return Path(root)
 
 
+# -- entries: ``<root>/<namespace>/<key[:2]>/<key>.<namespace>`` -------------
+
+
+def _entry_path(root, namespace: str, key: str) -> Path:
+    return cache_dir(root) / namespace / key[:2] / f"{key}.{namespace}"
+
+
+def _load(namespace: str, key: str, root, decode, *args):
+    """``decode(entry bytes, *args)``, or None: a missing, unreadable,
+    damaged or foreign entry is a miss, never an error."""
+    try:
+        return decode(_entry_path(root, namespace, key).read_bytes(), *args)
+    except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError):
+        return None
+
+
+def _write(namespace: str, key: str, root, entry: bytes) -> None:
+    """Publish *entry* atomically (same-directory temp file + rename), so
+    a concurrent reader sees a whole file or none."""
+    path = _entry_path(root, namespace, key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(entry)
+        os.replace(tmp_name, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+
+
+def _clear(namespace: str, root) -> int:
+    """Delete the namespace; return its entry count (others not counted)."""
+    directory = cache_dir(root) / namespace
+    if not directory.exists():
+        return 0
+    count = sum(1 for _ in directory.rglob(f"*.{namespace}"))
+    shutil.rmtree(directory)
+    return count
+
+
+# -- sealed entries -----------------------------------------------------------
+#
+# Both caches write one container:
+#
+#   prefix   magic (8 bytes, one per namespace) + header length (uint32)
+#   header   JSON object: the payload's scalars and the section directory
+#            [name, typecode, offset, count] of every column
+#   columns  raw little-endian ``array`` bytes, one section per column
+#   trailer  body length (uint64) + SHA-256 of everything before it
+
+_PREFIX = struct.Struct("<8sI")
+_TRAILER = struct.Struct("<Q32s")
+_SIM_MAGIC, _MIX_MAGIC = b"REPROSIM", b"REPROMIX"
+
+
+def _little_endian(column: array) -> array:
+    if sys.byteorder == "big":
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column
+
+
+def _seal(magic: bytes, header: dict, columns: dict[str, array]) -> bytes:
+    """One entry: *header* plus the section directory of *columns*."""
+    sections = []
+    offset = 0
+    for name, column in columns.items():
+        sections.append([name, column.typecode, offset, len(column)])
+        offset += len(column) * column.itemsize
+    head = json.dumps({**header, "sections": sections}, separators=(",", ":")).encode()
+    body = b"".join(
+        [_PREFIX.pack(magic, len(head)), head,
+         *(_little_endian(column).tobytes() for column in columns.values())]
+    )
+    return body + _TRAILER.pack(len(body), hashlib.sha256(body).digest())
+
+
+def _unseal(blob: bytes, magic: bytes) -> tuple[dict, dict[str, array]]:
+    """``(header, columns)`` of an entry :func:`_seal` wrote, or raise: a
+    torn, flipped or foreign file fails the magic / length / checksum test
+    before any of it is believed.  The payload checks what they must hold."""
+    body_len = len(blob) - _TRAILER.size
+    if body_len < _PREFIX.size:
+        raise ValueError("truncated entry")
+    found, header_len = _PREFIX.unpack_from(blob)
+    length, checksum = _TRAILER.unpack_from(blob, body_len)
+    body = memoryview(blob)[:body_len]
+    if (
+        found != magic
+        or length != body_len
+        or hashlib.sha256(body).digest() != checksum
+    ):
+        raise ValueError("not an intact entry")
+    header = json.loads(blob[_PREFIX.size : _PREFIX.size + header_len])
+    if not isinstance(header, dict):
+        raise ValueError("entry header is not an object")
+    data = body[_PREFIX.size + header_len :]
+    columns = {}
+    for name, typecode, offset, count in header.pop("sections"):
+        column = array(typecode)
+        size = count * column.itemsize
+        if offset < 0 or count < 0 or offset + size > len(data):
+            raise ValueError(f"section {name} lies outside the entry")
+        column.frombytes(data[offset : offset + size])
+        columns[name] = _little_endian(column)
+    return header, columns
+
+
+# -- sim entries ----------------------------------------------------------------
+
+
+def _counter_fields() -> tuple[str, ...]:
+    """A sim entry's counter column layout (not the dataclass field order;
+    outside the code digest, so :func:`sim_cache_key` folds it in)."""
+    return tuple(counter.field for counter in COUNTERS)
+
+
 def sim_cache_key(
-    spec: TraceSpec,
-    machine: MachineConfig,
-    warmup: int | None = None,
+    spec: TraceSpec, machine: MachineConfig, warmup: int | None = None
 ) -> str:
     """Stable content hash for one simulation's inputs.
 
     Every field of the spec and machine participates, so *any* change —
     instruction budget, a cache geometry, the predictor kind, a region
     footprint — produces a different key.  The digest also folds in the
-    code version and schema version.
+    code version, the schema version and the counter-column layout.
     """
     payload = {
         "schema": SCHEMA_VERSION,
         "code": code_version(),
+        "counters": _counter_fields(),
         "warmup": warmup,
         "spec": dataclasses.asdict(spec),
         "machine": dataclasses.asdict(machine),
@@ -159,78 +284,78 @@ def sim_cache_key(
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _entry_path(root: Path, key: str) -> Path:
-    return root / "sim" / key[:2] / f"{key}.json"
+def _encode_sim(result: SimulationResult) -> bytes:
+    return _seal(
+        _SIM_MAGIC,
+        {"name": result.name, "machine": result.machine, "extra": result.extra},
+        {"counters": array("q", attrgetter(*_counter_fields())(result))},
+    )
+
+
+def _decode_sim(blob: bytes) -> SimulationResult:
+    """Rebuild the result :func:`_encode_sim` wrote, or raise.  The
+    checksum catches damage; these checks catch an intact entry of the
+    wrong shape."""
+    header, columns = _unseal(blob, _SIM_MAGIC)
+    name, machine, extra = header["name"], header["machine"], header["extra"]
+    counters = columns["counters"]
+    fields = _counter_fields()
+    if not (
+        isinstance(name, str) and isinstance(machine, str) and isinstance(extra, dict)
+        and all(type(value) in (int, float) for value in extra.values())
+        and counters.typecode == "q" and len(counters) == len(fields)
+    ):
+        raise ValueError("not a sim entry")
+    return SimulationResult(name, machine, extra=extra, **dict(zip(fields, counters)))
 
 
 def load_result(key: str, root: str | os.PathLike | None = None) -> SimulationResult | None:
-    """Fetch a cached result by key, or None on miss/corruption."""
-    path = _entry_path(cache_dir(root), key)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    data = payload.get("result")
-    if not isinstance(data, dict):
-        return None
-    try:
-        return SimulationResult(**data)
-    except TypeError:
-        # Field mismatch from an old entry written before a schema bump.
-        return None
+    """Fetch a cached result by key, or None on miss/damage."""
+    return _load("sim", key, root, _decode_sim)
 
 
 def store_result(
     key: str, result: SimulationResult, root: str | os.PathLike | None = None
 ) -> None:
     """Persist *result* under *key* atomically (tmp file + rename)."""
-    path = _entry_path(cache_dir(root), key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "code": code_version(),
-        "result": dataclasses.asdict(result),
-    }
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, separators=(",", ":"))
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    _write("sim", key, root, _encode_sim(result))
 
 
 def clear(root: str | os.PathLike | None = None) -> int:
     """Explicit invalidation: delete every cached entry; return the count."""
-    sim_root = cache_dir(root) / "sim"
-    if not sim_root.exists():
-        return 0
-    count = sum(1 for _ in sim_root.rglob("*.json"))
-    shutil.rmtree(sim_root)
-    return count
+    return _clear("sim", root)
 
 
 class _CacheHandle:
-    """What both cache handles share: a root, an on/off switch, hit/miss
-    accounting, and stores that cannot fail a finished computation."""
+    """What both cache handles share: a root, an on/off switch (default:
+    the escape hatch), hit/miss accounting, and stores that cannot fail a
+    finished computation."""
 
-    def __init__(self, root: str | os.PathLike | None, enabled: bool) -> None:
+    def __init__(
+        self, root: str | os.PathLike | None = None, enabled: bool | None = None
+    ) -> None:
         self.root = cache_dir(root)
-        self.enabled = enabled
+        self.enabled = self._enabled_by_default() if enabled is None else enabled
         self.hits = 0
         self.misses = 0
         self._store_failed = False
 
-    def _store(self, store, key: str, value, **columns) -> None:
-        """``store(key, value, root, **columns)``, where a write that fails
-        (read-only checkout, root is a file, disk full) only costs the
-        next run a recomputation: warn on this handle's first failure,
-        keep the result.  The call was already counted as a miss."""
+    def _lookup(self, load, key: str | None, *args):
+        """``load(key, root, *args)`` counted as a hit or a miss; no *key*
+        (the cache is off) is a miss."""
+        value = None if key is None else load(key, self.root, *args)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
+
+    def _store(self, store, key: str | None, value, **columns) -> None:
+        """``store(key, value, root, **columns)`` unless the cache is off.
+        A failed write (read-only checkout, root is a file, disk full) only
+        costs the next run a recomputation: warn once, keep the result."""
+        if key is None:
+            return
         try:
             store(key, value, self.root, **columns)
         except OSError as error:
@@ -257,12 +382,7 @@ class SimCache(_CacheHandle):
     return bit-identical values.
     """
 
-    def __init__(
-        self,
-        root: str | os.PathLike | None = None,
-        enabled: bool | None = None,
-    ) -> None:
-        super().__init__(root, cache_enabled() if enabled is None else enabled)
+    _enabled_by_default = staticmethod(cache_enabled)
 
     def simulate(
         self,
@@ -271,22 +391,17 @@ class SimCache(_CacheHandle):
         warmup: int | None = None,
         engine: str = "fast",
     ) -> SimulationResult:
-        key = None
-        if self.enabled:
-            key = sim_cache_key(spec, machine, warmup)
-            cached = load_result(key, self.root)
-            if cached is not None:
-                self.hits += 1
-                return cached
-        self.misses += 1
+        key = sim_cache_key(spec, machine, warmup) if self.enabled else None
+        cached = self._lookup(load_result, key)
+        if cached is not None:
+            return cached
         if engine == "fast":
             from repro.perf.fastpath import run_fast
 
             result = run_fast(Core(machine), SyntheticTrace(spec), warmup=warmup)
         else:
             result = Core(machine).run(SyntheticTrace(spec), warmup=warmup)
-        if key is not None:
-            self._store(store_result, key, result)
+        self._store(store_result, key, result)
         return result
 
 
@@ -317,15 +432,10 @@ _CLUSTER_VERSIONED_MODULES = (
     "repro.perf.procfs",
 )
 
-_cluster_code_version: str | None = None
-
 
 def cluster_code_version() -> str:
-    """Digest of the cluster-layer source files (cached per process)."""
-    global _cluster_code_version
-    if _cluster_code_version is None:
-        _cluster_code_version = _source_digest(_CLUSTER_VERSIONED_MODULES)
-    return _cluster_code_version
+    """Digest of the cluster-layer source files."""
+    return _source_digest(_CLUSTER_VERSIONED_MODULES)
 
 
 #: Modules a solo-shadow run executes beyond the cluster layer: the
@@ -363,26 +473,16 @@ _EXEC_VERSIONED_MODULES = (
     "repro.workloads.wordcount",
 )
 
-_exec_code_version: str | None = None
-
 
 def exec_code_version() -> str:
-    """Digest of the execution-layer source files (cached per process).
-
-    Folded into trace keys only, so computing a submission key never
-    imports the modules it lists."""
-    global _exec_code_version
-    if _exec_code_version is None:
-        _exec_code_version = _source_digest(_EXEC_VERSIONED_MODULES)
-    return _exec_code_version
+    """Digest of the execution-layer source files, folded into trace keys
+    only (computing it imports none of the modules it lists)."""
+    return _source_digest(_EXEC_VERSIONED_MODULES)
 
 
 def mix_cache_enabled(default: bool = True) -> bool:
-    """Honour the ``REPRO_MIX_CACHE`` escape hatch (0/false/off disable)."""
-    value = os.environ.get("REPRO_MIX_CACHE")
-    if value is None:
-        return default
-    return value.strip().lower() not in {"0", "false", "off", "no", ""}
+    """Honour the ``REPRO_MIX_CACHE`` escape hatch."""
+    return _switch("REPRO_MIX_CACHE", default)
 
 
 def _cluster_fingerprint(cluster) -> dict:
@@ -599,21 +699,10 @@ def mix_outcome_payload(outcome) -> dict:
 
 # -- mix entry codec ----------------------------------------------------------
 #
-# One file per outcome:
-#
-#   prefix   magic (8 bytes) + header length (uint32)
-#   header   JSON: the outcome's scalars and fault accounting, one string
-#            table, the tables rows point into (rate key sets, rack maps,
-#            interval kinds, event shapes) and the section directory
-#            [name, typecode, offset, count] of every column
-#   columns  raw little-endian ``array`` bytes, one section per field of
-#            the JobReport / JobTimeline / TaskInterval / Event rows;
-#            strings are indices into the table, floats IEEE doubles
-#   trailer  body length (uint64) + SHA-256 of everything before it
-
-_MIX_MAGIC = b"REPROMIX"
-_MIX_PREFIX = struct.Struct("<8sI")
-_MIX_TRAILER = struct.Struct("<Q32s")
+# A sealed entry whose header holds the outcome's scalars, one string table
+# and the tables rows point into (rate key sets, rack maps, interval kinds,
+# event shapes), with one column per field of the JobReport / JobTimeline /
+# TaskInterval / Event rows (strings are table indices).
 
 #: ``job_flags`` bits: which of a report's nullable fields are present
 #: (all absent for a failed or cancelled job).  A validity column, not a
@@ -636,13 +725,6 @@ _EVENT_FIELDS = ("priority", "seq", "type", "time_s", "payload")
 def _transpose(rows, fields: tuple[str, ...]) -> list[list]:
     """Rows of objects → one list per field."""
     return [list(map(attrgetter(name), rows)) for name in fields]
-
-
-def _little_endian(column: array) -> array:
-    if sys.byteorder == "big":
-        column = array(column.typecode, column)
-        column.byteswap()
-    return column
 
 
 def _scalar_code(value) -> str:
@@ -765,13 +847,9 @@ def _encode_mix(outcome, ideals=None, stages=None) -> bytes:
     if ideals is not None:
         columns["trace_ideal"] = array("d", ideals)
         columns["trace_stages"] = array("i", stages)
-    sections = []
-    offset = 0
-    for name, column in columns.items():
-        sections.append([name, column.typecode, offset, len(column)])
-        offset += len(column) * column.itemsize
     accounting = outcome.fault_accounting
-    header = json.dumps(
+    return _seal(
+        _MIX_MAGIC,
         {
             "scheduler": outcome.scheduler,
             "end_s": outcome.end_s,
@@ -790,25 +868,15 @@ def _encode_mix(outcome, ideals=None, stages=None) -> bytes:
             "event_shapes": [
                 [event_type, codes, keys] for event_type, codes, *keys in shapes
             ],
-            "sections": sections,
         },
-        separators=(",", ":"),
-    ).encode()
-    body = b"".join(
-        [
-            _MIX_PREFIX.pack(_MIX_MAGIC, len(header)),
-            header,
-            *(_little_endian(column).tobytes() for column in columns.values()),
-        ]
+        columns,
     )
-    return body + _MIX_TRAILER.pack(len(body), hashlib.sha256(body).digest())
 
 
 def _decode_mix(blob: bytes, trace_jobs: int | None = None):
-    """Rebuild the outcome :func:`_encode_mix` wrote, or raise: a torn,
-    flipped or foreign file fails the magic / length / checksum test
-    before any of it is believed.  With *trace_jobs*, rebuild
-    ``(outcome, ideals, stages)`` of a trace entry for that many jobs."""
+    """Rebuild the outcome :func:`_encode_mix` wrote, or raise (see
+    :func:`_unseal`).  With *trace_jobs*, rebuild ``(outcome, ideals,
+    stages)`` of a trace entry for that many jobs."""
     from repro.cluster.cluster import JobTimeline
     from repro.cluster.eventbus import Event
     from repro.cluster.scheduler import (
@@ -818,28 +886,7 @@ def _decode_mix(blob: bytes, trace_jobs: int | None = None):
         TaskInterval,
     )
 
-    body_len = len(blob) - _MIX_TRAILER.size
-    if body_len < _MIX_PREFIX.size:
-        raise ValueError("truncated mix entry")
-    magic, header_len = _MIX_PREFIX.unpack_from(blob)
-    length, checksum = _MIX_TRAILER.unpack_from(blob, body_len)
-    body = memoryview(blob)[:body_len]
-    if (
-        magic != _MIX_MAGIC
-        or length != body_len
-        or hashlib.sha256(body).digest() != checksum
-    ):
-        raise ValueError("not an intact mix entry")
-    data = body[_MIX_PREFIX.size + header_len :]
-    header = json.loads(blob[_MIX_PREFIX.size : _MIX_PREFIX.size + header_len])
-    columns = {}
-    for name, typecode, offset, count in header["sections"]:
-        column = array(typecode)
-        size = count * column.itemsize
-        if offset < 0 or offset + size > len(data):
-            raise ValueError(f"section {name} lies outside the entry")
-        column.frombytes(data[offset : offset + size])
-        columns[name] = _little_endian(column)
+    header, columns = _unseal(blob, _MIX_MAGIC)
 
     def rows(*names) -> list[array]:
         """The columns of one row type; ``map`` over them would silently
@@ -969,14 +1016,10 @@ def _decode_mix(blob: bytes, trace_jobs: int | None = None):
     return outcome, ideals.tolist(), stages.tolist()
 
 
-def _mix_entry_path(root: Path, key: str) -> Path:
-    return root / "mix" / key[:2] / f"{key}.mix"
-
-
 def load_mix(
     key: str, root: str | os.PathLike | None = None, trace_jobs: int | None = None
 ):
-    """Fetch a cached mix outcome by key, or None on miss/corruption.
+    """Fetch a cached mix outcome by key, or None on miss/damage.
 
     One bulk read, one checksum pass, one ``frombytes`` per column.
     Reports and timelines are rebuilt here; ``task_intervals`` and
@@ -988,50 +1031,23 @@ def load_mix(
     ``ideals``): the result is ``(outcome, ideals, stages)``, and an entry
     without exactly *trace_jobs* rows of them is a miss.
     """
-    path = _mix_entry_path(cache_dir(root), key)
-    try:
-        return _decode_mix(path.read_bytes(), trace_jobs)
-    except (OSError, ValueError, KeyError, IndexError, TypeError):
-        # Unreadable, damaged, or not this codec's shape: a miss.
-        return None
+    return _load("mix", key, root, _decode_mix, trace_jobs)
 
 
 def store_mix(
-    key: str,
-    outcome,
-    root: str | os.PathLike | None = None,
-    ideals=None,
-    stages=None,
+    key: str, outcome, root: str | os.PathLike | None = None, ideals=None, stages=None
 ) -> None:
     """Persist *outcome* under *key* atomically (tmp file + rename).
 
     A trace entry also carries, per trace job, its solo-shadow seconds
     (*ideals*) and its stage count (*stages*): two more columns, written
     only when given, so a submission entry's bytes do not change."""
-    path = _mix_entry_path(cache_dir(root), key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    entry = _encode_mix(outcome, ideals, stages)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(entry)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    _write("mix", key, root, _encode_mix(outcome, ideals, stages))
 
 
 def clear_mix(root: str | os.PathLike | None = None) -> int:
     """Delete every cached mix outcome; return the count."""
-    mix_root = cache_dir(root) / "mix"
-    if not mix_root.exists():
-        return 0
-    count = sum(1 for _ in mix_root.rglob("*.mix"))
-    shutil.rmtree(mix_root)
-    return count
+    return _clear("mix", root)
 
 
 class MixCache(_CacheHandle):
@@ -1046,25 +1062,15 @@ class MixCache(_CacheHandle):
     :func:`~repro.cluster.tenancy.run_mix`.
     """
 
-    def __init__(
-        self,
-        root: str | os.PathLike | None = None,
-        enabled: bool | None = None,
-    ) -> None:
-        super().__init__(root, mix_cache_enabled() if enabled is None else enabled)
+    _enabled_by_default = staticmethod(mix_cache_enabled)
 
     def run(self, multi):
-        key = None
-        if self.enabled:
-            key = mix_cache_key(multi)
-            cached = load_mix(key, self.root)
-            if cached is not None:
-                self.hits += 1
-                return cached
-        self.misses += 1
+        key = mix_cache_key(multi) if self.enabled else None
+        cached = self._lookup(load_mix, key)
+        if cached is not None:
+            return cached
         outcome = multi.run()
-        if key is not None:
-            self._store(store_mix, key, outcome)
+        self._store(store_mix, key, outcome)
         return outcome
 
     def load_trace(self, multi, trace):
@@ -1075,18 +1081,10 @@ class MixCache(_CacheHandle):
         on a hit and None on a miss; *key* is what :meth:`store_trace`
         takes, None when the cache is off.
         """
-        key = entry = None
-        if self.enabled:
-            key = mix_cache_key(multi, trace=trace)
-            entry = load_mix(key, self.root, trace_jobs=len(trace.jobs))
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return key, entry
+        key = mix_cache_key(multi, trace=trace) if self.enabled else None
+        return key, self._lookup(load_mix, key, len(trace.jobs))
 
     def store_trace(self, key: str | None, outcome, ideals, stages) -> None:
         """Persist a missed trace's outcome with its per-trace-job ideal
         seconds and stage counts under the *key* :meth:`load_trace` gave."""
-        if key is not None:
-            self._store(store_mix, key, outcome, ideals=ideals, stages=stages)
+        self._store(store_mix, key, outcome, ideals=ideals, stages=stages)

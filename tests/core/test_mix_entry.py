@@ -1,4 +1,4 @@
-"""The mix cache's columnar binary entry.
+"""Both caches' sealed binary entries, and the mix cache's payload.
 
 Three promises, each with its own class below:
 
@@ -9,7 +9,9 @@ Three promises, each with its own class below:
 * **laziness** — ``task_intervals`` and ``events`` are rebuilt on first
   read, invisibly: no flag, no second type;
 * **damage is a miss** — a torn, flipped, foreign, stale or concurrently
-  rewritten entry never raises and never yields a wrong outcome.
+  rewritten entry never raises and never yields a wrong value.  One
+  battery runs on a ``mix`` entry and on a ``sim`` entry; an intact sim
+  entry of the wrong shape is a miss too.
 
 ``run_mix``'s trace entries keep all three and add one: a warm replay
 runs no workload, and its outputs are computed on first read.
@@ -34,6 +36,7 @@ import struct
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,19 +54,23 @@ from repro.cluster.tenancy import WorkloadTrace, generate_trace, run_mix
 from repro.core import simcache
 from repro.core.simcache import (
     MixCache,
+    SimCache,
+    clear,
     clear_mix,
+    code_version,
     load_mix,
+    load_result,
     mix_cache_key,
     mix_outcome_payload,
+    sim_cache_key,
     store_mix,
+    store_result,
 )
 from repro.perf.clusterpath import FastMultiJobCluster
+from repro.uarch.pipeline import Core
+from repro.uarch.trace import SyntheticTrace, TraceSpec
 from tests.cluster.test_clusterpath import build_mix
-from tests.core.test_simcache import (
-    build_small_mix,
-    mix_entry_path,
-    sealed_mix_entry,
-)
+from tests.core.test_simcache import SCALED, build_small_mix, entry_path, sealed_entry
 
 KEY = "ab" * 32
 
@@ -232,26 +239,99 @@ class TestLaziness:
         assert warm.outcome == cold.outcome
 
 
-def entry_layout(blob):
+def entry_layout(blob, magic=b"REPROMIX"):
     """(data start, section directory) of a well-formed entry."""
-    _magic, header_len = struct.unpack_from("<8sI", blob)
+    found, header_len = struct.unpack_from("<8sI", blob)
+    assert found == magic
     header = json.loads(blob[12 : 12 + header_len])
     return 12 + header_len, header["sections"]
 
 
-class TestDamageIsAMiss:
-    @pytest.fixture()
-    def entry(self, tmp_path):
-        multi = build_small_mix(plan=True)
-        key = mix_cache_key(multi)
-        outcome = multi.run()
-        store_mix(key, outcome, tmp_path)
-        path = mix_entry_path(tmp_path, key)
-        return key, outcome, path, path.read_bytes()
+def resealed(blob, magic=b"REPROMIX", **change):
+    """*blob*'s header with *change* applied, resealed around its columns."""
+    data_start, _ = entry_layout(blob, magic)
+    header = {**json.loads(blob[12:data_start]), **change}
+    return sealed_entry(header, blob[data_start:-40], magic)
 
-    def test_truncation_anywhere_is_a_miss(self, tmp_path, entry):
+
+#: the simulation the sim battery stores (small: the bit-flip test reads
+#: the entry once per byte)
+SIM_SPEC = TraceSpec(name="damage", instructions=2_000, seed=5)
+
+
+@dataclasses.dataclass(frozen=True)
+class Namespace:
+    """How the damage battery drives one cache namespace."""
+
+    name: str
+    magic: bytes
+    key: Callable[[], str]
+    compute: Callable[[], object]
+    load: Callable  # (key, root) -> value or None
+    store: Callable  # (key, value, root)
+    clear: Callable  # (root) -> entries removed
+    handle: Callable  # (root) -> an enabled cache handle
+    through: Callable  # (handle) -> the value, memoised by the handle
+    #: a column the battery cuts one row short
+    short_section: str
+    #: the JSON text the namespace's previous layout left at ``<key>.json``
+    stale: Callable[[object], str]
+
+
+NAMESPACES = {
+    "mix": Namespace(
+        name="mix",
+        magic=b"REPROMIX",
+        key=lambda: mix_cache_key(build_small_mix(plan=True)),
+        compute=lambda: build_small_mix(plan=True).run(),
+        load=load_mix,
+        store=store_mix,
+        clear=clear_mix,
+        handle=lambda root: MixCache(root, enabled=True),
+        through=lambda cache: cache.run(build_small_mix(plan=True)),
+        short_section="iv_end",  # a lazily decoded section, checked eagerly
+        stale=lambda _: json.dumps(
+            {"schema": 1, "outcome": {"scheduler": "fifo", "reports": []}}
+        ),
+    ),
+    "sim": Namespace(
+        name="sim",
+        magic=b"REPROSIM",
+        key=lambda: sim_cache_key(SIM_SPEC, SCALED),
+        compute=lambda: Core(SCALED).run(SyntheticTrace(SIM_SPEC)),
+        load=load_result,
+        store=store_result,
+        clear=clear,
+        handle=lambda root: SimCache(root, enabled=True),
+        through=lambda cache: cache.simulate(SIM_SPEC, SCALED),
+        short_section="counters",
+        stale=lambda result: json.dumps(
+            {"schema": 1, "code": code_version(), "result": dataclasses.asdict(result)}
+        ),
+    ),
+}
+
+
+class TestDamageIsAMiss:
+    """Damage to a stored ``mix`` entry; :class:`TestSimDamageIsAMiss`
+    runs the same battery on a ``sim`` entry."""
+
+    NAMESPACE = "mix"
+
+    @pytest.fixture()
+    def ns(self) -> Namespace:
+        return NAMESPACES[self.NAMESPACE]
+
+    @pytest.fixture()
+    def entry(self, tmp_path, ns):
+        key, value = ns.key(), ns.compute()
+        ns.store(key, value, tmp_path)
+        path = entry_path(tmp_path, ns.name, key)
+        return key, value, path, path.read_bytes()
+
+    def test_truncation_anywhere_is_a_miss(self, tmp_path, ns, entry):
         key, _, path, blob = entry
-        data_start, sections = entry_layout(blob)
+        data_start, sections = entry_layout(blob, ns.magic)
         cuts = {0, 1, 8, 12, data_start // 2, data_start, len(blob) - 40, len(blob) - 1}
         for _name, typecode, offset, count in sections:
             size = count * struct.calcsize(typecode)
@@ -260,95 +340,107 @@ class TestDamageIsAMiss:
         assert len(cuts) > len(sections)
         for cut in sorted(cuts):
             path.write_bytes(blob[:cut])
-            assert load_mix(key, tmp_path) is None, f"cut at {cut}"
+            assert ns.load(key, tmp_path) is None, f"cut at {cut}"
         path.write_bytes(blob + b"\0")  # and growth
-        assert load_mix(key, tmp_path) is None
+        assert ns.load(key, tmp_path) is None
 
-    def test_any_single_flipped_bit_is_a_miss(self, tmp_path, entry):
+    def test_any_single_flipped_bit_is_a_miss(self, tmp_path, ns, entry):
         """Every byte of the file — prefix, header, each column, trailer
         — with one bit flipped."""
-        key, outcome, path, blob = entry
+        key, value, path, blob = entry
         for position in range(len(blob)):
             damaged = bytearray(blob)
             damaged[position] ^= 1 << (position % 8)
             path.write_bytes(damaged)
-            assert load_mix(key, tmp_path) is None, f"flip in byte {position}"
+            assert ns.load(key, tmp_path) is None, f"flip in byte {position}"
         path.write_bytes(blob)
-        assert load_mix(key, tmp_path) == outcome
+        assert ns.load(key, tmp_path) == value
 
-    def test_wrong_magic_is_a_miss(self, tmp_path, entry):
+    def test_wrong_magic_is_a_miss(self, tmp_path, ns, entry):
+        """One bit off, or the other namespace's: resealed, so only the
+        magic is wrong."""
         key, _, path, blob = entry
-        data_start, _ = entry_layout(blob)
-        header = json.loads(blob[12:data_start])
-        columns = blob[data_start:-40]
-        path.write_bytes(sealed_mix_entry(header, columns))
-        assert load_mix(key, tmp_path) is not None  # the helper reseals faithfully
-        path.write_bytes(sealed_mix_entry(header, columns, magic=b"REPROMIY"))
-        assert load_mix(key, tmp_path) is None
+        path.write_bytes(resealed(blob, ns.magic))
+        assert ns.load(key, tmp_path) is not None  # the helper reseals faithfully
+        data_start, _ = entry_layout(blob, ns.magic)
+        header, columns = json.loads(blob[12:data_start]), blob[data_start:-40]
+        near = ns.magic[:-1] + bytes([ns.magic[-1] ^ 1])
+        for magic in {near} | {other.magic for other in NAMESPACES.values()} - {ns.magic}:
+            path.write_bytes(sealed_entry(header, columns, magic))
+            assert ns.load(key, tmp_path) is None, magic
 
-    def test_section_outside_the_entry_is_a_miss(self, tmp_path, entry):
+    def test_section_outside_the_entry_is_a_miss(self, tmp_path, ns, entry):
+        """Past the end, before the start, or ending before it starts."""
         key, _, path, blob = entry
-        data_start, _ = entry_layout(blob)
-        header = json.loads(blob[12:data_start])
-        header["sections"][0][3] += 10**6
-        path.write_bytes(sealed_mix_entry(header, blob[data_start:-40]))
-        assert load_mix(key, tmp_path) is None
+        for field, change in ((3, 10**6), (2, -1), (3, -1)):  # count / offset
+            _, sections = entry_layout(blob, ns.magic)
+            sections[0][field] += change
+            path.write_bytes(resealed(blob, ns.magic, sections=sections))
+            assert ns.load(key, tmp_path) is None, (field, change)
 
-    def test_ragged_columns_are_a_miss(self, tmp_path, entry):
+    def test_ragged_columns_are_a_miss(self, tmp_path, ns, entry):
         key, _, path, blob = entry
-        data_start, _ = entry_layout(blob)
-        header = json.loads(blob[12:data_start])
-        by_name = {section[0]: section for section in header["sections"]}
-        by_name["iv_end"][3] -= 1  # a lazily decoded section, checked eagerly
-        path.write_bytes(sealed_mix_entry(header, blob[data_start:-40]))
-        assert load_mix(key, tmp_path) is None
+        _, sections = entry_layout(blob, ns.magic)
+        by_name = {section[0]: section for section in sections}
+        by_name[ns.short_section][3] -= 1
+        path.write_bytes(resealed(blob, ns.magic, sections=sections))
+        assert ns.load(key, tmp_path) is None
 
-    def test_zero_length_file_is_a_miss(self, tmp_path, entry):
+    def test_header_that_is_not_an_object_is_a_miss(self, tmp_path, ns, entry):
+        """Intact by magic, length and checksum, but the header is a JSON
+        array: a miss, which the next run through the handle repairs."""
+        key, value, path, blob = entry
+        data_start, _ = entry_layout(blob, ns.magic)
+        path.write_bytes(sealed_entry([], blob[data_start:-40], ns.magic))
+        assert ns.load(key, tmp_path) is None
+        cache = ns.handle(tmp_path)
+        assert ns.through(cache) == value
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert path.read_bytes() == blob
+
+    def test_zero_length_file_is_a_miss(self, tmp_path, ns, entry):
         key, _, path, _ = entry
         path.write_bytes(b"")
-        assert load_mix(key, tmp_path) is None
+        assert ns.load(key, tmp_path) is None
 
-    def test_miss_is_repaired_by_the_next_run(self, tmp_path, entry):
-        key, outcome, path, blob = entry
+    def test_miss_is_repaired_by_the_next_run(self, tmp_path, ns, entry):
+        key, value, path, blob = entry
         path.write_bytes(blob[: len(blob) // 2])
-        cache = MixCache(tmp_path, enabled=True)
-        assert cache.run(build_small_mix(plan=True)) == outcome
+        cache = ns.handle(tmp_path)
+        assert ns.through(cache) == value
         assert (cache.hits, cache.misses) == (0, 1)
         assert path.read_bytes() == blob  # a clean overwrite, same bytes
-        assert cache.run(build_small_mix(plan=True)) == outcome
+        assert ns.through(cache) == value
         assert cache.hits == 1
 
-    def test_pre_binary_json_entry_is_ignored(self, tmp_path):
-        """An entry the JSON codec left behind, at the key the old path
-        would have used, is neither read nor tripped over."""
-        multi = build_small_mix()
-        key = mix_cache_key(multi)
-        stale = mix_entry_path(tmp_path, key).with_suffix(".json")
+    def test_pre_binary_json_entry_is_ignored(self, tmp_path, ns):
+        """An entry the namespace's JSON codec left behind, at the key the
+        old path would have used, is neither read nor tripped over, and
+        ``clear`` removes it without counting it."""
+        key = ns.key()
+        stale = entry_path(tmp_path, ns.name, key).with_suffix(".json")
         stale.parent.mkdir(parents=True)
-        stale.write_text(
-            json.dumps({"schema": 1, "outcome": {"scheduler": "fifo", "reports": []}}),
-            encoding="utf-8",
-        )
-        assert load_mix(key, tmp_path) is None
-        cache = MixCache(tmp_path, enabled=True)
-        cold = cache.run(multi)
-        warm = cache.run(build_small_mix())
+        stale.write_text(ns.stale(ns.compute()), encoding="utf-8")
+        assert ns.load(key, tmp_path) is None
+        cache = ns.handle(tmp_path)
+        cold = ns.through(cache)
+        warm = ns.through(cache)
         assert (cache.hits, cache.misses) == (1, 1)
-        assert warm == cold and len(warm.reports) == 4
+        assert warm == cold
         assert stale.exists()
-        assert clear_mix(tmp_path) == 1  # counts binary entries only
+        assert ns.clear(tmp_path) == 1  # counts sealed entries only
         assert not stale.exists()
 
-    def test_concurrent_stores_of_one_key(self, tmp_path):
+    def test_concurrent_stores_of_one_key(self, tmp_path, ns):
         """Several processes publish the same key while this one reads:
-        every read is a miss or the right outcome, and nothing is left
+        every read is a miss or the right value, and nothing is left
         half-written."""
-        multi = build_small_mix(plan=True)
-        key = mix_cache_key(multi)
-        outcome = multi.run()
+        key, value = ns.key(), ns.compute()
         context = multiprocessing.get_context("spawn")
         workers = [
-            context.Process(target=_store_repeatedly, args=(str(tmp_path), key, 40))
+            context.Process(
+                target=_store_repeatedly, args=(ns.name, str(tmp_path), key, 40)
+            )
             for _ in range(3)
         ]
         for worker in workers:
@@ -356,22 +448,99 @@ class TestDamageIsAMiss:
         try:
             reads = 0
             while any(worker.is_alive() for worker in workers) or reads < 50:
-                loaded = load_mix(key, tmp_path)
-                assert loaded is None or loaded == outcome
+                loaded = ns.load(key, tmp_path)
+                assert loaded is None or loaded == value
                 reads += 1
         finally:
             for worker in workers:
                 worker.join(timeout=120)
         assert [worker.exitcode for worker in workers] == [0, 0, 0]
-        assert load_mix(key, tmp_path) == outcome
-        leftovers = [p.name for p in mix_entry_path(tmp_path, key).parent.iterdir()]
-        assert leftovers == [f"{key}.mix"]
+        assert ns.load(key, tmp_path) == value
+        leftovers = [p.name for p in entry_path(tmp_path, ns.name, key).parent.iterdir()]
+        assert leftovers == [f"{key}.{ns.name}"]
 
 
-def _store_repeatedly(root: str, key: str, times: int) -> None:
-    outcome = build_small_mix(plan=True).run()
+class TestSimDamageIsAMiss(TestDamageIsAMiss):
+    NAMESPACE = "sim"
+
+
+def _store_repeatedly(namespace: str, root: str, key: str, times: int) -> None:
+    ns = NAMESPACES[namespace]
+    value = ns.compute()
     for _ in range(times):
-        store_mix(key, outcome, root)
+        ns.store(key, value, root)
+
+
+#: a header field absent from the entry
+MISSING = object()
+
+
+class TestSimEntryShape:
+    """A sim entry intact by magic, length and checksum but of the wrong
+    shape — what a codec edit without a ``SCHEMA_VERSION`` bump would
+    leave — is a miss: the checksum cannot catch what was sealed wrong."""
+
+    @pytest.fixture()
+    def entry(self, tmp_path):
+        ns = NAMESPACES["sim"]
+        key = ns.key()
+        ns.store(key, ns.compute(), tmp_path)
+        path = entry_path(tmp_path, "sim", key)
+        blob = path.read_bytes()
+        path.write_bytes(resealed(blob, ns.magic))
+        assert load_result(key, tmp_path) is not None  # resealed faithfully
+        data_start, _ = entry_layout(blob, ns.magic)
+        header = json.loads(blob[12:data_start])
+        return key, path, header, blob[data_start:-40]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("name", 7, id="name-int"),
+            pytest.param("name", None, id="name-null"),
+            pytest.param("name", MISSING, id="name-missing"),
+            pytest.param("machine", ["Intel"], id="machine-list"),
+            pytest.param("machine", MISSING, id="machine-missing"),
+            pytest.param("extra", [], id="extra-list"),
+            pytest.param("extra", None, id="extra-null"),
+            pytest.param("extra", {"dram_transfers": "233"}, id="extra-str-value"),
+            pytest.param("extra", {"dram_transfers": True}, id="extra-bool-value"),
+            pytest.param("extra", {"dram_transfers": None}, id="extra-null-value"),
+            pytest.param("extra", {"dram_transfers": [233]}, id="extra-list-value"),
+            pytest.param("extra", MISSING, id="extra-missing"),
+        ],
+    )
+    def test_wrong_typed_header_field_is_a_miss(self, tmp_path, entry, field, value):
+        key, path, header, columns = entry
+        if value is MISSING:
+            del header[field]
+        else:
+            header[field] = value
+        path.write_bytes(sealed_entry(header, columns, b"REPROSIM"))
+        assert load_result(key, tmp_path) is None
+
+    @pytest.mark.parametrize("typecode", ["d", "Q", "i", "b"])
+    def test_counter_column_of_another_type_is_a_miss(self, tmp_path, entry, typecode):
+        key, path, header, columns = entry
+        (section,) = header["sections"]
+        section[1] = typecode  # the same count, read as another type
+        path.write_bytes(sealed_entry(header, columns, b"REPROSIM"))
+        assert load_result(key, tmp_path) is None
+
+    @pytest.mark.parametrize("rows", [-1, 1])
+    def test_counter_column_of_another_length_is_a_miss(self, tmp_path, entry, rows):
+        key, path, header, columns = entry
+        (section,) = header["sections"]
+        section[3] += rows
+        padded = columns + bytes(8 * max(rows, 0))  # every row inside the entry
+        path.write_bytes(sealed_entry(header, padded, b"REPROSIM"))
+        assert load_result(key, tmp_path) is None
+
+    def test_missing_counter_column_is_a_miss(self, tmp_path, entry):
+        key, path, header, columns = entry
+        header["sections"][0][0] = "counts"
+        path.write_bytes(sealed_entry(header, columns, b"REPROSIM"))
+        assert load_result(key, tmp_path) is None
 
 
 # -- run_mix's trace entries ----------------------------------------------------

@@ -25,6 +25,7 @@ import pytest
 from repro.core.characterize import characterize_suite, resolve_workers
 from repro.core.simcache import (
     MIX_SCHEMA_VERSION,
+    SCHEMA_VERSION,
     MixCache,
     SimCache,
     cache_enabled,
@@ -84,7 +85,25 @@ class TestCacheKey:
 
     def test_key_folds_in_code_version(self, spec, monkeypatch):
         base = sim_cache_key(spec, SCALED)
-        monkeypatch.setattr("repro.core.simcache._code_version", "deadbeefdeadbeef")
+        monkeypatch.setattr(
+            "repro.core.simcache.code_version", lambda: "deadbeefdeadbeef"
+        )
+        assert sim_cache_key(spec, SCALED) != base
+
+    def test_key_folds_in_counter_layout(self, spec, monkeypatch):
+        """The counter table is outside the code digest, yet it lays out
+        an entry's counter column: a reordered or shortened table must
+        address new entries rather than misread old ones."""
+        from repro.uarch.counters import COUNTERS
+
+        base = sim_cache_key(spec, SCALED)
+        for layout in (COUNTERS[::-1], COUNTERS[:-1]):
+            monkeypatch.setattr("repro.core.simcache.COUNTERS", layout)
+            assert sim_cache_key(spec, SCALED) != base
+
+    def test_key_folds_in_schema_version(self, spec, monkeypatch):
+        base = sim_cache_key(spec, SCALED)
+        monkeypatch.setattr("repro.core.simcache.SCHEMA_VERSION", SCHEMA_VERSION + 1)
         assert sim_cache_key(spec, SCALED) != base
 
     def test_code_version_shape(self):
@@ -101,6 +120,15 @@ class TestStore:
         loaded = load_result(key, tmp_path)
         assert dataclasses.asdict(loaded) == dataclasses.asdict(result)
 
+    def test_round_trip_under_any_counter_order(self, spec, tmp_path, monkeypatch):
+        from repro.uarch.counters import COUNTERS
+
+        monkeypatch.setattr("repro.core.simcache.COUNTERS", COUNTERS[::-1])
+        result = Core(SCALED).run(SyntheticTrace(spec))
+        key = sim_cache_key(spec, SCALED)
+        store_result(key, result, tmp_path)
+        assert load_result(key, tmp_path) == result
+
     def test_missing_key_is_none(self, tmp_path):
         assert load_result("0" * 64, tmp_path) is None
 
@@ -108,7 +136,8 @@ class TestStore:
         result = Core(SCALED).run(SyntheticTrace(spec))
         key = sim_cache_key(spec, SCALED)
         store_result(key, result, tmp_path)
-        path = tmp_path / "sim" / key[:2] / f"{key}.json"
+        path = entry_path(tmp_path, "sim", key)
+        assert path.is_file()
         path.write_text("{not json", encoding="utf-8")
         assert load_result(key, tmp_path) is None
 
@@ -130,6 +159,22 @@ class TestSimCache:
         assert dataclasses.asdict(cold) == dataclasses.asdict(warm)
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.hit_rate() == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("sealed", [False, True], ids=["bare", "sealed"])
+    def test_entry_whose_header_is_not_an_object_is_a_miss(
+        self, spec, tmp_path, sealed
+    ):
+        """Valid JSON that is not an object — the whole file, or the header
+        of an otherwise intact entry — is a miss, not an ``AttributeError``
+        out of ``simulate``; the next store repairs it."""
+        cache = SimCache(tmp_path, enabled=True)
+        cold = cache.simulate(spec, SCALED)
+        (path,) = [p for p in (tmp_path / "sim").rglob("*") if p.is_file()]
+        path.write_bytes(sealed_entry([], magic=b"REPROSIM") if sealed else b"[]")
+        assert cache.simulate(spec, SCALED) == cold
+        assert (cache.hits, cache.misses) == (0, 2)
+        assert cache.simulate(spec, SCALED) == cold
+        assert cache.hits == 1
 
     def test_engines_share_entries(self, spec, tmp_path):
         # The engine is not part of the key: bit-identity makes the
@@ -164,13 +209,13 @@ class TestSimCache:
         assert (tmp_path / "relocated" / "sim").exists()
 
 
-def mix_entry_path(root, key):
-    return root / "mix" / key[:2] / f"{key}.mix"
+def entry_path(root, namespace, key):
+    return root / namespace / key[:2] / f"{key}.{namespace}"
 
 
-def sealed_mix_entry(header, columns=b"", magic=b"REPROMIX"):
-    """A mix entry with a valid length + checksum trailer around an
-    arbitrary header and column area."""
+def sealed_entry(header, columns=b"", magic=b"REPROMIX"):
+    """An entry with a valid length + checksum trailer around an arbitrary
+    header and column area (a mix entry unless *magic* says otherwise)."""
     head = json.dumps(header).encode()
     body = struct.pack("<8sI", magic, len(head)) + head + columns
     return body + struct.pack("<Q32s", len(body), hashlib.sha256(body).digest())
@@ -234,7 +279,7 @@ class TestMixCacheKey:
     def test_key_folds_in_cluster_code_version(self, monkeypatch):
         base = mix_cache_key(build_small_mix())
         monkeypatch.setattr(
-            "repro.core.simcache._cluster_code_version", "feedfacefeedface"
+            "repro.core.simcache.cluster_code_version", lambda: "feedfacefeedface"
         )
         assert mix_cache_key(build_small_mix()) != base
 
@@ -292,7 +337,7 @@ class TestMixStore:
         multi = build_small_mix()
         key = mix_cache_key(multi)
         store_mix(key, multi.run(), tmp_path)
-        path = mix_entry_path(tmp_path, key)
+        path = entry_path(tmp_path, "mix", key)
         assert path.is_file()
         path.write_text("{not json", encoding="utf-8")
         assert load_mix(key, tmp_path) is None
@@ -304,8 +349,8 @@ class TestMixStore:
         multi = build_small_mix()
         key = mix_cache_key(multi)
         store_mix(key, multi.run(), tmp_path)
-        path = mix_entry_path(tmp_path, key)
-        path.write_bytes(sealed_mix_entry({"sections": [], "reports": 3}))
+        path = entry_path(tmp_path, "mix", key)
+        path.write_bytes(sealed_entry({"sections": [], "reports": 3}))
         assert load_mix(key, tmp_path) is None
 
     def test_clear_mix_counts_and_removes(self, tmp_path):
@@ -494,16 +539,20 @@ class TestTraceKey:
     def test_exec_and_cluster_digests_flip_it(self, monkeypatch):
         trace = small_trace()
         base = trace_key(trace)
-        monkeypatch.setattr("repro.core.simcache._exec_code_version", "feedfacefeedface")
+        monkeypatch.setattr(
+            "repro.core.simcache.exec_code_version", lambda: "feedfacefeedface"
+        )
         after_exec = trace_key(trace)
         monkeypatch.setattr(
-            "repro.core.simcache._cluster_code_version", "feedfacefeedface"
+            "repro.core.simcache.cluster_code_version", lambda: "feedfacefeedface"
         )
         assert len({base, after_exec, trace_key(trace)}) == 3
 
     def test_exec_digest_is_folded_into_trace_keys_only(self, monkeypatch):
         base = mix_cache_key(build_small_mix())
-        monkeypatch.setattr("repro.core.simcache._exec_code_version", "feedfacefeedface")
+        monkeypatch.setattr(
+            "repro.core.simcache.exec_code_version", lambda: "feedfacefeedface"
+        )
         assert mix_cache_key(build_small_mix()) == base
 
     def test_dispatch_engine_class_shares_it(self):
