@@ -1,41 +1,18 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Sub-commands mirror how the paper's artefacts are used:
+Commands: ``list``, ``tables``, ``run``, ``characterize``, ``speedup``,
+``domains``, ``colocate``, ``mix``, ``record``, ``fit-recipe``,
+``gen-trace``, ``rep-bench``, ``serve``, ``run-workflow`` and
+``profile``.  ``python -m repro <command> --help`` lists a command's
+flags.
 
-* ``list``               — show the DCBench suite (groups, Table I info)
-* ``tables``             — print Tables I, II and III
-* ``run <workload>``     — execute a workload on a simulated cluster,
-                            optionally under fault injection
-                            (``--faults``, ``--crash-node``, ``--seed``,
-                            ``--corruption-rate``, ``--link-loss``,
-                            ``--partition``, ``--scrub``, ``--racks``,
-                            ``--rack-fail``, ``--tor-fail``)
-* ``characterize [...]`` — Figures 3–12 metrics for named workloads
-                            (or the whole suite) with optional CSV/JSON
-* ``speedup``            — the Figure 2 scaling study
-* ``domains``            — the Figure 1 domain shares
-* ``profile <workload>`` — sampled flat profile of the instruction stream
-* ``colocate <w> <w>..`` — co-locate workloads on one socket (shared LLC)
-* ``mix``                — a multi-tenant day of traffic: seeded heavy-tailed
-                            trace through the FIFO/Fair/Capacity scheduler
-                            (``--scheduler``, ``--jobs``, ``--rate``,
-                            ``--engine``, ``--no-mix-cache``,
-                            ``--crash-node``, ``--partition``, ``--racks``,
-                            ``--rack-fail``, ``--tor-fail``, ``--colocate``)
-* ``serve``              — open-loop service traffic through a frontend with
-                            graceful degradation (``--rate``, ``--pattern``,
-                            ``--deadline``, ``--shed-rate``, ``--limp``,
-                            ``--unprotected``, ``--compare``)
-* ``record``             — run a mix and serialize it as a WfCommons-style
-                            instance JSON (``--trace``, ``--output``)
-* ``fit-recipe``         — fit a workload recipe (mix, sizes, arrivals,
-                            repetitiveness) from an instance or trace JSON
-* ``gen-trace``          — regenerate a synthetic trace of any length from a
-                            fitted recipe (``--jobs``, ``--seed``); replay it
-                            with ``mix --trace FILE``
-* ``rep-bench``          — Redbench-style repetition benchmark: per-bucket
-                            materialization-cache payoff
-                            (``--buckets``, ``--no-result-cache``)
+Each flag is declared once, as a ``(name, add_argument keywords)`` pair,
+in a group shared by every command that takes it; ``COMMANDS`` holds one
+``(name, help, handler, flags)`` row per command and is all
+:func:`build_parser` reads.  Each cross-flag check exists once too: the
+node/rack fault checks in :func:`_node_faults`, the mix/record trace
+source in :func:`_run_trace`.  Handlers import what they run when
+they run, so ``--help`` loads no simulator code.
 """
 
 from __future__ import annotations
@@ -44,191 +21,276 @@ import argparse
 import math
 import sys
 
-
-def _rate(text: str) -> float:
-    """argparse type: a probability in [0, 1] (NaN-proof)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 <= value <= 1.0:  # NaN fails every comparison
-        raise argparse.ArgumentTypeError(f"must be a rate in [0, 1], got {text}")
-    return value
+# -- argparse types ---------------------------------------------------------------
 
 
-def _link_rate(text: str) -> float:
-    """argparse type: a per-segment loss probability in [0, 1) (NaN-proof)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 <= value < 1.0:  # NaN fails every comparison
-        raise argparse.ArgumentTypeError(f"must be a rate in [0, 1), got {text}")
-    return value
+def _number(cast, lo, hi=None, *, open_lo=False, open_hi=False, what="number"):
+    """argparse type factory: a finite *cast* value no lower than *lo* and,
+    when given, no higher than *hi*.
+
+    ``open_lo``/``open_hi`` exclude that end.  NaN and ±inf are rejected
+    whatever the bounds.
+    """
+    if hi is None:
+        bounds = f"{'>' if open_lo else '>='} {lo}"
+    else:
+        bounds = f"in {'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {what}") from None
+        if not (
+            math.isfinite(value)
+            and (value > lo if open_lo else value >= lo)
+            and (hi is None or (value < hi if open_hi else value <= hi))
+        ):
+            raise argparse.ArgumentTypeError(f"must be a {what} {bounds}, got {text}")
+        return value
+
+    return parse
 
 
-def _partition(text: str) -> tuple[str, float, float]:
-    """argparse type: a network partition spec ``NODE:START:DURATION``."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"expected NODE:START:DURATION, got {text!r}"
-        )
-    node, start_text, duration_text = parts
-    if not node:
-        raise argparse.ArgumentTypeError("partition node name must not be empty")
-    try:
-        start = float(start_text)
-        duration = float(duration_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"START and DURATION must be numbers, got {text!r}"
-        ) from None
-    if not (start >= 0.0 and math.isfinite(start)):
-        raise argparse.ArgumentTypeError(
-            f"partition START must be finite and non-negative, got {start_text}"
-        )
-    if not (duration > 0.0 and math.isfinite(duration)):
-        raise argparse.ArgumentTypeError(
-            f"partition DURATION must be finite and positive, got {duration_text}"
-        )
-    return (node, start, duration)
+_RATE = _number(float, 0, 1, what="rate")
+_SECONDS = _number(float, 0, what="number of seconds")
+_POSITIVE = _number(float, 0, open_lo=True)
+_COUNT = _number(int, 1, what="count")
 
 
-def _rack_fail(text: str) -> tuple[str, float]:
-    """argparse type: a rack power-outage spec ``RACK:TIME``."""
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected RACK:TIME, got {text!r}")
-    rack, time_text = parts
-    if not rack:
-        raise argparse.ArgumentTypeError("outage rack name must not be empty")
-    try:
-        time = float(time_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"TIME must be a number, got {text!r}"
-        ) from None
-    if not (time >= 0.0 and math.isfinite(time)):
-        raise argparse.ArgumentTypeError(
-            f"outage TIME must be finite and non-negative, got {time_text}"
-        )
-    return (rack, time)
+def _spec(metavar: str, *fields, help: str) -> dict:
+    """Keywords of a repeatable colon-separated flag such as
+    ``NODE:START:DURATION``: each field of *metavar* is parsed by the
+    matching type in *fields* (``str`` for a name) and must not be empty."""
+    labels = metavar.split(":")
+
+    def parse(text: str) -> tuple:
+        parts = text.split(":")
+        if len(parts) != len(fields):
+            raise argparse.ArgumentTypeError(f"expected {metavar}, got {text!r}")
+        values = []
+        for label, field, part in zip(labels, fields, parts):
+            if not part:
+                raise argparse.ArgumentTypeError(
+                    f"{label} must not be empty, got {text!r}"
+                )
+            try:
+                values.append(field(part))
+            except argparse.ArgumentTypeError as error:
+                raise argparse.ArgumentTypeError(f"{label}: {error}") from None
+        return tuple(values)
+
+    return dict(type=parse, action="append", metavar=metavar, help=help)
 
 
-def _tor_fail(text: str) -> tuple[str, float, float]:
-    """argparse type: a ToR-switch failure spec ``RACK:START:DURATION``."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"expected RACK:START:DURATION, got {text!r}"
-        )
-    rack, start_text, duration_text = parts
-    if not rack:
-        raise argparse.ArgumentTypeError("ToR-failure rack name must not be empty")
-    try:
-        start = float(start_text)
-        duration = float(duration_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"START and DURATION must be numbers, got {text!r}"
-        ) from None
-    if not (start >= 0.0 and math.isfinite(start)):
-        raise argparse.ArgumentTypeError(
-            f"ToR-failure START must be finite and non-negative, got {start_text}"
-        )
-    if not (duration > 0.0 and math.isfinite(duration)):
-        raise argparse.ArgumentTypeError(
-            f"ToR-failure DURATION must be finite and positive, got {duration_text}"
-        )
-    return (rack, start, duration)
-
-
-def _seconds(text: str) -> float:
-    """argparse type: a finite, non-negative simulated time."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (value >= 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite non-negative number of seconds, got {text}"
-        )
-    return value
-
-
-def _positive_rate(text: str) -> float:
-    """argparse type: a finite, strictly positive rate (NaN-proof)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite positive rate, got {text}"
-        )
-    return value
-
-
-def _count(text: str) -> int:
-    """argparse type: a positive integer count."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a count") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a count >= 1, got {text}")
-    return value
-
-
-def _retry_budget(text: str) -> int:
-    """argparse type: a retry budget in [0, 16]."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a retry count") from None
-    if not 0 <= value <= 16:
-        raise argparse.ArgumentTypeError(
-            f"retry budget must be in [0, 16], got {text}"
-        )
-    return value
-
-
-def _limp(text: str) -> tuple[int, float]:
-    """argparse type: a limping-server spec ``INDEX:FACTOR``."""
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected INDEX:FACTOR, got {text!r}")
-    index_text, factor_text = parts
-    try:
-        index = int(index_text)
-        factor = float(factor_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"INDEX must be an integer and FACTOR a number, got {text!r}"
-        ) from None
-    if index < 0:
-        raise argparse.ArgumentTypeError(
-            f"limping server INDEX must be >= 0, got {index_text}"
-        )
-    if not (factor >= 1.0 and math.isfinite(factor)):
-        raise argparse.ArgumentTypeError(
-            f"limp FACTOR must be finite and >= 1, got {factor_text}"
-        )
-    return (index, factor)
+def _bucket_rates(text: str) -> tuple[float, ...]:
+    """argparse type: comma-separated ascending repeat rates in [0, 1]."""
+    rates = tuple(_RATE(part) for part in text.split(","))
+    if list(rates) != sorted(rates):
+        raise argparse.ArgumentTypeError(f"rates must be ascending, got {text!r}")
+    return rates
 
 
 def _workers(text: str):
     """argparse type: a positive worker count or the literal "auto"."""
-    if text == "auto":
-        return "auto"
+    return "auto" if text == "auto" else _COUNT(text)
+
+
+# -- flags shared between commands, each declared once ---------------------------
+
+
+def _with(flag: tuple, **changes) -> tuple:
+    """*flag* with some of its ``add_argument`` keywords replaced."""
+    name, kwargs = flag
+    return name, {**kwargs, **changes}
+
+
+_WORKLOAD = ("workload", dict(help="suite workload name (see list)"))
+_SEED = ("--seed", dict(type=int, default=0,
+                        help="seed of every random choice the command makes "
+                             "(runs are reproducible)"))
+_SCALE = ("--scale", dict(type=_POSITIVE, help="workload input scale"))
+_INSTRUCTIONS = ("--instructions", dict(type=_COUNT,
+                                        help="trace length per workload"))
+_ENGINE = ("--engine", dict(choices=("fast", "reference"), default="fast",
+                            help="simulation/dispatch engine: fast (the "
+                                 "default) or reference; bit-identical by "
+                                 "contract"))
+_FORMAT = ("--format", dict(choices=("table", "json"), default="table"))
+_SCHEDULER = ("--scheduler", dict(choices=("fifo", "fair", "capacity"),
+                                  default="fair",
+                                  help="which Hadoop-1.x scheduler to model"))
+_JOBS = ("--jobs", dict(type=_COUNT, default=8, help="number of trace jobs"))
+_ARRIVAL_RATE = ("--rate", dict(type=_POSITIVE, default=2.0, metavar="PER_SECOND",
+                                help="mean Poisson arrival rate "
+                                     "(simulated jobs per second)"))
+_OUTPUT = ("--output", dict(metavar="FILE",
+                            help="write the JSON here (default: stdout)"))
+_SLAVES = ("--slaves", dict(type=_COUNT, default=4,
+                            help="number of simulated slave nodes"))
+
+_CLUSTER_SHAPE = (
+    _SLAVES,
+    ("--map-slots", dict(type=_COUNT, default=8, help="map slots per slave")),
+    ("--reduce-slots", dict(type=_COUNT, default=4, help="reduce slots per slave")),
+)
+
+_TRACE_SOURCE = (
+    ("--trace", dict(metavar="FILE",
+                     help="replay this trace JSON (e.g. from gen-trace) "
+                          "instead of generating one; --jobs and --rate are "
+                          "then ignored, and --seed seeds only the fault "
+                          "plan")),
+    _JOBS,
+    _ARRIVAL_RATE,
+    _SEED,
+    _SCHEDULER,
+)
+
+_RACKS = (
+    ("--racks", dict(type=_COUNT, default=1, metavar="N",
+                     help="spread the slaves over N uniform racks "
+                          "(default 1: flat, the pre-topology model)")),
+    ("--rack-fail", _spec("RACK:TIME", str, _SECONDS,
+                          help="rack power outage: crash every node in RACK "
+                               "at TIME seconds (repeatable; needs "
+                               "--racks >= 2)")),
+    ("--tor-fail", _spec("RACK:START:DURATION", str, _SECONDS, _POSITIVE,
+                         help="ToR-switch failure: partition every node in "
+                              "RACK for DURATION seconds from START "
+                              "(repeatable; needs --racks >= 2)")),
+)
+
+#: each fault-injecting command's default ``--crash-time`` (simulated s)
+_CRASH_S = {"run": 1.0, "mix": 0.5, "run-workflow": 1.0}
+
+
+def _node_fault_flags(command: str) -> tuple:
+    """``--crash-node/--crash-time/--partition`` for *command*."""
+    return (
+        ("--crash-node", dict(metavar="NAME",
+                              help="crash this slave mid-run (e.g. slave2)")),
+        ("--crash-time", dict(type=_SECONDS, metavar="SECONDS",
+                              help="simulated time of the --crash-node crash "
+                                   f"(default {_CRASH_S[command]}; requires "
+                                   "--crash-node)")),
+        ("--partition", _spec("NODE:START:DURATION", str, _SECONDS, _POSITIVE,
+                              help="partition NODE off the network for "
+                                   "DURATION seconds from START (repeatable; "
+                                   "e.g. slave2:0.5:2.0)")),
+    )
+
+
+# -- checks and rendering shared between commands -------------------------------
+
+
+def _node_faults(args) -> tuple[tuple, tuple, tuple, tuple]:
+    """Check the node and rack fault flags against the cluster they name and
+    return ``(node_crashes, partitions, rack_outages, tor_failures)``."""
+    from repro.cluster.cluster import slave_names
+    from repro.cluster.topology import Topology
+
+    error = args.parser.error
+    racks = getattr(args, "racks", 1)
+    partitions = tuple(args.partition or ())
+    rack_outages = tuple(getattr(args, "rack_fail", None) or ())
+    tor_failures = tuple(getattr(args, "tor_fail", None) or ())
+    if args.crash_time is not None and not args.crash_node:
+        error("--crash-time requires --crash-node")
+    if (rack_outages or tor_failures) and racks < 2:
+        error("--rack-fail/--tor-fail require --racks >= 2")
+    if racks > args.slaves:
+        error(f"--racks {racks} exceeds --slaves {args.slaves}")
+    nodes = slave_names(args.slaves)
+    rack_names = Topology.uniform(nodes, racks).racks if racks > 1 else ()
+    for flag, kind, known, names in (
+        ("--crash-node", "slave", nodes, [args.crash_node] if args.crash_node else []),
+        ("--partition node", "slave", nodes, [spec[0] for spec in partitions]),
+        ("--rack-fail rack", "rack", rack_names, [spec[0] for spec in rack_outages]),
+        ("--tor-fail rack", "rack", rack_names, [spec[0] for spec in tor_failures]),
+    ):
+        for name in names:
+            if name not in known:
+                error(f"{flag} {name!r} is not a {kind} (have: {', '.join(known)})")
+    node_crashes = ()
+    if args.crash_node:
+        crash_s = _CRASH_S[args.command] if args.crash_time is None else args.crash_time
+        node_crashes = ((args.crash_node, crash_s),)
+    return node_crashes, partitions, rack_outages, tor_failures
+
+
+def _print_block(title: str | None, items: dict, width: int) -> None:
+    """Print a ``key value`` block: floats to three places, sequences
+    comma-joined (``-`` when empty)."""
+    if title:
+        print(title)
+    for key, value in items.items():
+        if isinstance(value, (tuple, list)):
+            value = ", ".join(value) or "-"
+        elif isinstance(value, float):
+            value = f"{value:.3f}"
+        print(f"  {key:<{width}s}{value}")
+
+
+def _load(path: str, command: str, parse):
+    """``parse(text)`` of a CLI input file, or ``None`` when the file cannot
+    be read or parsed (reported in the command's voice)."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a worker count") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("workers must be >= 1")
-    return value
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except OSError as error:
+        print(f"{command}: cannot read {path}: {error}", file=sys.stderr)
+    except (ValueError, TypeError, KeyError) as error:
+        print(f"{command}: {path}: {error}", file=sys.stderr)
+    return None
+
+
+def _emit(text: str, output: str | None, what: str) -> None:
+    """Print *text*, or write it to *output* and say what landed where."""
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        print(f"wrote {what} to {output}")
+    else:
+        print(text)
+
+
+def _run_trace(args, **options):
+    """``(trace, mix)`` for mix and record: the ``--trace`` file, or a
+    generated trace, run through ``--scheduler`` on the ``--slaves``
+    cluster; ``None`` (reported) when the trace file is unusable."""
+    from repro.cluster.scheduler import make_scheduler
+    from repro.cluster.tenancy import (
+        WorkloadTrace,
+        default_pools,
+        default_queues,
+        generate_trace,
+        run_mix,
+    )
+
+    if args.trace:
+        trace = _load(args.trace, args.command, WorkloadTrace.from_json)
+        if trace is None:
+            return None
+    else:
+        trace = generate_trace(
+            seed=args.seed, num_jobs=args.jobs, arrival_rate_per_s=args.rate
+        )
+    scheduler = make_scheduler(
+        args.scheduler, pools=default_pools(trace), queues=default_queues(trace)
+    )
+    mix = run_mix(
+        trace,
+        scheduler,
+        num_slaves=args.slaves,
+        map_slots=args.map_slots,
+        reduce_slots=args.reduce_slots,
+        **options,
+    )
+    return trace, mix
+
+
+# -- command handlers ------------------------------------------------------------
 
 
 def _cmd_list(_args) -> int:
@@ -238,7 +300,6 @@ def _cmd_list(_args) -> int:
     print(f"{'workload':<18s}{'group':<15s}info")
     print("-" * 70)
     for entry in suite:
-        extra = ""
         impl = entry.impl
         if hasattr(impl, "info"):
             extra = f"{impl.info.input_description} ({impl.info.source})"
@@ -265,39 +326,17 @@ def _cmd_run(args) -> int:
     from repro.workloads import workload
 
     parser = args.parser
-    if args.crash_time is not None and not args.crash_node:
-        parser.error("--crash-time requires --crash-node")
     if args.recovery is not None and args.master_crash_time is None:
         parser.error("--recovery requires --master-crash-time")
     if args.master_downtime is not None and args.master_crash_time is None:
         parser.error("--master-downtime requires --master-crash-time")
-
-    rack_outages = tuple(args.rack_fail or ())
-    tor_failures = tuple(args.tor_fail or ())
-    if (rack_outages or tor_failures) and args.racks < 2:
-        parser.error("--rack-fail/--tor-fail require --racks >= 2")
+    node_crashes, partitions, rack_outages, tor_failures = _node_faults(args)
 
     wl = workload(args.workload)
     cluster = make_cluster(args.slaves, block_size=64 * 1024, racks=args.racks)
-    known = [node.name for node in cluster.slaves]
-    known_racks = list(cluster.topology.racks) if cluster.topology else []
-    for flag, specs in (("--rack-fail", rack_outages), ("--tor-fail", tor_failures)):
-        for rack, *_rest in specs:
-            if rack not in known_racks:
-                parser.error(f"{flag} rack {rack!r} is not a rack "
-                             f"(have: {', '.join(known_racks)})")
-    if args.crash_node:
-        if args.crash_node not in known:
-            parser.error(f"--crash-node {args.crash_node!r} is not a slave "
-                         f"(have: {', '.join(known)})")
-    partitions = tuple(args.partition or ())
-    for part_node, _, _ in partitions:
-        if part_node not in known:
-            parser.error(f"--partition node {part_node!r} is not a slave "
-                         f"(have: {', '.join(known)})")
     faulty = bool(
         args.faults > 0
-        or args.crash_node
+        or node_crashes
         or args.master_crash_time is not None
         or args.corruption_rate > 0
         or args.link_loss > 0
@@ -307,10 +346,6 @@ def _cmd_run(args) -> int:
         or args.scrub
     )
     if faulty:
-        node_crashes = ()
-        if args.crash_node:
-            crash_time = args.crash_time if args.crash_time is not None else 1.0
-            node_crashes = ((args.crash_node, crash_time),)
         plan = FaultPlan(
             map_failure_rate=args.faults,
             reduce_failure_rate=args.faults,
@@ -336,17 +371,12 @@ def _cmd_run(args) -> int:
         return 1
     print(f"{wl.info.name}: {len(run.job_results)} job(s), "
           f"{run.duration_s:.3f}s simulated on {args.slaves} slave(s)")
-    for key, value in run.counters.as_dict().items():
-        print(f"  {key:<28s}{value}")
-    print(f"  {'Disk writes per second':<28s}{run.disk_writes_per_second():.1f}")
+    _print_block(None, {
+        **run.counters.as_dict(),
+        "Disk writes per second": f"{run.disk_writes_per_second():.1f}",
+    }, 28)
     if faulty:
-        print("resilience accounting:")
-        for key, value in aggregate_accounting(run.timelines).items():
-            if isinstance(value, tuple):
-                value = ", ".join(value) or "-"
-            elif isinstance(value, float):
-                value = f"{value:.3f}"
-            print(f"  {key:<28s}{value}")
+        _print_block("resilience accounting:", aggregate_accounting(run.timelines), 28)
     return 0
 
 
@@ -417,6 +447,9 @@ def _cmd_colocate(args) -> int:
     from repro.uarch.config import scaled_machine
     from repro.uarch.multicore import MultiCoreSystem
 
+    if len(args.workloads) < 2 or len(set(args.workloads)) != len(args.workloads):
+        args.parser.error("colocate needs two or more distinct workloads, "
+                          f"got {' '.join(args.workloads)}")
     suite = DCBench.default()
     scale = 8
     specs = [
@@ -438,67 +471,13 @@ def _cmd_colocate(args) -> int:
 def _cmd_mix(args) -> int:
     import json
 
-    from repro.cluster import FaultPlan, JobFailedError, Topology
-    from repro.cluster.scheduler import make_scheduler
-    from repro.cluster.tenancy import (
-        WorkloadTrace,
-        characterize_colocation,
-        default_pools,
-        default_queues,
-        generate_trace,
-        run_mix,
-    )
+    from repro.cluster import FaultPlan, JobFailedError
+    from repro.cluster.tenancy import characterize_colocation
     from repro.core.simcache import MixCache
 
-    parser = args.parser
-    if args.crash_time is not None and not args.crash_node:
-        parser.error("--crash-time requires --crash-node")
-    known = [f"slave{i}" for i in range(1, args.slaves + 1)]
-    if args.crash_node and args.crash_node not in known:
-        parser.error(f"--crash-node {args.crash_node!r} is not a slave "
-                     f"(have: {', '.join(known)})")
-    partitions = tuple(args.partition or ())
-    for part_node, _, _ in partitions:
-        if part_node not in known:
-            parser.error(f"--partition node {part_node!r} is not a slave "
-                         f"(have: {', '.join(known)})")
-    rack_outages = tuple(args.rack_fail or ())
-    tor_failures = tuple(args.tor_fail or ())
-    if (rack_outages or tor_failures) and args.racks < 2:
-        parser.error("--rack-fail/--tor-fail require --racks >= 2")
-    known_racks = (
-        list(Topology.uniform(known, args.racks).racks) if args.racks > 1 else []
-    )
-    for flag, specs in (("--rack-fail", rack_outages), ("--tor-fail", tor_failures)):
-        for rack, *_rest in specs:
-            if rack not in known_racks:
-                parser.error(f"{flag} rack {rack!r} is not a rack "
-                             f"(have: {', '.join(known_racks)})")
-
-    if args.trace:
-        text = _read_file(args.trace, "mix")
-        if text is None:
-            return 2
-        try:
-            trace = WorkloadTrace.from_json(text)
-        except ValueError as error:
-            print(f"mix: {args.trace}: {error}", file=sys.stderr)
-            return 2
-    else:
-        trace = generate_trace(
-            seed=args.seed, num_jobs=args.jobs, arrival_rate_per_s=args.rate
-        )
-    scheduler = make_scheduler(
-        args.scheduler,
-        pools=default_pools(trace),
-        queues=default_queues(trace),
-    )
+    node_crashes, partitions, rack_outages, tor_failures = _node_faults(args)
     plan = None
-    if args.crash_node or partitions or rack_outages or tor_failures:
-        node_crashes = ()
-        if args.crash_node:
-            crash_time = args.crash_time if args.crash_time is not None else 0.5
-            node_crashes = ((args.crash_node, crash_time),)
+    if node_crashes or partitions or rack_outages or tor_failures:
         plan = FaultPlan(
             node_crashes=node_crashes,
             partitions=partitions,
@@ -508,20 +487,14 @@ def _cmd_mix(args) -> int:
         )
     mix_cache = None if args.no_mix_cache else MixCache()
     try:
-        mix = run_mix(
-            trace,
-            scheduler,
-            num_slaves=args.slaves,
-            map_slots=args.map_slots,
-            reduce_slots=args.reduce_slots,
-            plan=plan,
-            racks=args.racks,
-            engine=args.engine,
-            mix_cache=mix_cache,
-        )
+        ran = _run_trace(args, plan=plan, racks=args.racks, engine=args.engine,
+                         mix_cache=mix_cache)
     except JobFailedError as error:
         print(f"mix: {error}", file=sys.stderr)
         return 1
+    if ran is None:
+        return 2
+    trace, mix = ran
 
     colocation = None
     if args.colocate:
@@ -553,13 +526,7 @@ def _cmd_mix(args) -> int:
               f"mean wait {stats['mean_wait_s']:.3f}s  "
               f"mean slowdown {stats['mean_slowdown']:.2f}x")
     if plan is not None:
-        print("fault accounting:")
-        for key, value in mix.outcome.fault_accounting.to_dict().items():
-            if isinstance(value, list):
-                value = ", ".join(value) or "-"
-            elif isinstance(value, float):
-                value = f"{value:.3f}"
-            print(f"  {key:<27s}{value}")
+        _print_block("fault accounting:", mix.outcome.fault_accounting.to_dict(), 27)
     if args.colocate:
         if colocation is None:
             print("co-location: no instant with two jobs' tasks on one node")
@@ -572,90 +539,32 @@ def _cmd_mix(args) -> int:
     return 0
 
 
-def _read_file(path: str, command: str) -> str | None:
-    """Read a CLI input file, reporting failure in the command's voice."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as error:
-        print(f"{command}: cannot read {path}: {error}", file=sys.stderr)
-        return None
-
-
-def _emit(text: str, output: str | None, what: str) -> None:
-    """Print *text*, or write it to *output* and say what landed where."""
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {what} to {output}")
-    else:
-        print(text)
-
-
 def _cmd_record(args) -> int:
-    from repro.cluster.scheduler import make_scheduler
-    from repro.cluster.tenancy import (
-        WorkloadTrace,
-        default_pools,
-        default_queues,
-        generate_trace,
-        run_mix,
-    )
     from repro.recipes import record_instance
 
-    if args.trace:
-        text = _read_file(args.trace, "record")
-        if text is None:
-            return 2
-        try:
-            trace = WorkloadTrace.from_json(text)
-        except ValueError as error:
-            print(f"record: {args.trace}: {error}", file=sys.stderr)
-            return 2
-    else:
-        trace = generate_trace(
-            seed=args.seed, num_jobs=args.jobs, arrival_rate_per_s=args.rate
-        )
-    scheduler = make_scheduler(
-        args.scheduler, pools=default_pools(trace), queues=default_queues(trace)
-    )
-    mix = run_mix(
-        trace,
-        scheduler,
-        num_slaves=args.slaves,
-        map_slots=args.map_slots,
-        reduce_slots=args.reduce_slots,
-    )
-    instance = record_instance(mix, name=args.name)
+    ran = _run_trace(args)
+    if ran is None:
+        return 2
+    instance = record_instance(ran[1], name=args.name)
     _emit(instance.to_json(), args.output,
           f"instance ({len(instance.jobs)} jobs)")
     return 0
 
 
-def _load_instance(path: str, command: str):
-    """An Instance from a file holding either an instance or a bare trace."""
+def _cmd_fit_recipe(args) -> int:
     import json
 
     from repro.cluster.tenancy import WorkloadTrace
-    from repro.recipes import Instance, instance_from_trace
+    from repro.recipes import Instance, fit_recipe, instance_from_trace
 
-    text = _read_file(path, command)
-    if text is None:
-        return None
-    try:
+    def parse(text: str):
+        """An Instance from an instance JSON or a bare trace JSON."""
         data = json.loads(text)
         if isinstance(data, dict) and "schema_version" in data:
             return Instance.from_dict(data)
         return instance_from_trace(WorkloadTrace.from_dict(data))
-    except (ValueError, TypeError, KeyError) as error:
-        print(f"{command}: {path}: {error}", file=sys.stderr)
-        return None
 
-
-def _cmd_fit_recipe(args) -> int:
-    from repro.recipes import fit_recipe
-
-    instance = _load_instance(args.instance, "fit-recipe")
+    instance = _load(args.instance, "fit-recipe", parse)
     if instance is None:
         return 2
     recipe = fit_recipe(instance, name=args.name)
@@ -668,37 +577,13 @@ def _cmd_fit_recipe(args) -> int:
 def _cmd_gen_trace(args) -> int:
     from repro.recipes import Recipe, generate_from_recipe
 
-    text = _read_file(args.recipe, "gen-trace")
-    if text is None:
-        return 2
-    try:
-        recipe = Recipe.from_json(text)
-    except (ValueError, TypeError, KeyError) as error:
-        print(f"gen-trace: {args.recipe}: {error}", file=sys.stderr)
+    recipe = _load(args.recipe, "gen-trace", Recipe.from_json)
+    if recipe is None:
         return 2
     trace = generate_from_recipe(recipe, num_jobs=args.jobs, seed=args.seed)
     _emit(trace.to_json(), args.output,
           f"trace ({len(trace.jobs)} jobs)")
     return 0
-
-
-def _bucket_rates(text: str) -> tuple[float, ...]:
-    """argparse type: comma-separated ascending repeat rates in [0, 1]."""
-    try:
-        rates = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated rates, got {text!r}"
-        ) from None
-    if not rates or any(not 0.0 <= r <= 1.0 for r in rates):
-        raise argparse.ArgumentTypeError(
-            f"rates must be in [0, 1], got {text!r}"
-        )
-    if list(rates) != sorted(rates):
-        raise argparse.ArgumentTypeError(
-            f"rates must be ascending, got {text!r}"
-        )
-    return rates
 
 
 def _cmd_rep_bench(args) -> int:
@@ -730,22 +615,6 @@ def _cmd_rep_bench(args) -> int:
     return 0
 
 
-def _fail_stage(text: str) -> tuple[str, int]:
-    """argparse type: an injected stage-failure spec ``STAGE:N``."""
-    stage, sep, count_text = text.rpartition(":")
-    if not sep or not stage:
-        raise argparse.ArgumentTypeError(f"expected STAGE:N, got {text!r}")
-    try:
-        count = int(count_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"N must be an integer, got {text!r}"
-        ) from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"N must be >= 1, got {count_text}")
-    return (stage, count)
-
-
 def _cmd_workflow(args) -> int:
     import json
 
@@ -759,45 +628,22 @@ def _cmd_workflow(args) -> int:
     from repro.core.export import workflow_to_json
 
     parser = args.parser
-    if args.scale <= 0:
-        parser.error(f"--scale must be positive, got {args.scale}")
-    if args.slaves < 1:
-        parser.error(f"--slaves must be >= 1, got {args.slaves}")
-    if args.crash_time is not None and not args.crash_node:
-        parser.error("--crash-time requires --crash-node")
-    known = [f"slave{i}" for i in range(1, args.slaves + 1)]
-    if args.crash_node and args.crash_node not in known:
-        parser.error(f"--crash-node {args.crash_node!r} is not a slave "
-                     f"(have: {', '.join(known)})")
-    partitions = tuple(args.partition or ())
-    for part_node, _, _ in partitions:
-        if part_node not in known:
-            parser.error(f"--partition node {part_node!r} is not a slave "
-                         f"(have: {', '.join(known)})")
-
+    node_crashes, partitions, _, _ = _node_faults(args)
     workflow = build_workflow(
         args.dag, scale=args.scale, num_slaves=args.slaves
     )
     stages = set(workflow.order)
     destroy = tuple(args.destroy_output or ())
     fail_stages = tuple(args.fail_stage or ())
-    for name in destroy:
+    named = [("--destroy-output", name) for name in destroy]
+    named += [("--fail-stage", name) for name, _ in fail_stages]
+    if args.master_crash_after:
+        named.append(("--master-crash-after", args.master_crash_after))
+    for flag, name in named:
         if name not in stages:
-            parser.error(f"--destroy-output stage {name!r} is not in "
+            parser.error(f"{flag} stage {name!r} is not in "
                          f"{args.dag} (have: {', '.join(workflow.order)})")
-    for name, _ in fail_stages:
-        if name not in stages:
-            parser.error(f"--fail-stage stage {name!r} is not in "
-                         f"{args.dag} (have: {', '.join(workflow.order)})")
-    if args.master_crash_after and args.master_crash_after not in stages:
-        parser.error(f"--master-crash-after stage "
-                     f"{args.master_crash_after!r} is not in {args.dag} "
-                     f"(have: {', '.join(workflow.order)})")
 
-    node_crashes = ()
-    if args.crash_node:
-        crash_time = args.crash_time if args.crash_time is not None else 1.0
-        node_crashes = ((args.crash_node, crash_time),)
     plan = None
     if node_crashes or partitions or destroy or fail_stages \
             or args.master_crash_after:
@@ -831,11 +677,7 @@ def _cmd_workflow(args) -> int:
             print(f"{report.stage:<10s}{report.status:<11s}"
                   f"{report.executions:>6d}{report.retries:>8d}"
                   f"{report.recomputes:>11d}{finished:>10s}")
-        print("accounting:")
-        for key, value in acct.to_dict().items():
-            if isinstance(value, float):
-                value = f"{value:.3f}"
-            print(f"  {key:<26s}{value}")
+        _print_block("accounting:", acct.to_dict(), 26)
         print(f"events: {len(result.events)} delivered")
 
     # Contract: without injected permanent failures the DAG must
@@ -867,13 +709,24 @@ def _render_serve_report(label: str, report) -> None:
     print(f"  {report.procfs.render('overload')}")
 
 
+#: serve's degradation-posture flags, which --compare replaces with its own
+_POSTURE = ("limp", "unprotected", "max_queue", "shed_rate", "shed_threshold",
+            "retries")
+
+
 def _cmd_serve(args) -> int:
     import json
 
     from repro.cluster.chaos import run_overload_chaos
     from repro.cluster.serve import ArrivalProcess, ServePolicy, run_service
 
+    parser = args.parser
     if args.compare:
+        ignored = [f"--{dest.replace('_', '-')}" for dest in _POSTURE
+                   if getattr(args, dest) != parser.get_default(dest)]
+        if ignored:
+            parser.error(f"--compare runs its own protected and unprotected "
+                         f"postures; drop {', '.join(ignored)}")
         result = run_overload_chaos(
             seed=args.seed,
             rate_per_s=args.rate,
@@ -905,7 +758,7 @@ def _cmd_serve(args) -> int:
 
     for index, _ in args.limp or ():
         if index >= args.servers:
-            args.parser.error(
+            parser.error(
                 f"--limp server {index} is not in the bank "
                 f"(have 0..{args.servers - 1})"
             )
@@ -947,303 +800,185 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+# -- the command table -----------------------------------------------------------
+
+COMMANDS = (
+    ("list", "list the DCBench suite", _cmd_list, ()),
+    ("tables", "print Tables I-III", _cmd_tables, ()),
+    ("run", "execute one workload on a simulated cluster, optionally under "
+            "fault injection", _cmd_run, (
+        _WORKLOAD,
+        _with(_SCALE, default=0.5),
+        _SLAVES,
+        _SEED,
+        ("--faults", dict(type=_RATE, default=0.0, metavar="RATE",
+                          help="per-attempt task failure probability "
+                               "(0 disables)")),
+        *_node_fault_flags("run"),
+        ("--master-crash-time", dict(type=_SECONDS, metavar="SECONDS",
+                                     help="crash the JobTracker/NameNode at "
+                                          "this simulated time")),
+        ("--recovery", dict(choices=("restart", "resume"),
+                            help="restarted master re-submits in-flight jobs "
+                                 "(restart, stock 1.x) or replays the job-history "
+                                 "journal (resume, default); requires "
+                                 "--master-crash-time")),
+        ("--master-downtime", dict(type=_SECONDS, metavar="SECONDS",
+                                   help="control-plane downtime after the master "
+                                        "crash (default 0.75; requires "
+                                        "--master-crash-time)")),
+        ("--corruption-rate", dict(type=_RATE, default=0.0, metavar="RATE",
+                                   help="per-replica at-rest bit-rot probability, "
+                                        "caught by CRC32 checksums on read")),
+        ("--link-loss", dict(type=_number(float, 0, 1, open_hi=True, what="rate"),
+                             default=0.0, metavar="RATE",
+                             help="per-segment network loss probability; lost "
+                                  "segments are retransmitted at TCP-like cost")),
+        *_RACKS,
+        ("--scrub", dict(action="store_true",
+                         help="run the DataBlockScanner scrubber after the job")),
+    )),
+    ("characterize", "Figures 3-12 metrics", _cmd_characterize, (
+        ("workloads", dict(nargs="*", help="workload names (default: all)")),
+        _with(_INSTRUCTIONS, default=200_000),
+        _with(_FORMAT, choices=("table", "csv", "json")),
+        _ENGINE,
+        ("--workers", dict(type=_workers, metavar="N|auto",
+                           help="parallelize the suite over N processes")),
+        ("--no-sim-cache", dict(action="store_true",
+                                help="bypass the persistent .repro-cache")),
+    )),
+    ("speedup", "the Figure 2 scaling study", _cmd_speedup, ()),
+    ("domains", "the Figure 1 domain shares", _cmd_domains, ()),
+    ("colocate", "co-locate workloads on one socket", _cmd_colocate, (
+        ("workloads", dict(nargs="+", help="two or more distinct suite workloads")),
+        _with(_INSTRUCTIONS, default=80_000),
+    )),
+    ("mix", "multi-tenant trace through a scheduler", _cmd_mix, (
+        *_TRACE_SOURCE,
+        *_CLUSTER_SHAPE,
+        *_node_fault_flags("mix"),
+        *_RACKS,
+        _ENGINE,
+        ("--no-mix-cache", dict(action="store_true",
+                                help="bypass the persistent .repro-cache "
+                                     "(also REPRO_MIX_CACHE=0)")),
+        ("--colocate", dict(action="store_true",
+                            help="characterize the busiest co-located instant")),
+        _with(_INSTRUCTIONS, default=20_000),
+        _FORMAT,
+    )),
+    ("record", "run a multi-tenant mix and serialize it as a WfCommons-style "
+               "instance JSON", _cmd_record, (
+        *_TRACE_SOURCE,
+        *_CLUSTER_SHAPE,
+        ("--name", dict(default="recorded-mix",
+                        help="instance name stored in the JSON")),
+        _OUTPUT,
+    )),
+    ("fit-recipe", "fit a workload recipe (mix, sizes, arrivals, "
+                   "repetitiveness) from an instance or trace JSON",
+     _cmd_fit_recipe, (
+        ("instance", dict(help="instance JSON (from record) or trace JSON")),
+        ("--name", dict(help="recipe name (default: the instance's)")),
+        _OUTPUT,
+    )),
+    ("gen-trace", "regenerate a synthetic workload trace of any length from "
+                  "a fitted recipe", _cmd_gen_trace, (
+        ("recipe", dict(help="recipe JSON (from fit-recipe)")),
+        _with(_JOBS, default=50),
+        _SEED,
+        _OUTPUT,
+    )),
+    ("rep-bench", "Redbench-style repetition benchmark: materialization-cache "
+                  "payoff per repetitiveness bucket", _cmd_rep_bench, (
+        ("--buckets", dict(type=_bucket_rates, default=(0.0, 0.25, 0.5, 0.75, 0.95),
+                           metavar="R1,R2,...",
+                           help="ascending target repeat rates, one bucket each")),
+        ("--queries", dict(type=_COUNT, default=24, help="queries per bucket")),
+        _SEED,
+        _with(_SCALE, default=1.0),
+        _with(_SLAVES, default=2),
+        ("--no-result-cache", dict(action="store_true",
+                                   help="disable the materialization cache "
+                                        "(also REPRO_RESULT_CACHE=0)")),
+        _FORMAT,
+    )),
+    ("serve", "open-loop service traffic through a degrading frontend",
+     _cmd_serve, (
+        _with(_ARRIVAL_RATE, default=8.0,
+              help="mean open-loop arrival rate (requests per second)"),
+        ("--requests", dict(type=_COUNT, default=200,
+                            help="number of requests to offer")),
+        ("--servers", dict(type=_COUNT, default=4,
+                           help="identical servers in the bank")),
+        ("--pattern", dict(choices=("poisson", "diurnal", "bursty"),
+                           default="poisson", help="arrival process shape")),
+        _SEED,
+        ("--deadline", dict(type=_POSITIVE, default=8.0, metavar="SECONDS",
+                            help="per-request deadline (the SLO)")),
+        ("--max-queue", dict(type=_COUNT, default=64,
+                             help="admission-control queue-depth limit")),
+        ("--shed-rate", dict(type=_RATE, default=0.0, metavar="RATE",
+                             help="fraction of traffic shed above --shed-threshold")),
+        ("--shed-threshold", dict(type=_COUNT, default=16,
+                                  help="queue depth at which shedding starts")),
+        ("--retries", dict(type=_number(int, 0, 16, what="retry budget"), default=1,
+                           help="retry budget for deadline-killed requests")),
+        ("--limp", _spec("INDEX:FACTOR", _number(int, 0, what="server index"),
+                         _number(float, 1),
+                         help="limp this server's service time by FACTOR "
+                              "(repeatable; e.g. 0:3.0)")),
+        ("--unprotected", dict(action="store_true",
+                               help="disable every degradation control "
+                                    "(the overload control group)")),
+        ("--compare", dict(action="store_true",
+                           help="run protected vs unprotected on the same arrivals "
+                                "(no posture flags); exit 1 unless protected "
+                                "wins on p99")),
+        _FORMAT,
+    )),
+    ("run-workflow", "run a multi-stage DAG workflow with lineage-based "
+                     "recovery", _cmd_workflow, (
+        ("--dag", dict(choices=("hive-chain", "kmeans", "pagerank", "diamond"),
+                       default="hive-chain", help="which prebuilt DAG to run")),
+        _with(_SCHEDULER, default="fifo"),
+        _SEED,
+        _with(_SCALE, default=0.05),
+        _SLAVES,
+        *_node_fault_flags("run-workflow"),
+        ("--destroy-output", dict(action="append", metavar="STAGE",
+                                  help="destroy every replica of STAGE's output "
+                                       "once it commits (repeatable)")),
+        ("--fail-stage", _spec("STAGE:N", str, _COUNT,
+                               help="fail STAGE's first N executions at commit "
+                                    "(repeatable)")),
+        ("--master-crash-after", dict(metavar="STAGE",
+                                      help="crash the JobTracker right after "
+                                           "STAGE's wave commits")),
+        _FORMAT,
+    )),
+    ("profile", "sampled flat profile of a workload", _cmd_profile, (
+        _WORKLOAD,
+        _with(_INSTRUCTIONS, default=100_000),
+        ("--period", dict(type=_COUNT, default=97,
+                          help="sample every N-th retired op")),
+        ("--top", dict(type=_COUNT, default=10, help="rows to print")),
+    )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DCBench-style workload characterization (IISWC 2013 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list the DCBench suite").set_defaults(fn=_cmd_list)
-    sub.add_parser("tables", help="print Tables I-III").set_defaults(fn=_cmd_tables)
-
-    run = sub.add_parser("run", help="execute one workload on a simulated cluster")
-    run.add_argument("workload")
-    run.add_argument("--scale", type=float, default=0.5)
-    run.add_argument("--slaves", type=int, default=4)
-    run.add_argument("--faults", type=_rate, default=0.0, metavar="RATE",
-                     help="per-attempt task failure probability (0 disables)")
-    run.add_argument("--seed", type=int, default=0,
-                     help="fault-injection seed (runs are reproducible)")
-    run.add_argument("--crash-node", metavar="NAME",
-                     help="crash this slave mid-run (e.g. slave2)")
-    run.add_argument("--crash-time", type=_seconds, default=None, metavar="SECONDS",
-                     help="simulated time of the --crash-node crash "
-                          "(default 1.0; requires --crash-node)")
-    run.add_argument("--master-crash-time", type=_seconds, default=None,
-                     metavar="SECONDS",
-                     help="crash the JobTracker/NameNode at this simulated time")
-    run.add_argument("--recovery", choices=("restart", "resume"), default=None,
-                     help="what the restarted master does with in-flight jobs: "
-                          "re-submit from scratch (restart, stock 1.x) or "
-                          "replay the job-history journal (resume, default); "
-                          "requires --master-crash-time")
-    run.add_argument("--master-downtime", type=_seconds, default=None,
-                     metavar="SECONDS",
-                     help="control-plane downtime after the master crash "
-                          "(default 0.75; requires --master-crash-time)")
-    run.add_argument("--corruption-rate", type=_rate, default=0.0, metavar="RATE",
-                     help="per-replica at-rest bit-rot probability "
-                          "(corrupt replicas are caught by CRC32 checksums "
-                          "on read; 0 disables)")
-    run.add_argument("--link-loss", type=_link_rate, default=0.0, metavar="RATE",
-                     help="per-segment network loss probability in [0, 1); "
-                          "lost segments are retransmitted at TCP-like cost")
-    run.add_argument("--racks", type=_count, default=1, metavar="N",
-                     help="spread the slaves over N uniform racks "
-                          "(default 1: flat, the pre-topology model)")
-    run.add_argument("--rack-fail", type=_rack_fail, action="append",
-                     metavar="RACK:TIME",
-                     help="rack power outage: crash every node in RACK at "
-                          "TIME seconds (repeatable; needs --racks >= 2)")
-    run.add_argument("--tor-fail", type=_tor_fail, action="append",
-                     metavar="RACK:START:DURATION",
-                     help="ToR-switch failure: partition every node in RACK "
-                          "for DURATION seconds from START (repeatable; "
-                          "needs --racks >= 2)")
-    run.add_argument("--partition", type=_partition, action="append",
-                     metavar="NODE:START:DURATION",
-                     help="partition this slave off the network for DURATION "
-                          "seconds starting at simulated time START "
-                          "(repeatable; e.g. slave2:0.5:2.0)")
-    run.add_argument("--scrub", action="store_true",
-                     help="run the DataBlockScanner scrubber after the job "
-                          "(finds and repairs at-rest corruption)")
-    run.set_defaults(fn=_cmd_run, parser=run)
-
-    ch = sub.add_parser("characterize", help="Figures 3-12 metrics")
-    ch.add_argument("workloads", nargs="*", help="workload names (default: all)")
-    ch.add_argument("--instructions", type=int, default=200_000)
-    ch.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    ch.add_argument("--engine", choices=("fast", "reference"), default="fast",
-                    help="simulation engine (bit-identical; fast is the default)")
-    ch.add_argument("--workers", type=_workers, default=None, metavar="N|auto",
-                    help="parallelize the suite over N processes")
-    ch.add_argument("--no-sim-cache", action="store_true",
-                    help="bypass the persistent .repro-cache result cache")
-    ch.set_defaults(fn=_cmd_characterize)
-
-    sub.add_parser("speedup", help="the Figure 2 scaling study").set_defaults(
-        fn=_cmd_speedup
-    )
-    sub.add_parser("domains", help="the Figure 1 domain shares").set_defaults(
-        fn=_cmd_domains
-    )
-
-    col = sub.add_parser("colocate", help="co-locate workloads on one socket")
-    col.add_argument("workloads", nargs="+", help="two or more suite workloads")
-    col.add_argument("--instructions", type=int, default=80_000)
-    col.set_defaults(fn=_cmd_colocate)
-
-    mix = sub.add_parser("mix", help="multi-tenant trace through a scheduler")
-    mix.add_argument("--scheduler", choices=("fifo", "fair", "capacity"),
-                     default="fair", help="which Hadoop-1.x scheduler to model")
-    mix.add_argument("--jobs", type=int, default=8,
-                     help="number of trace jobs to generate")
-    mix.add_argument("--rate", type=_seconds, default=2.0, metavar="PER_SECOND",
-                     help="Poisson arrival rate (simulated jobs per second)")
-    mix.add_argument("--trace", metavar="FILE",
-                     help="replay a trace JSON (e.g. from gen-trace or "
-                          "WorkloadTrace.to_json) instead of generating one; "
-                          "--jobs/--rate/--seed are ignored")
-    mix.add_argument("--seed", type=int, default=0,
-                     help="trace + fault seed (mixes are reproducible)")
-    mix.add_argument("--slaves", type=int, default=4)
-    mix.add_argument("--map-slots", type=int, default=8,
-                     help="map slots per slave")
-    mix.add_argument("--reduce-slots", type=int, default=4,
-                     help="reduce slots per slave")
-    mix.add_argument("--crash-node", metavar="NAME",
-                     help="crash this slave mid-trace (e.g. slave2)")
-    mix.add_argument("--crash-time", type=_seconds, default=None,
-                     metavar="SECONDS",
-                     help="simulated time of the --crash-node crash "
-                          "(default 0.5; requires --crash-node)")
-    mix.add_argument("--racks", type=_count, default=1, metavar="N",
-                     help="spread the slaves over N uniform racks "
-                          "(default 1: flat, the pre-topology model)")
-    mix.add_argument("--rack-fail", type=_rack_fail, action="append",
-                     metavar="RACK:TIME",
-                     help="rack power outage: crash every node in RACK at "
-                          "TIME seconds (repeatable; needs --racks >= 2)")
-    mix.add_argument("--tor-fail", type=_tor_fail, action="append",
-                     metavar="RACK:START:DURATION",
-                     help="ToR-switch failure: partition every node in RACK "
-                          "for DURATION seconds from START (repeatable; "
-                          "needs --racks >= 2)")
-    mix.add_argument("--partition", type=_partition, action="append",
-                     metavar="NODE:START:DURATION",
-                     help="partition this slave off the network "
-                          "(repeatable; e.g. slave1:0.1:1.0)")
-    mix.add_argument("--engine", choices=("fast", "reference"), default="fast",
-                     help="cluster dispatch engine: fast (indexed, the "
-                          "default) or reference; bit-identical by contract")
-    mix.add_argument("--no-mix-cache", action="store_true",
-                     help="bypass the persistent .repro-cache mix cache "
-                          "(the escape hatch; also REPRO_MIX_CACHE=0)")
-    mix.add_argument("--colocate", action="store_true",
-                     help="characterize the busiest co-located instant "
-                          "under a shared LLC")
-    mix.add_argument("--instructions", type=int, default=20_000,
-                     help="trace length per workload for --colocate")
-    mix.add_argument("--format", choices=("table", "json"), default="table")
-    mix.set_defaults(fn=_cmd_mix, parser=mix)
-
-    rec = sub.add_parser(
-        "record",
-        help="run a multi-tenant mix and serialize it as a WfCommons-style "
-             "instance JSON",
-    )
-    rec.add_argument("--trace", metavar="FILE",
-                     help="play this trace JSON instead of generating one")
-    rec.add_argument("--jobs", type=int, default=8,
-                     help="number of jobs in the generated trace")
-    rec.add_argument("--rate", type=_positive_rate, default=2.0,
-                     metavar="PER_SECOND", help="mean Poisson arrival rate")
-    rec.add_argument("--seed", type=int, default=0,
-                     help="trace seed (traces are reproducible)")
-    rec.add_argument("--scheduler", choices=("fifo", "fair", "capacity"),
-                     default="fair")
-    rec.add_argument("--slaves", type=int, default=4)
-    rec.add_argument("--map-slots", type=int, default=8)
-    rec.add_argument("--reduce-slots", type=int, default=4)
-    rec.add_argument("--name", default="recorded-mix",
-                     help="instance name stored in the JSON")
-    rec.add_argument("--output", metavar="FILE",
-                     help="write the instance JSON here (default: stdout)")
-    rec.set_defaults(fn=_cmd_record, parser=rec)
-
-    fit = sub.add_parser(
-        "fit-recipe",
-        help="fit a workload recipe (mix, sizes, arrivals, repetitiveness) "
-             "from an instance or trace JSON",
-    )
-    fit.add_argument("instance", help="instance JSON (from record) or "
-                                      "trace JSON (from gen-trace)")
-    fit.add_argument("--name", default=None,
-                     help="recipe name (default: derived from the instance)")
-    fit.add_argument("--output", metavar="FILE",
-                     help="write the recipe JSON here (default: stdout)")
-    fit.set_defaults(fn=_cmd_fit_recipe, parser=fit)
-
-    gen = sub.add_parser(
-        "gen-trace",
-        help="regenerate a synthetic workload trace of any length from a "
-             "fitted recipe",
-    )
-    gen.add_argument("recipe", help="recipe JSON (from fit-recipe)")
-    gen.add_argument("--jobs", type=_count, default=50,
-                     help="number of synthetic submissions to generate")
-    gen.add_argument("--seed", type=int, default=0,
-                     help="generation seed (generation is deterministic)")
-    gen.add_argument("--output", metavar="FILE",
-                     help="write the trace JSON here (default: stdout)")
-    gen.set_defaults(fn=_cmd_gen_trace, parser=gen)
-
-    rep = sub.add_parser(
-        "rep-bench",
-        help="Redbench-style repetition benchmark: materialization-cache "
-             "payoff per repetitiveness bucket",
-    )
-    rep.add_argument("--buckets", type=_bucket_rates,
-                     default=(0.0, 0.25, 0.5, 0.75, 0.95),
-                     metavar="R1,R2,...",
-                     help="ascending target repeat rates, one bucket each")
-    rep.add_argument("--queries", type=_count, default=24,
-                     help="queries per bucket")
-    rep.add_argument("--seed", type=int, default=0,
-                     help="stream seed (streams are reproducible)")
-    rep.add_argument("--scale", type=float, default=1.0,
-                     help="warehouse table scale")
-    rep.add_argument("--slaves", type=int, default=2)
-    rep.add_argument("--no-result-cache", action="store_true",
-                     help="run with the materialization cache disabled "
-                          "(the escape hatch; also REPRO_RESULT_CACHE=0)")
-    rep.add_argument("--format", choices=("table", "json"), default="table")
-    rep.set_defaults(fn=_cmd_rep_bench, parser=rep)
-
-    serve = sub.add_parser(
-        "serve", help="open-loop service traffic through a degrading frontend"
-    )
-    serve.add_argument("--rate", type=_positive_rate, default=8.0,
-                       metavar="PER_SECOND",
-                       help="mean open-loop arrival rate (requests per second)")
-    serve.add_argument("--requests", type=_count, default=200,
-                       help="number of requests to offer")
-    serve.add_argument("--servers", type=_count, default=4,
-                       help="identical servers in the bank")
-    serve.add_argument("--pattern", choices=("poisson", "diurnal", "bursty"),
-                       default="poisson", help="arrival process shape")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="arrival/class/shed seed (runs are reproducible)")
-    serve.add_argument("--deadline", type=_positive_rate, default=8.0,
-                       metavar="SECONDS", help="per-request deadline (the SLO)")
-    serve.add_argument("--max-queue", type=_count, default=64,
-                       help="admission-control queue-depth limit")
-    serve.add_argument("--shed-rate", type=_rate, default=0.0, metavar="RATE",
-                       help="fraction of traffic shed above --shed-threshold")
-    serve.add_argument("--shed-threshold", type=_count, default=16,
-                       help="queue depth at which shedding starts")
-    serve.add_argument("--retries", type=_retry_budget, default=1,
-                       help="retry budget for deadline-killed requests [0, 16]")
-    serve.add_argument("--limp", type=_limp, action="append",
-                       metavar="INDEX:FACTOR",
-                       help="limp this server's service time by FACTOR "
-                            "(repeatable; e.g. 0:3.0)")
-    serve.add_argument("--unprotected", action="store_true",
-                       help="disable every degradation control "
-                            "(the overload control group)")
-    serve.add_argument("--compare", action="store_true",
-                       help="run protected vs unprotected on the same "
-                            "arrivals; exit 1 if the protected frontend "
-                            "does not win on p99")
-    serve.add_argument("--format", choices=("table", "json"), default="table")
-    serve.set_defaults(fn=_cmd_serve, parser=serve)
-
-    wf = sub.add_parser(
-        "run-workflow",
-        help="run a multi-stage DAG workflow with lineage-based recovery",
-    )
-    wf.add_argument("--dag",
-                    choices=("hive-chain", "kmeans", "pagerank", "diamond"),
-                    default="hive-chain", help="which prebuilt DAG to run")
-    wf.add_argument("--scheduler", choices=("fifo", "fair", "capacity"),
-                    default="fifo")
-    wf.add_argument("--seed", type=int, default=0,
-                    help="fault-injection seed (runs are reproducible)")
-    wf.add_argument("--scale", type=float, default=0.05,
-                    help="input scale of each stage's workload")
-    wf.add_argument("--slaves", type=int, default=4)
-    wf.add_argument("--crash-node", metavar="NAME",
-                    help="crash this slave mid-workflow (e.g. slave2)")
-    wf.add_argument("--crash-time", type=_seconds, default=None,
-                    metavar="SECONDS",
-                    help="workflow-relative time of the --crash-node crash "
-                         "(default 1.0; requires --crash-node)")
-    wf.add_argument("--partition", type=_partition, action="append",
-                    metavar="NODE:START:DURATION",
-                    help="partition NODE off the network (repeatable)")
-    wf.add_argument("--destroy-output", action="append", metavar="STAGE",
-                    help="destroy every replica of STAGE's output right "
-                         "after it commits (repeatable; forces a lineage "
-                         "recomputation)")
-    wf.add_argument("--fail-stage", type=_fail_stage, action="append",
-                    metavar="STAGE:N",
-                    help="fail STAGE's first N executions at commit "
-                         "(repeatable; N past the retry budget cancels "
-                         "the downstream cone)")
-    wf.add_argument("--master-crash-after", metavar="STAGE",
-                    help="crash the JobTracker right after STAGE's wave "
-                         "commits; the run resumes from the journal")
-    wf.add_argument("--format", choices=("table", "json"), default="table")
-    wf.set_defaults(fn=_cmd_workflow, parser=wf)
-
-    prof = sub.add_parser("profile", help="sampled flat profile of a workload")
-    prof.add_argument("workload")
-    prof.add_argument("--instructions", type=int, default=100_000)
-    prof.add_argument("--period", type=int, default=97)
-    prof.add_argument("--top", type=int, default=10)
-    prof.set_defaults(fn=_cmd_profile)
+    for name, summary, handler, flags in COMMANDS:
+        command = sub.add_parser(name, help=summary)
+        for flag, kwargs in flags:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(fn=handler, parser=command)
     return parser
 
 

@@ -654,6 +654,11 @@ class HadoopCluster:
         return node, slot, max(node.reduce_slot_free[slot], job_start)
 
 
+def slave_names(num_slaves: int) -> list[str]:
+    """The slave host names of a paper-shaped cluster: ``slave1..slaveN``."""
+    return [f"slave{i + 1}" for i in range(num_slaves)]
+
+
 def make_cluster(
     num_slaves: int = 4,
     map_slots: int = 24,
@@ -677,8 +682,8 @@ def make_cluster(
     if racks < 1:
         raise ValueError("need at least one rack")
     slaves = [
-        Node(f"slave{i + 1}", map_slots=map_slots, reduce_slots=reduce_slots, cpu_speed=cpu_speed)
-        for i in range(num_slaves)
+        Node(name, map_slots=map_slots, reduce_slots=reduce_slots, cpu_speed=cpu_speed)
+        for name in slave_names(num_slaves)
     ]
     topology = (
         Topology.uniform([node.name for node in slaves], racks)

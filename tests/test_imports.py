@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.__main__ import COMMANDS
 
 SRC = Path(repro.__file__).resolve().parents[1]
 
@@ -182,15 +183,19 @@ def test_no_module_imports_a_name_through_a_package_namespace():
 # -- the import budget -----------------------------------------------------------
 
 
-def test_cli_help_imports_no_repro_module():
-    """``python -m repro --help`` builds its parser from literals: every
-    command imports what it runs when it runs."""
+@pytest.mark.parametrize(
+    "command", [None, *(name for name, *_ in COMMANDS)], ids=lambda c: c or "repro"
+)
+def test_cli_help_imports_no_repro_module(command):
+    """``python -m repro [command] --help`` builds its parser from
+    literals: every command imports what it runs when it runs."""
+    argv = [command, "--help"] if command else ["--help"]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "repro", "--help"],
+        [sys.executable, "-X", "importtime", "-m", "repro", *argv],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert "usage: repro" in out.stdout
+    assert out.stdout.startswith(" ".join(["usage: repro", *argv[:-1]]))
     imported = {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
                 if line.startswith("import time:") and "|" in line}
     assert {m for m in imported if m.split(".")[0] == "repro"} <= {"repro", "repro.__main__"}
