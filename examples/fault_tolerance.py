@@ -72,9 +72,9 @@ def main() -> None:
     for label, plan in scenarios:
         result = simulate(plan, work)
         if baseline is None:
-            baseline = result.timeline.duration_s
-        print(f"{label:<44s}{result.timeline.duration_s:>9.2f}s"
-              f"{result.timeline.duration_s / baseline:>11.2f}x"
+            baseline = result.duration_s
+        print(f"{label:<44s}{result.duration_s:>9.2f}s"
+              f"{result.duration_s / baseline:>11.2f}x"
               f"{result.failed_attempts:>10d}{result.killed_attempts:>7d}"
               f"{result.speculative_attempts:>9d}"
               f"{result.wasted_seconds:>8.2f}s")

@@ -322,7 +322,7 @@ def _cmd_tables(_args) -> int:
 
 def _cmd_run(args) -> int:
     from repro.cluster import FaultPlan, FaultyCluster, JobFailedError, make_cluster
-    from repro.cluster.chaos import aggregate_accounting
+    from repro.cluster.faults import aggregate_accounting
     from repro.workloads import workload
 
     parser = args.parser
@@ -334,35 +334,25 @@ def _cmd_run(args) -> int:
 
     wl = workload(args.workload)
     cluster = make_cluster(args.slaves, block_size=64 * 1024, racks=args.racks)
-    faulty = bool(
-        args.faults > 0
-        or node_crashes
-        or args.master_crash_time is not None
-        or args.corruption_rate > 0
-        or args.link_loss > 0
-        or partitions
-        or rack_outages
-        or tor_failures
-        or args.scrub
+    plan = FaultPlan(
+        map_failure_rate=args.faults,
+        reduce_failure_rate=args.faults,
+        node_crashes=node_crashes,
+        master_crash_time=args.master_crash_time,
+        master_recovery=args.recovery or "resume",
+        master_downtime_s=(
+            args.master_downtime if args.master_downtime is not None else 0.75
+        ),
+        corruption_rate=args.corruption_rate,
+        link_loss_rate=args.link_loss,
+        partitions=partitions,
+        rack_outages=rack_outages,
+        tor_failures=tor_failures,
+        scrub=args.scrub,
+        seed=args.seed,
     )
+    faulty = plan.injects_faults or plan.scrub
     if faulty:
-        plan = FaultPlan(
-            map_failure_rate=args.faults,
-            reduce_failure_rate=args.faults,
-            node_crashes=node_crashes,
-            master_crash_time=args.master_crash_time,
-            master_recovery=args.recovery or "resume",
-            master_downtime_s=(
-                args.master_downtime if args.master_downtime is not None else 0.75
-            ),
-            corruption_rate=args.corruption_rate,
-            link_loss_rate=args.link_loss,
-            partitions=partitions,
-            rack_outages=rack_outages,
-            tor_failures=tor_failures,
-            scrub=args.scrub,
-            seed=args.seed,
-        )
         cluster = FaultyCluster(cluster, plan)
     try:
         run = wl.run(scale=args.scale, cluster=cluster)

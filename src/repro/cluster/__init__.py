@@ -90,6 +90,7 @@ __getattr__, __dir__, __all__ = attach(globals(), {
     "TaskAttempts": "attempts",
     "FaultPlan": "faults",
     "FaultyCluster": "faults",
+    "FaultCounters": "faults",
     "FaultyTimeline": "faults",
     "ChaosResult": "chaos",
     "FailSlowChaosResult": "chaos",

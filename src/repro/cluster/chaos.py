@@ -23,36 +23,8 @@ import random
 from dataclasses import dataclass
 
 from repro.cluster.attempts import JobFailedError, RetryPolicy
-from repro.cluster.cluster import make_cluster
-from repro.cluster.faults import FaultPlan, FaultyCluster, FaultyTimeline
-
-#: Accounting keys that aggregate by summation (the rest are name tuples).
-_SUM_KEYS = (
-    "failed_attempts",
-    "failed_map_attempts",
-    "failed_reduce_attempts",
-    "killed_attempts",
-    "speculative_attempts",
-    "speculative_wins",
-    "wasted_seconds",
-    "shuffle_fetch_failures",
-    "fetch_escalations",
-    "maps_reexecuted",
-    "re_replicated_bytes",
-    "blocks_lost",
-    "master_crashes",
-    "recovery_downtime_s",
-    "maps_recovered",
-    "jobs_restarted",
-    "jobs_resumed",
-    "corrupt_replicas_injected",
-    "checksum_failures",
-    "bad_blocks_reported",
-    "scrubbed_bytes",
-    "zombie_attempts_fenced",
-    "net_retransmits",
-    "net_retransmit_bytes",
-)
+from repro.cluster.cluster import make_cluster, slave_names
+from repro.cluster.faults import FaultPlan, FaultyCluster, aggregate_accounting
 
 
 def chaos_plan(
@@ -121,30 +93,6 @@ def chaos_plan(
         seed=seed,
         policy=policy,
     )
-
-
-def aggregate_accounting(timelines) -> dict[str, object]:
-    """Sum resilience counters across a workload's (faulty) job timelines."""
-    totals: dict[str, object] = {key: 0 for key in _SUM_KEYS}
-    crashed: set[str] = set()
-    blacklisted: set[str] = set()
-    partitioned: set[str] = set()
-    graylisted: set[str] = set()
-    for timeline in timelines:
-        if not isinstance(timeline, FaultyTimeline):
-            continue
-        accounting = timeline.accounting()
-        for key in _SUM_KEYS:
-            totals[key] += accounting[key]
-        crashed.update(accounting["nodes_crashed"])
-        blacklisted.update(accounting["blacklisted_nodes"])
-        partitioned.update(accounting["nodes_partitioned"])
-        graylisted.update(accounting["graylisted_nodes"])
-    totals["nodes_crashed"] = tuple(sorted(crashed))
-    totals["blacklisted_nodes"] = tuple(sorted(blacklisted))
-    totals["nodes_partitioned"] = tuple(sorted(partitioned))
-    totals["graylisted_nodes"] = tuple(sorted(graylisted))
-    return totals
 
 
 @dataclass(frozen=True)
@@ -524,7 +472,7 @@ def run_fail_slow_chaos(
     makers = {"fifo": FifoScheduler, "fair": FairScheduler}
     if scheduler not in makers:
         raise ValueError("scheduler must be fifo or fair")
-    victim = f"slave{num_slaves}"  # slaves are named slave1..slaveN
+    victim = slave_names(num_slaves)[-1]
     limp = ((victim, limp_factor),)
 
     plain_s, _, plain_output = solo_run(
@@ -791,12 +739,12 @@ def run_workflow_chaos(
         raise RuntimeError(f"baseline workflow {dag!r} did not complete")
 
     # Mid-workflow fail-stop crash of a seeded datanode.
-    crash_node = f"slave{rng.randrange(1, num_slaves + 1)}"
+    crash_node = slave_names(num_slaves)[rng.randrange(num_slaves)]
     crash_at = baseline.end_s * rng.uniform(0.2, 0.6)
     crashed = run(WorkflowFaultPlan(node_crashes=((crash_node, crash_at),), seed=seed))
 
     # Network partition of a seeded node across the middle of the run.
-    partition_node = f"slave{rng.randrange(1, num_slaves + 1)}"
+    partition_node = slave_names(num_slaves)[rng.randrange(num_slaves)]
     start = baseline.end_s * rng.uniform(0.1, 0.4)
     duration = max(1.0, baseline.end_s * rng.uniform(0.2, 0.5))
     partitioned = run(

@@ -379,8 +379,11 @@ class HadoopCluster:
             map_nodes.append(node)
             map_outputs.append(task.output_bytes)
 
-        return self._finish_reduce_phase(
-            work, start, net_bytes_before, map_end_times, map_nodes, map_outputs
+        end, map_phase_end, _spans = self._charge_reduce_phase(
+            work, start, map_end_times, map_nodes, map_outputs
+        )
+        return self._job_timeline(
+            work, start, map_phase_end, end, net_bytes_before, map_nodes
         )
 
     def ensure_schedulable(self) -> None:
@@ -456,19 +459,24 @@ class HadoopCluster:
         node.map_slot_free[slot] = now
         return task_start, now, node, slot
 
-    def _finish_reduce_phase(
+    def _job_timeline(
         self,
         work: JobWork,
         start: float,
+        map_phase_end: float,
+        end: float,
         net_bytes_before: int,
-        map_end_times: list[float],
         map_nodes: list[Node],
-        map_outputs: list[int],
+        timeline_type: type[JobTimeline] = JobTimeline,
+        **extra,
     ) -> JobTimeline:
-        """Charge the reduce phase, advance the clock and build the timeline."""
-        end, map_phase_end, _spans = self._charge_reduce_phase(
-            work, start, map_end_times, map_nodes, map_outputs
-        )
+        """Advance the clock to *end* and build one job's timeline.
+
+        *map_nodes* are the maps' final placements.  The fault scheduler
+        builds its :class:`JobTimeline` subclass here too, passing the
+        type and its extra fields, so both paths record the same rates,
+        locality tiers and rack map.
+        """
         self.clock = end
         rates: dict[str, float] = {}
         for node in self.slaves:
@@ -481,7 +489,7 @@ class HadoopCluster:
             for task, node in zip(work.maps, map_nodes)
         ]
         node_racks = self._node_racks()
-        return JobTimeline(
+        return timeline_type(
             job_name=work.name,
             start_s=start,
             map_phase_end_s=map_phase_end,
@@ -494,6 +502,7 @@ class HadoopCluster:
             maps_rack_local=tiers.count("rack"),
             maps_off_rack=tiers.count("off"),
             node_racks=node_racks,
+            **extra,
         )
 
     def _charge_reduce_phase(

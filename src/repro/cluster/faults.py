@@ -60,7 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.cluster.journal import JobHistoryJournal
 from repro.cluster.attempts import (
@@ -407,17 +407,17 @@ class FaultPlan:
         return cls(map_failures=failures, **kwargs)
 
 
-@dataclass
-class FaultyTimeline:
-    """A job timeline annotated with resilience accounting.
+@dataclass(kw_only=True)
+class FaultCounters:
+    """One job's resilience tallies, each declared once, here.
 
-    Quacks like a :class:`~repro.cluster.cluster.JobTimeline` (duration,
-    phase ends, disk rates), so workloads and analyses accept it wherever
-    a plain timeline goes.
+    Field order is the accounting order; ``failed_attempts`` (map +
+    reduce) is derived and reported first.  Float tallies are reported
+    rounded to 6 places.  Across a run's jobs the tallies sum and the
+    node-name tuples merge as sorted unions (:func:`aggregate_accounting`).
+    Adding a counter means adding a field and incrementing it.
     """
 
-    timeline: JobTimeline
-    failed_attempts: int = 0
     failed_map_attempts: int = 0
     failed_reduce_attempts: int = 0
     killed_attempts: int = 0
@@ -430,13 +430,10 @@ class FaultyTimeline:
     re_replicated_bytes: int = 0
     blocks_lost: int = 0
     master_crashes: int = 0
-    recovery_mode: str = ""
     recovery_downtime_s: float = 0.0
     maps_recovered: int = 0
     jobs_restarted: int = 0
     jobs_resumed: int = 0
-    nodes_crashed: tuple[str, ...] = ()
-    blacklisted_nodes: tuple[str, ...] = ()
     corrupt_replicas_injected: int = 0
     checksum_failures: int = 0
     bad_blocks_reported: int = 0
@@ -444,196 +441,55 @@ class FaultyTimeline:
     zombie_attempts_fenced: int = 0
     net_retransmits: int = 0
     net_retransmit_bytes: int = 0
+    nodes_crashed: tuple[str, ...] = ()
+    blacklisted_nodes: tuple[str, ...] = ()
     nodes_partitioned: tuple[str, ...] = ()
     graylisted_nodes: tuple[str, ...] = ()
-    attempts: tuple[TaskAttempt, ...] = ()
-
-    # -- JobTimeline protocol -------------------------------------------------
 
     @property
-    def job_name(self) -> str:
-        return self.timeline.job_name
-
-    @property
-    def start_s(self) -> float:
-        return self.timeline.start_s
-
-    @property
-    def map_phase_end_s(self) -> float:
-        return self.timeline.map_phase_end_s
-
-    @property
-    def end_s(self) -> float:
-        return self.timeline.end_s
-
-    @property
-    def map_tasks(self) -> int:
-        return self.timeline.map_tasks
-
-    @property
-    def reduce_tasks(self) -> int:
-        return self.timeline.reduce_tasks
-
-    @property
-    def disk_writes_per_second(self) -> dict[str, float]:
-        return self.timeline.disk_writes_per_second
-
-    @property
-    def network_bytes(self) -> int:
-        return self.timeline.network_bytes
-
-    @property
-    def duration_s(self) -> float:
-        return self.timeline.duration_s
+    def failed_attempts(self) -> int:
+        return self.failed_map_attempts + self.failed_reduce_attempts
 
     def accounting(self) -> dict[str, object]:
         """The resilience counters as a flat dict (CLI / report rendering)."""
-        return {
-            "failed_attempts": self.failed_attempts,
-            "failed_map_attempts": self.failed_map_attempts,
-            "failed_reduce_attempts": self.failed_reduce_attempts,
-            "killed_attempts": self.killed_attempts,
-            "speculative_attempts": self.speculative_attempts,
-            "speculative_wins": self.speculative_wins,
-            "wasted_seconds": round(self.wasted_seconds, 6),
-            "shuffle_fetch_failures": self.shuffle_fetch_failures,
-            "fetch_escalations": self.fetch_escalations,
-            "maps_reexecuted": self.maps_reexecuted,
-            "re_replicated_bytes": self.re_replicated_bytes,
-            "blocks_lost": self.blocks_lost,
-            "master_crashes": self.master_crashes,
-            "recovery_downtime_s": round(self.recovery_downtime_s, 6),
-            "maps_recovered": self.maps_recovered,
-            "jobs_restarted": self.jobs_restarted,
-            "jobs_resumed": self.jobs_resumed,
-            "corrupt_replicas_injected": self.corrupt_replicas_injected,
-            "checksum_failures": self.checksum_failures,
-            "bad_blocks_reported": self.bad_blocks_reported,
-            "scrubbed_bytes": self.scrubbed_bytes,
-            "zombie_attempts_fenced": self.zombie_attempts_fenced,
-            "net_retransmits": self.net_retransmits,
-            "net_retransmit_bytes": self.net_retransmit_bytes,
-            "nodes_crashed": self.nodes_crashed,
-            "blacklisted_nodes": self.blacklisted_nodes,
-            "nodes_partitioned": self.nodes_partitioned,
-            "graylisted_nodes": self.graylisted_nodes,
-        }
-
-    def to_dict(self) -> dict:
-        """JSON-serializable report: the timeline plus resilience counters."""
-        report = self.timeline.to_dict()
-        accounting = self.accounting()
-        for key in ("nodes_crashed", "blacklisted_nodes", "nodes_partitioned",
-                    "graylisted_nodes"):
-            accounting[key] = list(accounting[key])
-        report["resilience"] = accounting
+        report: dict[str, object] = {"failed_attempts": self.failed_attempts}
+        for f in fields(FaultCounters):
+            value = getattr(self, f.name)
+            report[f.name] = round(value, 6) if isinstance(f.default, float) else value
         return report
 
 
-class _RunStats:
-    """Mutable accumulator for one run's resilience counters.
+@dataclass(kw_only=True)
+class FaultyTimeline(JobTimeline, FaultCounters):
+    """A :class:`~repro.cluster.cluster.JobTimeline` carrying its job's
+    resilience counters, so workloads and analyses accept it wherever a
+    plain timeline goes."""
 
-    The :class:`FaultyTimeline` is assembled from this *after* the
-    :class:`JobTimeline` exists, so the timeline field is never a lie.
-    """
+    recovery_mode: str = ""
+    attempts: tuple[TaskAttempt, ...] = ()
 
-    def __init__(self) -> None:
-        self.failed_map_attempts = 0
-        self.failed_reduce_attempts = 0
-        self.killed_attempts = 0
-        self.speculative_attempts = 0
-        self.speculative_wins = 0
-        self.wasted_seconds = 0.0
-        self.shuffle_fetch_failures = 0
-        self.fetch_escalations = 0
-        self.maps_reexecuted = 0
-        self.re_replicated_bytes = 0
-        self.blocks_lost = 0
-        self.master_crashes = 0
-        self.recovery_downtime_s = 0.0
-        self.maps_recovered = 0
-        self.jobs_restarted = 0
-        self.jobs_resumed = 0
-        self.corrupt_replicas_injected = 0
-        self.checksum_failures = 0
-        self.bad_blocks_reported = 0
-        self.scrubbed_bytes = 0
-        self.zombie_attempts_fenced = 0
-        self.net_retransmits = 0
-        self.net_retransmit_bytes = 0
-        self.nodes_crashed: list[str] = []
-        self.nodes_partitioned: list[str] = []
-        self.attempts: list[TaskAttempt] = []
+    def to_dict(self) -> dict:
+        """JSON-serializable report: the timeline plus resilience counters."""
+        report = super().to_dict()
+        report["resilience"] = {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in self.accounting().items()
+        }
+        return report
 
-    def merge_from(self, other: "_RunStats") -> None:
-        """Fold another accumulator's counters into this one."""
-        self.failed_map_attempts += other.failed_map_attempts
-        self.failed_reduce_attempts += other.failed_reduce_attempts
-        self.killed_attempts += other.killed_attempts
-        self.speculative_attempts += other.speculative_attempts
-        self.speculative_wins += other.speculative_wins
-        self.wasted_seconds += other.wasted_seconds
-        self.shuffle_fetch_failures += other.shuffle_fetch_failures
-        self.fetch_escalations += other.fetch_escalations
-        self.maps_reexecuted += other.maps_reexecuted
-        self.re_replicated_bytes += other.re_replicated_bytes
-        self.blocks_lost += other.blocks_lost
-        self.master_crashes += other.master_crashes
-        self.recovery_downtime_s += other.recovery_downtime_s
-        self.maps_recovered += other.maps_recovered
-        self.jobs_restarted += other.jobs_restarted
-        self.jobs_resumed += other.jobs_resumed
-        self.corrupt_replicas_injected += other.corrupt_replicas_injected
-        self.checksum_failures += other.checksum_failures
-        self.bad_blocks_reported += other.bad_blocks_reported
-        self.scrubbed_bytes += other.scrubbed_bytes
-        self.zombie_attempts_fenced += other.zombie_attempts_fenced
-        self.net_retransmits += other.net_retransmits
-        self.net_retransmit_bytes += other.net_retransmit_bytes
-        self.nodes_crashed.extend(other.nodes_crashed)
-        self.nodes_partitioned.extend(other.nodes_partitioned)
-        self.attempts.extend(other.attempts)
 
-    def finish(
-        self,
-        timeline: JobTimeline,
-        blacklist: NodeBlacklist,
-        recovery_mode: str = "",
-        graylist: NodeGraylist | None = None,
-    ) -> FaultyTimeline:
-        return FaultyTimeline(
-            timeline=timeline,
-            failed_attempts=self.failed_map_attempts + self.failed_reduce_attempts,
-            failed_map_attempts=self.failed_map_attempts,
-            failed_reduce_attempts=self.failed_reduce_attempts,
-            killed_attempts=self.killed_attempts,
-            speculative_attempts=self.speculative_attempts,
-            speculative_wins=self.speculative_wins,
-            wasted_seconds=self.wasted_seconds,
-            shuffle_fetch_failures=self.shuffle_fetch_failures,
-            fetch_escalations=self.fetch_escalations,
-            maps_reexecuted=self.maps_reexecuted,
-            re_replicated_bytes=self.re_replicated_bytes,
-            blocks_lost=self.blocks_lost,
-            master_crashes=self.master_crashes,
-            recovery_mode=recovery_mode if self.master_crashes else "",
-            recovery_downtime_s=self.recovery_downtime_s,
-            maps_recovered=self.maps_recovered,
-            jobs_restarted=self.jobs_restarted,
-            jobs_resumed=self.jobs_resumed,
-            corrupt_replicas_injected=self.corrupt_replicas_injected,
-            checksum_failures=self.checksum_failures,
-            bad_blocks_reported=self.bad_blocks_reported,
-            scrubbed_bytes=self.scrubbed_bytes,
-            zombie_attempts_fenced=self.zombie_attempts_fenced,
-            net_retransmits=self.net_retransmits,
-            net_retransmit_bytes=self.net_retransmit_bytes,
-            nodes_crashed=tuple(self.nodes_crashed),
-            blacklisted_nodes=blacklist.nodes,
-            nodes_partitioned=tuple(self.nodes_partitioned),
-            graylisted_nodes=graylist.nodes if graylist is not None else (),
-            attempts=tuple(self.attempts),
-        )
+def aggregate_accounting(timelines) -> dict[str, object]:
+    """Sum resilience counters across a run's timelines (plain ones are
+    skipped); node names merge as sorted unions."""
+    reports = [t.accounting() for t in timelines if isinstance(t, FaultyTimeline)]
+    totals: dict[str, object] = {}
+    for key, empty in FaultCounters().accounting().items():
+        column = [report[key] for report in reports]
+        if isinstance(empty, tuple):
+            totals[key] = tuple(sorted(set().union(*column)))
+        else:
+            totals[key] = sum(column)
+    return totals
 
 
 class FaultyCluster:
@@ -695,6 +551,8 @@ class FaultyCluster:
         self._partition_windows: dict[str, list[tuple[float, float]]] = {}
         self._partitions_processed: set[tuple[str, float]] = set()
         self._limping_names: frozenset[str] = frozenset()
+        #: every attempt of the running job, in record order.
+        self._attempts: list[TaskAttempt] = []
         self._configure_gray_links()
         self._apply_fail_slow()
 
@@ -825,7 +683,8 @@ class FaultyCluster:
         for node in cluster.slaves:
             node.procfs.sample(start)
 
-        stats = _RunStats()
+        stats = FaultCounters()
+        self._attempts = []
         self._inject_corruption(work, stats)
         crash = self._pending_master_crash()
         if crash is not None and crash <= start:
@@ -837,9 +696,9 @@ class FaultyCluster:
             crash = None
 
         if crash is None:
-            end, map_phase_end = self._execute_job(work, start, rng, stats)
+            end, map_phase_end, map_nodes = self._execute_job(work, start, rng, stats)
         elif plan.master_recovery == "resume":
-            end, map_phase_end = self._execute_job(
+            end, map_phase_end, map_nodes = self._execute_job(
                 work, start, rng, stats,
                 master_crash=(crash, crash + plan.master_downtime_s),
             )
@@ -857,7 +716,7 @@ class FaultyCluster:
                     if not self._node_dead_at(event.node, crash)
                 })
         else:
-            end, map_phase_end = self._run_with_restart_recovery(
+            end, map_phase_end, map_nodes = self._run_with_restart_recovery(
                 work, start, crash, rng, stats
             )
 
@@ -876,28 +735,16 @@ class FaultyCluster:
                 if (name, w_start) in self._partitions_processed or w_start > end:
                     continue
                 self._partitions_processed.add((name, w_start))
-                stats.nodes_partitioned.append(name)
+                stats.nodes_partitioned += (name,)
 
-        cluster.clock = end
-        rates: dict[str, float] = {}
-        for node in cluster.slaves:
-            node.procfs.sample(end)
-            rates[node.name] = node.procfs.disk_writes_per_second()
-        timeline = JobTimeline(
-            job_name=work.name,
-            start_s=submitted,
-            map_phase_end_s=map_phase_end,
-            end_s=end,
-            map_tasks=len(work.maps),
-            reduce_tasks=len(work.reduces),
-            disk_writes_per_second=rates,
-            network_bytes=cluster.network.bytes_moved - net_before,
-        )
-        return stats.finish(
-            timeline,
-            self.blacklist,
-            recovery_mode=plan.master_recovery,
-            graylist=self.graylist,
+        stats.blacklisted_nodes = self.blacklist.nodes
+        stats.graylisted_nodes = self.graylist.nodes
+        return cluster._job_timeline(
+            work, submitted, map_phase_end, end, net_before, map_nodes,
+            FaultyTimeline,
+            **vars(stats),
+            recovery_mode=plan.master_recovery if stats.master_crashes else "",
+            attempts=tuple(self._attempts),
         )
 
     # -- master (jobtracker/namenode) loss ------------------------------------
@@ -909,7 +756,7 @@ class FaultyCluster:
         assert self._origin is not None
         return self._origin + self.plan.master_crash_time
 
-    def _note_master_restart(self, stats: _RunStats) -> None:
+    def _note_master_restart(self, stats: FaultCounters) -> None:
         self._master_crash_processed = True
         stats.master_crashes += 1
         self.cluster.master.procfs.master_restarts += 1
@@ -928,8 +775,8 @@ class FaultyCluster:
         start: float,
         crash: float,
         rng: random.Random,
-        stats: _RunStats,
-    ) -> tuple[float, float]:
+        stats: FaultCounters,
+    ) -> tuple[float, float, list[Node]]:
         """Stock 1.x semantics (``mapred.jobtracker.restart.recover=false``).
 
         The restarted jobtracker has no memory of the in-flight job, so
@@ -947,13 +794,17 @@ class FaultyCluster:
         rng_state = rng.getstate()
         gray_state = self._gray_rng.getstate()
         crashes_before = set(self._crashes_processed)
-        dry = _RunStats()
-        end, map_phase_end = self._execute_job(work, start, rng, dry)
+        dry = FaultCounters()
+        first_attempt = len(self._attempts)
+        end, map_phase_end, map_nodes = self._execute_job(work, start, rng, dry)
         if end <= crash:
             # The job beat the crash — the dry run is the real run, and
             # the crash lands between jobs (handled on the next submission).
-            stats.merge_from(dry)
-            return end, map_phase_end
+            for f in fields(FaultCounters):
+                setattr(stats, f.name, getattr(stats, f.name) + getattr(dry, f.name))
+            return end, map_phase_end, map_nodes
+        dry_attempts = self._attempts[first_attempt:]
+        del self._attempts[first_attempt:]
 
         cluster.restore(cp)
         rng.setstate(rng_state)
@@ -967,9 +818,9 @@ class FaultyCluster:
         # Everything the first incarnation did really happened and is all
         # wasted: completed attempts lose their outputs with the job, and
         # in-flight attempts are orphaned at the crash instant.
-        for attempt in dry.attempts:
+        for attempt in dry_attempts:
             if attempt.end_s <= crash:
-                stats.attempts.append(attempt)
+                self._attempts.append(attempt)
                 stats.wasted_seconds += attempt.end_s - attempt.start_s
                 if attempt.state is AttemptState.FAILED:
                     if attempt.task_id.startswith("m_"):
@@ -979,7 +830,7 @@ class FaultyCluster:
                 elif attempt.state is AttemptState.KILLED:
                     stats.killed_attempts += 1
             elif attempt.start_s < crash:
-                stats.attempts.append(replace(
+                self._attempts.append(replace(
                     attempt,
                     end_s=crash,
                     state=AttemptState.KILLED,
@@ -998,12 +849,13 @@ class FaultyCluster:
         work: JobWork,
         start: float,
         rng: random.Random,
-        stats: _RunStats,
+        stats: FaultCounters,
         master_crash: tuple[float, float] | None = None,
-    ) -> tuple[float, float]:
+    ) -> tuple[float, float, list[Node]]:
         """Schedule *work* from *start* through the full attempt machinery.
 
-        Returns ``(end, map_phase_end)``.  With ``master_crash=(T,
+        Returns ``(end, map_phase_end, map_nodes)``, *map_nodes* being
+        each map's final placement.  With ``master_crash=(T,
         recovery)`` the control plane is down in ``[T, recovery)``:
         attempts in flight at ``T`` are killed and rescheduled, and
         nothing new is scheduled before ``recovery`` (the `resume`
@@ -1060,7 +912,7 @@ class FaultyCluster:
             repairs: list[list] = []
             for name in members:
                 self._crashes_processed.add(name)
-                stats.nodes_crashed.append(name)
+                stats.nodes_crashed += (name,)
                 under_replicated, lost = self.cluster.hdfs.fail_node(name)
                 stats.blocks_lost += len(lost)
                 repairs.append(under_replicated)
@@ -1133,7 +985,7 @@ class FaultyCluster:
             if reduce_end > end:
                 end = reduce_end
 
-        return end, map_phase_end
+        return end, map_phase_end, map_nodes
 
     # -- map attempts ---------------------------------------------------------
 
@@ -1147,7 +999,7 @@ class FaultyCluster:
         lost_replicas: set[tuple[int, str]],
         fail_budget: dict[int, int],
         rng: random.Random,
-        stats: _RunStats,
+        stats: FaultCounters,
         reason: str = "task error",
         master_crash: tuple[float, float] | None = None,
     ) -> tuple[float, Node]:
@@ -1190,7 +1042,7 @@ class FaultyCluster:
             )
             if node_dies and (not master_dies or crash_time <= master_crash[0]):
                 # The node dies under the attempt: killed, not failed.
-                stats.attempts.append(attempts.record(
+                self._attempts.append(attempts.record(
                     node.name, attempt_start, crash_time,
                     AttemptState.KILLED, "node lost",
                 ))
@@ -1204,7 +1056,7 @@ class FaultyCluster:
                 # The jobtracker dies under the attempt: the orphaned task
                 # is killed and rescheduled once the master is back.
                 cluster.restore(cp)
-                stats.attempts.append(attempts.record(
+                self._attempts.append(attempts.record(
                     node.name, attempt_start, master_crash[0],
                     AttemptState.KILLED, "jobtracker lost",
                 ))
@@ -1232,7 +1084,7 @@ class FaultyCluster:
                     lost_at = p_start + policy.heartbeat_timeout_s
                     self.fence.revoke(attempts.task_id, attempt_no)
                     self.fence.try_commit(attempts.task_id, attempt_no)
-                    stats.attempts.append(attempts.record(
+                    self._attempts.append(attempts.record(
                         node.name, attempt_start, end, AttemptState.KILLED,
                         "fenced zombie attempt (partitioned tasktracker rejoined)",
                     ))
@@ -1250,7 +1102,7 @@ class FaultyCluster:
             )
             if fails:
                 failure_time = attempt_start + (end - attempt_start) * plan.failure_point
-                stats.attempts.append(attempts.record(
+                self._attempts.append(attempts.record(
                     node.name, attempt_start, failure_time,
                     AttemptState.FAILED, reason,
                 ))
@@ -1278,7 +1130,7 @@ class FaultyCluster:
             # canCommit: a tracker that never went silent still holds
             # its grant, so this always passes outside partitions.
             self.fence.try_commit(attempts.task_id, attempt_no)
-            stats.attempts.append(attempts.record(
+            self._attempts.append(attempts.record(
                 node.name, attempt_start, end, AttemptState.SUCCEEDED,
                 reason if reason != "task error" else "",
             ))
@@ -1295,7 +1147,7 @@ class FaultyCluster:
         at: float,
         stragglers: set[str],
         lost_replicas: set[tuple[int, str]],
-        stats: _RunStats,
+        stats: FaultCounters,
     ) -> float:
         """Charge one map attempt's I/O and CPU; return its finish time."""
         now = at
@@ -1335,7 +1187,7 @@ class FaultyCluster:
         node: Node,
         at: float,
         survivors: list[str],
-        stats: _RunStats,
+        stats: FaultCounters,
     ) -> float:
         """Read the map's input split, verifying checksums end to end.
 
@@ -1414,7 +1266,7 @@ class FaultyCluster:
         )
 
     def _transfer_with_integrity(
-        self, src: Node, dst: Node, at: float, num_bytes: int, stats: _RunStats
+        self, src: Node, dst: Node, at: float, num_bytes: int, stats: FaultCounters
     ) -> float:
         """One network transfer, re-requested while in-flight bits flip."""
         plan = self.plan
@@ -1447,7 +1299,7 @@ class FaultyCluster:
         node_name: str,
         at: float,
         reporter: Node,
-        stats: _RunStats,
+        stats: FaultCounters,
     ) -> None:
         """Report a rotten replica: drop it and re-replicate from a good one.
 
@@ -1507,7 +1359,7 @@ class FaultyCluster:
             window = self._partition_at(node_name, at)
         return at
 
-    def _inject_corruption(self, work: JobWork, stats: _RunStats) -> None:
+    def _inject_corruption(self, work: JobWork, stats: FaultCounters) -> None:
         """Rot replicas per the plan, always sparing one good copy per block."""
         plan = self.plan
         hdfs = self.cluster.hdfs
@@ -1583,7 +1435,7 @@ class FaultyCluster:
             return False
         return hdfs.corrupt_replica(file_name, b_index, node_name)
 
-    def _scrub_pass(self, at: float, stats: _RunStats) -> float:
+    def _scrub_pass(self, at: float, stats: FaultCounters) -> float:
         """One DataBlockScanner sweep over every live datanode.
 
         The scanner reads the datanode's *local* disk, so a network
@@ -1612,7 +1464,7 @@ class FaultyCluster:
 
     def scrub(self, at: float | None = None) -> dict[str, float]:
         """Run one full scrub sweep now; returns a summary of the pass."""
-        stats = _RunStats()
+        stats = FaultCounters()
         start = self.cluster.clock if at is None else at
         t_done = self._scrub_pass(start, stats)
         return {
@@ -1633,7 +1485,7 @@ class FaultyCluster:
         end: float,
         stragglers: set[str],
         lost_replicas: set[tuple[int, str]],
-        stats: _RunStats,
+        stats: FaultCounters,
         master_crash: tuple[float, float] | None = None,
     ) -> tuple[float, Node]:
         """Launch a backup attempt on the fastest non-straggler node."""
@@ -1707,7 +1559,7 @@ class FaultyCluster:
         stragglers: set[str],
         lost_replicas: set[tuple[int, str]],
         rng: random.Random,
-        stats: _RunStats,
+        stats: FaultCounters,
         master_crash: tuple[float, float] | None = None,
     ) -> float:
         """One reducer's copy of one map output, with bounded fetch retries.
@@ -1749,7 +1601,7 @@ class FaultyCluster:
         )
 
     def _transfer_segment(
-        self, src: Node, dst: Node, at: float, segment: int, stats: _RunStats
+        self, src: Node, dst: Node, at: float, segment: int, stats: FaultCounters
     ) -> float:
         if src is dst:
             return src.disk.read(at, segment)
@@ -1772,7 +1624,7 @@ class FaultyCluster:
         stragglers: set[str],
         fail_budget: dict[int, int],
         rng: random.Random,
-        stats: _RunStats,
+        stats: FaultCounters,
         master_crash: tuple[float, float] | None = None,
     ) -> float:
         cluster = self.cluster
@@ -1807,7 +1659,7 @@ class FaultyCluster:
                 # The jobtracker dies under the reduce attempt: orphaned,
                 # killed, and rescheduled once the master is back.
                 cluster.restore(cp)
-                stats.attempts.append(attempts.record(
+                self._attempts.append(attempts.record(
                     node.name, exec_start, master_crash[0],
                     AttemptState.KILLED, "jobtracker lost",
                 ))
@@ -1819,7 +1671,7 @@ class FaultyCluster:
                 node, slot = self._pick_reduce_retry_slot(t, attempts.tried_nodes)
                 continue
             if node_dies:
-                stats.attempts.append(attempts.record(
+                self._attempts.append(attempts.record(
                     node.name, exec_start, crash_time,
                     AttemptState.KILLED, "node lost",
                 ))
@@ -1829,7 +1681,7 @@ class FaultyCluster:
                 node.reduce_slot_free[slot] = crash_time
                 if node.name not in self._crashes_processed:
                     self._crashes_processed.add(node.name)
-                    stats.nodes_crashed.append(node.name)
+                    stats.nodes_crashed += (node.name,)
                     self._re_replicate(
                         node.name, crash_time + policy.heartbeat_timeout_s, stats
                     )
@@ -1849,7 +1701,7 @@ class FaultyCluster:
                     lost_at = p_start + policy.heartbeat_timeout_s
                     self.fence.revoke(attempts.task_id, attempt_no)
                     self.fence.try_commit(attempts.task_id, attempt_no)
-                    stats.attempts.append(attempts.record(
+                    self._attempts.append(attempts.record(
                         node.name, exec_start, end, AttemptState.KILLED,
                         "fenced zombie attempt (partitioned tasktracker rejoined)",
                     ))
@@ -1870,7 +1722,7 @@ class FaultyCluster:
             )
             if fails:
                 failure_time = exec_start + (end - exec_start) * plan.failure_point
-                stats.attempts.append(attempts.record(
+                self._attempts.append(attempts.record(
                     node.name, exec_start, failure_time,
                     AttemptState.FAILED, "task error",
                 ))
@@ -1901,7 +1753,7 @@ class FaultyCluster:
             # canCommit for the reduce side (always passes outside
             # partitions — the tracker never went silent).
             self.fence.try_commit(attempts.task_id, attempt_no)
-            stats.attempts.append(attempts.record(
+            self._attempts.append(attempts.record(
                 node.name, exec_start, end, AttemptState.SUCCEEDED,
             ))
             end = self._replicate_output(task, node, end)
@@ -1930,7 +1782,7 @@ class FaultyCluster:
         map_phase_end: float,
         end: float,
         stragglers: set[str],
-        stats: _RunStats,
+        stats: FaultCounters,
         master_crash: tuple[float, float] | None = None,
     ) -> tuple[float, Node, int] | None:
         """Backup reduce attempt on the fastest non-straggler node.
@@ -2023,13 +1875,13 @@ class FaultyCluster:
         crash_time = self._crash_at.get(node_name)
         return crash_time is not None and time_s >= crash_time
 
-    def _re_replicate(self, node_name: str, at: float, stats: _RunStats) -> None:
+    def _re_replicate(self, node_name: str, at: float, stats: FaultCounters) -> None:
         """Namenode repair after datanode loss, charged to disks and NICs."""
         under_replicated, lost = self.cluster.hdfs.fail_node(node_name)
         stats.blocks_lost += len(lost)
         self._repair_blocks(under_replicated, at, stats)
 
-    def _repair_blocks(self, under_replicated, at: float, stats: _RunStats) -> None:
+    def _repair_blocks(self, under_replicated, at: float, stats: FaultCounters) -> None:
         """Re-replicate *under_replicated* blocks, charging disks and NICs."""
         cluster = self.cluster
         for block in under_replicated:

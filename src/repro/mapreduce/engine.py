@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 
 from repro.cluster.cluster import HadoopCluster, JobTimeline, JobWork, MapWork, ReduceWork
-from repro.cluster.faults import FaultyCluster, FaultyTimeline
+from repro.cluster.faults import FaultyCluster
 from repro.mapreduce.counters import JobCounters
 from repro.mapreduce.io import (
     DistributedInput,
@@ -47,7 +47,7 @@ class JobResult:
     reducer_outputs: list[list[tuple[object, object]]]
     counters: JobCounters
     work: JobWork
-    timeline: JobTimeline | FaultyTimeline | None = None
+    timeline: JobTimeline | None = None
 
     def output_dict(self) -> dict:
         return dict(self.output)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cluster.cluster import HadoopCluster, JobTimeline
-from repro.cluster.faults import FaultyCluster, FaultyTimeline
+from repro.cluster.faults import FaultyCluster
 from repro.mapreduce.counters import JobCounters
 from repro.mapreduce.engine import JobResult, LocalEngine
 from repro.uarch.trace import MemoryRegion, TraceSpec
@@ -61,7 +61,7 @@ class WorkloadRun:
     details: dict[str, Any] = field(default_factory=dict)
 
     @property
-    def timelines(self) -> list[JobTimeline | FaultyTimeline]:
+    def timelines(self) -> list[JobTimeline]:
         return [r.timeline for r in self.job_results if r.timeline is not None]
 
     @property

@@ -8,7 +8,13 @@ from repro.cluster.attempts import (
     JobFailedError,
     RetryPolicy,
 )
-from repro.cluster.cluster import JobWork, MapWork, ReduceWork, make_cluster
+from repro.cluster.cluster import (
+    JobTimeline,
+    JobWork,
+    MapWork,
+    ReduceWork,
+    make_cluster,
+)
 from repro.cluster.faults import FaultPlan, FaultyCluster
 
 
@@ -99,13 +105,17 @@ class TestFaultPlan:
 
 class TestFailures:
     def test_no_faults_matches_plain_cluster_exactly(self):
-        plain = make_cluster(4).run_job(work())
-        faulty = run(FaultPlan())
-        assert faulty.timeline.duration_s == plain.duration_s
-        assert faulty.timeline.disk_writes_per_second == plain.disk_writes_per_second
-        assert faulty.timeline.network_bytes == plain.network_bytes
-        assert faulty.failed_attempts == 0
-        assert faulty.killed_attempts == 0
+        # Every timeline field, locality tiers and rack map included, on
+        # a flat and on a two-rack cluster.
+        for racks in (1, 2):
+            plain = make_cluster(4, racks=racks).run_job(work())
+            faulty = FaultyCluster(
+                make_cluster(4, racks=racks), FaultPlan()
+            ).run_job(work())
+            report = faulty.to_dict()
+            resilience = report.pop("resilience")
+            assert report == plain.to_dict()
+            assert not any(resilience.values())
 
     def test_failures_counted_and_cost_time(self):
         baseline = run(FaultPlan())
@@ -113,7 +123,7 @@ class TestFailures:
         assert faulty.failed_attempts == 3
         assert faulty.failed_map_attempts == 3
         assert faulty.wasted_seconds > 0
-        assert faulty.timeline.duration_s >= baseline.timeline.duration_s
+        assert faulty.duration_s >= baseline.duration_s
 
     def test_retry_prefers_a_different_node(self):
         faulty = run(FaultPlan(map_failures=(2,)))
@@ -139,7 +149,7 @@ class TestFailures:
         baseline = run(FaultPlan())
         faulty = run(FaultPlan(reduce_failures=(1,)))
         assert faulty.failed_reduce_attempts == 1
-        assert faulty.timeline.duration_s >= baseline.timeline.duration_s
+        assert faulty.duration_s >= baseline.duration_s
 
     def test_map_exhaustion_aborts_the_job(self):
         policy = RetryPolicy(max_attempts=3)
@@ -158,12 +168,12 @@ class TestFailures:
         a = run(FaultPlan(map_failure_rate=0.3, seed=42))
         b = run(FaultPlan(map_failure_rate=0.3, seed=42))
         assert a.failed_attempts == b.failed_attempts
-        assert a.timeline.duration_s == b.timeline.duration_s
+        assert a.duration_s == b.duration_s
 
     def test_failed_job_still_completes_all_reduces(self):
         faulty = run(FaultPlan(map_failures=(1,)))
-        assert faulty.timeline.reduce_tasks == 4
-        assert faulty.timeline.end_s >= faulty.timeline.map_phase_end_s
+        assert faulty.reduce_tasks == 4
+        assert faulty.end_s >= faulty.map_phase_end_s
 
 
 class TestBlacklist:
@@ -205,7 +215,7 @@ class TestStragglers:
                 speculative_execution=False,
             )
         )
-        assert dragged.timeline.duration_s > 1.5 * healthy.timeline.duration_s
+        assert dragged.duration_s > 1.5 * healthy.duration_s
 
     def test_speculation_bounds_straggler_damage(self):
         no_spec = run(
@@ -222,7 +232,7 @@ class TestStragglers:
                 speculative_execution=True,
             )
         )
-        assert with_spec.timeline.duration_s < no_spec.timeline.duration_s
+        assert with_spec.duration_s < no_spec.duration_s
         assert with_spec.speculative_attempts > 0
         assert with_spec.speculative_wins > 0
 
@@ -283,10 +293,10 @@ class TestNodeCrash:
     def test_crash_mid_map_phase_recovers_and_completes(self):
         baseline = run(FaultPlan(), replicas=2)
         faulty = run(
-            self.plan(at=baseline.timeline.map_phase_end_s * 0.5), replicas=2
+            self.plan(at=baseline.map_phase_end_s * 0.5), replicas=2
         )
         assert faulty.nodes_crashed == ("slave2",)
-        assert faulty.timeline.duration_s >= baseline.timeline.duration_s
+        assert faulty.duration_s >= baseline.duration_s
         assert faulty.killed_attempts + faulty.maps_reexecuted > 0
 
     def test_crash_with_single_replica_loses_data(self):
@@ -297,7 +307,7 @@ class TestNodeCrash:
         # Crash well into the map phase: slave2 has finished at least one
         # wave whose output dies with it.
         baseline = run(FaultPlan(), cpu=0.2, replicas=2)
-        crash_at = baseline.timeline.map_phase_end_s * 0.7
+        crash_at = baseline.map_phase_end_s * 0.7
         faulty = run(self.plan(at=crash_at), cpu=0.2, replicas=2)
         assert faulty.maps_reexecuted > 0
         rerun = [
@@ -346,7 +356,7 @@ class TestShuffleFaults:
         assert faulty.shuffle_fetch_failures == 2
         assert faulty.fetch_escalations == 0
         assert faulty.wasted_seconds > 0
-        assert faulty.timeline.duration_s >= baseline.timeline.duration_s
+        assert faulty.duration_s >= baseline.duration_s
 
     def test_fetch_failures_escalate_to_map_rerun(self):
         policy = RetryPolicy(max_fetch_retries=3)
@@ -363,7 +373,7 @@ class TestShuffleFaults:
     def test_fetch_failures_charge_the_network(self):
         clean = run(FaultPlan())
         faulty = run(FaultPlan(shuffle_failures=((0, 1, 2),)))
-        assert faulty.timeline.network_bytes > clean.timeline.network_bytes
+        assert faulty.network_bytes > clean.network_bytes
 
 
 class TestReplicaLoss:
@@ -375,7 +385,7 @@ class TestReplicaLoss:
         # map 0 preferred slave1+slave2; its slave1 copy is gone, so the
         # job still completes (reading the surviving replica).
         assert faulty.failed_attempts == 0
-        assert faulty.timeline.duration_s >= baseline.timeline.duration_s
+        assert faulty.duration_s >= baseline.duration_s
 
     def test_all_replicas_lost_kills_the_job(self):
         with pytest.raises(DataLossError):
@@ -388,9 +398,9 @@ class TestReplicaLoss:
 class TestAccountingSurfaces:
     def test_faulty_timeline_quacks_like_a_timeline(self):
         faulty = run(FaultPlan(map_failures=(0,)))
-        assert faulty.duration_s == faulty.timeline.duration_s
-        assert faulty.end_s == faulty.timeline.end_s
-        assert faulty.map_phase_end_s == faulty.timeline.map_phase_end_s
+        assert isinstance(faulty, JobTimeline)
+        assert faulty.duration_s == faulty.end_s - faulty.start_s
+        assert faulty.end_s >= faulty.map_phase_end_s
         assert faulty.job_name == "job"
         assert faulty.map_tasks == 16 and faulty.reduce_tasks == 4
         assert set(faulty.disk_writes_per_second) == {

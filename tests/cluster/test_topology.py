@@ -25,6 +25,7 @@ from repro.cluster import (
     FaultPlan,
     FaultyCluster,
     HadoopCluster,
+    JobTimeline,
     Topology,
     make_cluster,
     restore_into,
@@ -414,6 +415,25 @@ class TestRackFaultPlans:
         )
         accounting = run.timelines[0].to_dict()["resilience"]
         assert accounting["corrupt_replicas_injected"] >= 1
+
+    def test_faulty_rack_run_keeps_the_locality_relation(self):
+        # A rack outage mid-map: the faulty timeline is a full JobTimeline
+        # and every map still lands in exactly one locality tier.
+        cluster = make_cluster(6, block_size=64 * 1024, racks=2)
+        plan = FaultPlan(rack_outages=(("rack2", 0.005),), seed=0)
+        run = workload("WordCount").run(
+            scale=0.3, cluster=FaultyCluster(cluster, plan)
+        )
+        assert run.timelines[0].nodes_crashed == ("slave4", "slave5", "slave6")
+        for t in run.timelines:
+            for f in dataclasses.fields(JobTimeline):
+                getattr(t, f.name)
+            assert t.maps_node_local + t.maps_rack_local + t.maps_off_rack == (
+                t.map_tasks
+            )
+            assert t.node_racks == {
+                f"slave{i}": "rack1" if i <= 3 else "rack2" for i in range(1, 7)
+            }
 
 
 class TestCliTopology:

@@ -4,11 +4,22 @@ Export columns, PMU event names and codes, the figure map, the
 ``Metrics`` fields and the ``ProcFs`` status lines are generated from
 the counter tables (``repro.uarch.counters``, ``repro.perf.procfs``).  A
 renamed or reordered row must show up here, not in a user's spreadsheet.
-Only names and shapes are pinned, never a simulated value.
+The single-job resilience report (``FaultyTimeline.accounting()``,
+``to_dict()`` and the per-run aggregate the CLI prints) is pinned the
+same way.  Only names and shapes are pinned, never a simulated value.
 """
 
 import dataclasses
 
+from repro.cluster import (
+    FaultPlan,
+    FaultyCluster,
+    JobWork,
+    MapWork,
+    ReduceWork,
+    make_cluster,
+    run_chaos,
+)
 from repro.core.export import COLUMNS
 from repro.core.metrics import Metrics
 from repro.core.report import FIGURE_METRICS
@@ -63,6 +74,26 @@ METRICS_FIELDS = [
     "ipc", "kernel_instruction_fraction", "l1i_mpki", "itlb_walks_pki", "l2_mpki",
     "l3_hit_ratio_of_l2_misses", "dtlb_walks_pki", "branch_misprediction_ratio",
     "stall_breakdown",
+]
+
+#: key order of ``FaultyTimeline.accounting()``, of its ``to_dict()``
+#: ``"resilience"`` section and of the aggregate over a run's timelines
+ACCOUNTING_KEYS = [
+    "failed_attempts", "failed_map_attempts", "failed_reduce_attempts",
+    "killed_attempts", "speculative_attempts", "speculative_wins", "wasted_seconds",
+    "shuffle_fetch_failures", "fetch_escalations", "maps_reexecuted",
+    "re_replicated_bytes", "blocks_lost", "master_crashes", "recovery_downtime_s",
+    "maps_recovered", "jobs_restarted", "jobs_resumed", "corrupt_replicas_injected",
+    "checksum_failures", "bad_blocks_reported", "scrubbed_bytes",
+    "zombie_attempts_fenced", "net_retransmits", "net_retransmit_bytes",
+    "nodes_crashed", "blacklisted_nodes", "nodes_partitioned", "graylisted_nodes",
+]
+NODE_NAME_KEYS = ACCOUNTING_KEYS[-4:]
+
+TIMELINE_KEYS = [
+    "job_name", "start_s", "map_phase_end_s", "end_s", "duration_s", "map_tasks",
+    "reduce_tasks", "disk_writes_per_second", "network_bytes", "maps_node_local",
+    "maps_rack_local", "maps_off_rack", "node_racks", "resilience",
 ]
 
 #: attribute order of a fresh ProcFs (the dispatch golden hashes it in order)
@@ -121,3 +152,27 @@ def test_procfs_attributes_and_lines():
         setattr(procfs, name, 3 * i + 1)
     assert set(COUNTER_GROUPS) == set(PROCFS_LINES)
     assert {group: procfs.render(group) for group in PROCFS_LINES} == PROCFS_LINES
+
+
+def test_faulty_timeline_report_shape():
+    work = JobWork(
+        "job",
+        maps=[MapWork(1 << 16, 0.1, 1 << 16, preferred_nodes=("slave1",))],
+        reduces=[ReduceWork(1 << 16, 0.1, 1 << 16)],
+    )
+    timeline = FaultyCluster(
+        make_cluster(2), FaultPlan(map_failures=(0,))
+    ).run_job(work)
+    accounting = timeline.accounting()
+    assert list(accounting) == ACCOUNTING_KEYS
+    assert all(type(accounting[key]) is tuple for key in NODE_NAME_KEYS)
+    report = timeline.to_dict()
+    assert list(report) == TIMELINE_KEYS
+    assert list(report["resilience"]) == ACCOUNTING_KEYS
+    assert all(type(report["resilience"][key]) is list for key in NODE_NAME_KEYS)
+
+
+def test_aggregate_accounting_shape():
+    totals = run_chaos("WordCount", seed=0, scale=0.1).accounting
+    assert list(totals) == ACCOUNTING_KEYS
+    assert all(type(totals[key]) is tuple for key in NODE_NAME_KEYS)
