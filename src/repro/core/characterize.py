@@ -18,14 +18,14 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.core.metrics import Metrics
-from repro.core.simcache import SimCache
+from repro.core.simcache import SimCache, check_engine, run_engine
 from repro.core.suite import DCBench, SuiteEntry
 from repro.perf.session import PerfReading, PerfSession
 from repro.uarch.config import MachineConfig, scaled_machine
-from repro.uarch.pipeline import Core, SimulationResult
-from repro.uarch.trace import SyntheticTrace
+from repro.uarch.pipeline import SimulationResult
 
 #: Default trace length per workload (micro-ops).
 DEFAULT_INSTRUCTIONS = 200_000
@@ -57,6 +57,15 @@ class Characterization:
 DEFAULT_ENGINE = "fast"
 
 
+@lru_cache(maxsize=16, typed=True)
+def _default_machine(scale: int) -> MachineConfig:
+    """``scaled_machine(scale)``, built once per exact ``(type, value)`` of
+    *scale* (``8`` and ``8.0`` build different machines).  The machine is
+    frozen, so every caller can share it, and a suite loop keys all its
+    entries against one object (see ``simcache._machine_fragment``)."""
+    return scaled_machine(scale)
+
+
 def characterize(
     entry: SuiteEntry,
     instructions: int = DEFAULT_INSTRUCTIONS,
@@ -74,21 +83,17 @@ def characterize(
     shrink the *workload* footprints, so pass a machine scaled to match).
 
     ``engine`` selects ``"fast"`` (batched, default) or ``"reference"``
-    (the per-μop interpreter).  Passing a :class:`~repro.core.simcache.
+    (the per-μop interpreter); any other name is a ValueError.  Passing a :class:`~repro.core.simcache.
     SimCache` as ``cache`` memoises the simulation on disk; by default no
     cache is consulted, so tests that patch the model always see live runs.
     """
     if machine is None:
-        machine = scaled_machine(scale)
+        machine = _default_machine(scale)
     spec = entry.trace_spec(instructions, seed=seed).scaled(scale)
     if cache is not None:
         result = cache.simulate(spec, machine, warmup=warmup, engine=engine)
-    elif engine == "fast":
-        from repro.perf.fastpath import run_fast
-
-        result = run_fast(Core(machine), SyntheticTrace(spec), warmup=warmup)
     else:
-        result = Core(machine).run(SyntheticTrace(spec), warmup=warmup)
+        result = run_engine(spec, machine, warmup, engine)
     metrics = Metrics.from_result(result)
     reading = PerfSession().measure_result(result)
     return Characterization(
@@ -96,11 +101,13 @@ def characterize(
     )
 
 
-def _characterize_task(args: tuple) -> Characterization:
-    """Top-level (picklable) worker for the process pool."""
-    entry, instructions, scale, machine, engine, use_cache, cache_root = args
-    cache = SimCache(root=cache_root) if use_cache else None
-    return characterize(
+def _characterize_task(args: tuple) -> tuple[Characterization, int, int]:
+    """Top-level (picklable) worker for the process pool: the
+    characterization, and the hits and misses of the worker's handle on
+    the caller's cache (root and on/off switch)."""
+    entry, instructions, scale, machine, engine, cache_root, cache_enabled = args
+    cache = None if cache_root is None else SimCache(cache_root, enabled=cache_enabled)
+    char = characterize(
         entry,
         instructions=instructions,
         scale=scale,
@@ -108,6 +115,7 @@ def _characterize_task(args: tuple) -> Characterization:
         engine=engine,
         cache=cache,
     )
+    return (char, 0, 0) if cache is None else (char, cache.hits, cache.misses)
 
 
 def resolve_workers(workers: int | str | None, jobs: int) -> int:
@@ -143,6 +151,7 @@ def characterize_suite(
     of completion order, and every simulation is seeded from its spec, so
     ``workers=N`` is bit-identical to ``workers=1``.
     """
+    check_engine(engine)
     suite = suite or DCBench.default()
     entries = list(suite)
     count = resolve_workers(workers, len(entries))
@@ -161,11 +170,16 @@ def characterize_suite(
     # Spawn (not fork) for determinism and safety under pytest/threads;
     # futures are collected in submission order, so output order is stable.
     context = multiprocessing.get_context("spawn")
+    cache_root = None if cache is None else str(cache.root)
+    cache_enabled = cache is not None and cache.enabled
     tasks = [
-        (entry, instructions, scale, machine, engine, cache is not None,
-         str(cache.root) if cache is not None else None)
+        (entry, instructions, scale, machine, engine, cache_root, cache_enabled)
         for entry in entries
     ]
     with ProcessPoolExecutor(max_workers=count, mp_context=context) as pool:
         futures = [pool.submit(_characterize_task, task) for task in tasks]
-        return [future.result() for future in futures]
+        results = [future.result() for future in futures]
+    if cache is not None:
+        cache.hits += sum(hits for _, hits, _ in results)
+        cache.misses += sum(misses for _, _, misses in results)
+    return [char for char, _, _ in results]

@@ -6,7 +6,8 @@ benchmarks, CLI invocations and CI jobs, and the simulator is fully
 deterministic.  This module memoises :class:`~repro.uarch.pipeline.
 SimulationResult`s on disk, content-addressed by a stable hash of
 
-* the trace spec (every field, via ``dataclasses.asdict``),
+* the trace spec (every field, walked the way ``dataclasses.asdict``
+  walks it, see :func:`_plain`),
 * the machine config (every field, including nested cache/TLB/core configs),
 * the warmup override, and
 * the **code version** — a digest of the source bytes of every module that
@@ -146,15 +147,17 @@ def cache_dir(root: str | os.PathLike | None = None) -> Path:
 # -- entries: ``<root>/<namespace>/<key[:2]>/<key>.<namespace>`` -------------
 
 
-def _entry_path(root, namespace: str, key: str) -> Path:
-    return cache_dir(root) / namespace / key[:2] / f"{key}.{namespace}"
+def _entry_path(root, namespace: str, key: str) -> str:
+    # A string, not a Path: pathlib's joins were a tenth of a warm hit.
+    return os.path.join(cache_dir(root), namespace, key[:2], f"{key}.{namespace}")
 
 
 def _load(namespace: str, key: str, root, decode, *args):
     """``decode(entry bytes, *args)``, or None: a missing, unreadable,
     damaged or foreign entry is a miss, never an error."""
     try:
-        return decode(_entry_path(root, namespace, key).read_bytes(), *args)
+        with open(_entry_path(root, namespace, key), "rb") as handle:
+            return decode(handle.read(), *args)
     except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError):
         return None
 
@@ -163,8 +166,9 @@ def _write(namespace: str, key: str, root, entry: bytes) -> None:
     """Publish *entry* atomically (same-directory temp file + rename), so
     a concurrent reader sees a whole file or none."""
     path = _entry_path(root, namespace, key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(entry)
@@ -262,6 +266,78 @@ def _counter_fields() -> tuple[str, ...]:
     return tuple(counter.field for counter in COUNTERS)
 
 
+# -- canonical key documents ----------------------------------------------------
+
+#: The one JSON form both cache keys hash (``json.dumps`` with these
+#: options, minus a new encoder per call).
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str).encode
+
+_ATOMS = frozenset({str, int, float, bool, type(None)})
+
+
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def _plain(value):
+    """*value* as ``dataclasses.asdict`` would render it, as far as JSON can
+    tell: dataclasses become dicts of their fields, lists and tuples (named
+    or not) lists, dicts dicts of walked keys and values; anything else is
+    left as is, where ``asdict`` deep-copies it — JSON renders a copy and
+    its original alike.  ``asdict``'s copy is most of its cost."""
+    kind = type(value)
+    if kind in _ATOMS:
+        return value
+    if hasattr(kind, "__dataclass_fields__"):
+        return _asdict(value)
+    if isinstance(value, (list, tuple)):
+        return list(map(_plain, value))
+    if isinstance(value, dict):
+        return {_plain(key): _plain(item) for key, item in value.items()}
+    return value
+
+
+def _asdict(instance) -> dict:
+    """``dataclasses.asdict(instance)`` as :func:`_plain` renders it (a
+    TypeError for anything but a dataclass instance, as there)."""
+    return {name: _plain(getattr(instance, name)) for name in _field_names(type(instance))}
+
+
+def _frozen(value) -> bool:
+    """Whether *value* can never change: an atom, or a tuple or frozen
+    dataclass of such values."""
+    kind = type(value)
+    if kind in _ATOMS:
+        return True
+    if isinstance(value, tuple):
+        return all(map(_frozen, value))
+    params = getattr(kind, "__dataclass_params__", None)
+    return (
+        params is not None
+        and params.frozen
+        and all(_frozen(getattr(value, name)) for name in _field_names(kind))
+    )
+
+
+#: The last machine :func:`sim_cache_key` saw, with its fragment.  A
+#: suite loop keys every entry against one machine object, so the
+#: fragment is rendered once.  Exact: only a machine that can never change
+#: is kept (:func:`_frozen`), and the memo holds it, so its id cannot be
+#: reused by another object while it is here.
+_last_machine: tuple[object, str] = (object(), "")
+
+
+def _machine_fragment(machine: MachineConfig) -> str:
+    global _last_machine
+    last, fragment = _last_machine
+    if machine is not last:
+        fragment = _canonical(_asdict(machine))
+        if _frozen(machine):
+            _last_machine = (machine, fragment)
+    return fragment
+
+
 def sim_cache_key(
     spec: TraceSpec, machine: MachineConfig, warmup: int | None = None
 ) -> str:
@@ -271,16 +347,21 @@ def sim_cache_key(
     instruction budget, a cache geometry, the predictor kind, a region
     footprint — produces a different key.  The digest also folds in the
     code version, the schema version and the counter-column layout.
+
+    The hashed document is the canonical JSON of ``{"code", "counters",
+    "machine", "schema", "spec", "warmup"}`` (spec and machine as
+    ``dataclasses.asdict`` gives them), assembled from one fragment per
+    part in sorted key order: the same bytes, without the whole-payload
+    walk.
     """
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "code": code_version(),
-        "counters": _counter_fields(),
-        "warmup": warmup,
-        "spec": dataclasses.asdict(spec),
-        "machine": dataclasses.asdict(machine),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    canonical = (
+        f'{{"code":{_canonical(code_version())}'
+        f',"counters":{_canonical(_counter_fields())}'
+        f',"machine":{_machine_fragment(machine)}'
+        f',"schema":{_canonical(SCHEMA_VERSION)}'
+        f',"spec":{_canonical(_asdict(spec))}'
+        f',"warmup":{_canonical(warmup)}}}'
+    )
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -324,6 +405,26 @@ def store_result(
 def clear(root: str | os.PathLike | None = None) -> int:
     """Explicit invalidation: delete every cached entry; return the count."""
     return _clear("sim", root)
+
+
+def check_engine(engine: str) -> None:
+    """Refuse an engine other than the batched ``"fast"`` (``run_fast``)
+    and the per-μop ``"reference"`` (``Core.run``); callers check before
+    keying, so a cache hit cannot hide a misspelt engine."""
+    if engine not in ("fast", "reference"):
+        raise ValueError(f"unknown engine {engine!r} (want 'fast' or 'reference')")
+
+
+def run_engine(
+    spec: TraceSpec, machine: MachineConfig, warmup: int | None = None, engine: str = "fast"
+) -> SimulationResult:
+    """Simulate *spec* on a fresh core of *machine*, uncached."""
+    check_engine(engine)
+    if engine == "fast":
+        from repro.perf.fastpath import run_fast
+
+        return run_fast(Core(machine), SyntheticTrace(spec), warmup=warmup)
+    return Core(machine).run(SyntheticTrace(spec), warmup=warmup)
 
 
 class _CacheHandle:
@@ -391,16 +492,12 @@ class SimCache(_CacheHandle):
         warmup: int | None = None,
         engine: str = "fast",
     ) -> SimulationResult:
+        check_engine(engine)
         key = sim_cache_key(spec, machine, warmup) if self.enabled else None
         cached = self._lookup(load_result, key)
         if cached is not None:
             return cached
-        if engine == "fast":
-            from repro.perf.fastpath import run_fast
-
-            result = run_fast(Core(machine), SyntheticTrace(spec), warmup=warmup)
-        else:
-            result = Core(machine).run(SyntheticTrace(spec), warmup=warmup)
+        result = run_engine(spec, machine, warmup, engine)
         self._store(store_result, key, result)
         return result
 
@@ -614,7 +711,7 @@ def mix_cache_key(multi, trace=None) -> str:
         "code": cluster_code_version(),
         "observability": multi.observability,
         "scheduler": multi.scheduler.describe(),
-        "plan": dataclasses.asdict(multi.plan) if multi.plan is not None else None,
+        "plan": _asdict(multi.plan) if multi.plan is not None else None,
         "cluster": _cluster_fingerprint(multi.cluster),
     }
     if trace is None:
@@ -622,7 +719,7 @@ def mix_cache_key(multi, trace=None) -> str:
     else:
         payload["exec"] = exec_code_version()
         records = map(_trace_record, trace.jobs)
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    canonical = _canonical(payload)
     # The JSON document is self-delimiting, so a differing domain field
     # makes the two byte streams differ whatever records follow.
     digest = hashlib.sha256(canonical.encode())

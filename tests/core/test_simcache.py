@@ -22,7 +22,12 @@ import struct
 
 import pytest
 
-from repro.core.characterize import characterize_suite, resolve_workers
+from repro.core.characterize import (
+    DEFAULT_INSTRUCTIONS,
+    characterize,
+    characterize_suite,
+    resolve_workers,
+)
 from repro.core.simcache import (
     MIX_SCHEMA_VERSION,
     SCHEMA_VERSION,
@@ -44,7 +49,12 @@ from repro.core.simcache import (
     store_result,
 )
 from repro.core.suite import DCBench
-from repro.uarch.config import XEON_E5645, scaled_machine
+from repro.uarch.config import (
+    XEON_E5645,
+    hugepage_machine,
+    scaled_machine,
+    virtualized_machine,
+)
 from repro.uarch.pipeline import Core
 from repro.uarch.trace import SyntheticTrace, TraceSpec
 
@@ -110,6 +120,89 @@ class TestCacheKey:
         version = code_version()
         assert len(version) == 16
         int(version, 16)  # hex digest prefix
+
+
+def asdict_key(spec, machine, warmup=None):
+    """The sim key as the whole-payload ``dataclasses.asdict`` + ``json.dumps``
+    formula writes it: the oracle every stored entry was keyed by."""
+    from repro.core.simcache import _counter_fields
+
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "code": code_version(),
+        "counters": _counter_fields(),
+        "warmup": warmup,
+        "spec": dataclasses.asdict(spec),
+        "machine": dataclasses.asdict(machine),
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def ablation(machine):
+    """An ablation-study machine: huge pages under a hypervisor, no
+    prefetcher, a gshare predictor."""
+    machine = virtualized_machine(hugepage_machine(machine))
+    return dataclasses.replace(
+        machine,
+        prefetch=False,
+        core=dataclasses.replace(machine.core, predictor="gshare"),
+    )
+
+
+class TestKeyOracle:
+    """:func:`sim_cache_key` assembles its document from per-part
+    fragments and keeps the last machine's fragment; every key must still
+    equal :func:`asdict_key`'s, so stored entries keep hitting."""
+
+    @pytest.mark.parametrize("scale", [1, 2, 8])
+    def test_every_entry_scale_warmup_and_machine(self, scale):
+        machines = (scaled_machine(scale), ablation(scaled_machine(scale)))
+        for entry in DCBench.default():
+            spec = entry.trace_spec(DEFAULT_INSTRUCTIONS).scaled(scale)
+            for warmup in (None, 0, 500):
+                for machine in machines:
+                    assert sim_cache_key(spec, machine, warmup) == (
+                        asdict_key(spec, machine, warmup)
+                    )
+
+    def test_signed_zero_fraction(self, spec):
+        zero = dataclasses.replace(spec, taken_bias=0.0)
+        negative = dataclasses.replace(spec, taken_bias=-0.0)
+        assert sim_cache_key(negative, SCALED) == asdict_key(negative, SCALED)
+        assert sim_cache_key(zero, SCALED) == asdict_key(zero, SCALED)
+        assert sim_cache_key(negative, SCALED) != sim_cache_key(zero, SCALED)
+
+    def test_int_and_float_frequency(self, spec):
+        as_int = dataclasses.replace(SCALED, frequency_ghz=2)
+        as_float = dataclasses.replace(SCALED, frequency_ghz=2.0)
+        assert sim_cache_key(spec, as_int) == asdict_key(spec, as_int)
+        assert sim_cache_key(spec, as_float) == asdict_key(spec, as_float)
+        assert sim_cache_key(spec, as_int) != sim_cache_key(spec, as_float)
+
+    def test_equal_machines_that_are_distinct_objects(self, spec):
+        twin = dataclasses.replace(SCALED)
+        assert twin == SCALED and twin is not SCALED
+        assert sim_cache_key(spec, twin) == sim_cache_key(spec, SCALED)
+        assert sim_cache_key(spec, twin) == asdict_key(spec, twin)
+
+    def test_memo_never_leaks_a_fragment(self, spec):
+        """One machine object reused across alternating specs, and
+        alternating with others, keys every pair as the oracle does."""
+        other = dataclasses.replace(spec, seed=12)
+        for machine in (SCALED, XEON_E5645, SCALED, ablation(SCALED), SCALED):
+            for current in (spec, other, spec):
+                assert sim_cache_key(current, machine) == asdict_key(current, machine)
+
+    def test_a_machine_that_can_change_is_never_memoised(self, spec):
+        """A frozen machine holding a mutable value is keyed afresh on
+        every call: mutating the value moves the key with the oracle."""
+        label = ["Xeon"]
+        machine = dataclasses.replace(SCALED, name=label)
+        before = sim_cache_key(spec, machine)
+        label.append("E5645")
+        assert sim_cache_key(spec, machine) == asdict_key(spec, machine)
+        assert sim_cache_key(spec, machine) != before
 
 
 class TestStore:
@@ -184,6 +277,14 @@ class TestSimCache:
         warm = cache.simulate(spec, SCALED, engine="fast")
         assert dataclasses.asdict(cold) == dataclasses.asdict(warm)
         assert cache.hits == 1
+
+    def test_unknown_engine_is_refused_before_the_lookup(self, spec, tmp_path):
+        """A warm entry must not hide a misspelt engine."""
+        cache = SimCache(tmp_path, enabled=True)
+        cache.simulate(spec, SCALED)
+        with pytest.raises(ValueError, match="'fast' or 'reference'"):
+            cache.simulate(spec, SCALED, engine="nonsense")
+        assert (cache.hits, cache.misses) == (0, 1)
 
     def test_disabled_cache_never_stores(self, spec, tmp_path):
         cache = SimCache(tmp_path, enabled=False)
@@ -314,6 +415,35 @@ class TestMixCacheKey:
         assert forward == mix_cache_key(
             build_small_mix(tweak=hinted("slave1", "slave2"))
         )
+
+    def test_keys_equal_the_asdict_formula(self, monkeypatch):
+        """Keys recorded under the ``dataclasses.asdict`` walk of the fault
+        plan, with the code digests held fixed (so only the key formula
+        and its inputs can move them; a ``MIX_SCHEMA_VERSION`` bump or a
+        change to what a key folds in re-records them)."""
+        from repro.cluster.faults import FaultPlan
+        from repro.cluster.scheduler import FifoScheduler
+
+        monkeypatch.setattr(
+            "repro.core.simcache.cluster_code_version", lambda: "c0dec0dec0dec0de"
+        )
+        monkeypatch.setattr(
+            "repro.core.simcache.exec_code_version", lambda: "e0ece0ece0ece0ec"
+        )
+        plan = FaultPlan(partitions=(("slave2", 0.2, 0.5),), map_failures=(0,))
+        assert {
+            "plain": mix_cache_key(build_small_mix()),
+            "plan": mix_cache_key(build_small_mix(plan=True)),
+            "trace": trace_key(small_trace(), FifoScheduler()),
+            "trace-plan": trace_key(small_trace(), FifoScheduler(), plan=plan),
+        } == {
+            "plain": "9e3dcad5450a95563e7db2db6d59399ffa57153e603328d750d39307368160b6",
+            "plan": "46d09a8c2868b232494b9344646eca7ceab9773194c3d84b1c30375542b86675",
+            "trace": "9973d58cd6f9e04d9d2ca88cbf8ef1e136c52d2f2168fc35b36f50473df1ef73",
+            "trace-plan": (
+                "12ef63ee03eed1c35c05cc823ad6ad8018444e0bc7fccca2f01e2095bb0fbfbd"
+            ),
+        }
 
     def test_cluster_code_version_shape(self):
         version = cluster_code_version()
@@ -739,3 +869,49 @@ class TestParallelSuite:
         assert warm_cache.hits == len(sub)
         for a, b in zip(cold, warm):
             assert dataclasses.asdict(a.result) == dataclasses.asdict(b.result)
+
+    def test_workers_honour_and_count_on_the_callers_handle(self, tmp_path):
+        """Workers use the caller's cache as given (a disabled handle
+        writes nothing) and their hits and misses land on it."""
+        pair = DCBench([DCBench.default().entry(name) for name in ("Grep", "Sort")])
+
+        def run(cache):
+            characterize_suite(pair, instructions=5_000, workers=2, cache=cache)
+            return cache.hits, cache.misses
+
+        run(SimCache(tmp_path, enabled=False))
+        assert not list(tmp_path.rglob("*.sim"))
+        assert run(SimCache(tmp_path, enabled=True)) == (0, 2)
+        assert len(list(tmp_path.rglob("*.sim"))) == 2
+        assert run(SimCache(tmp_path, enabled=True)) == (2, 0)
+
+
+class TestEngineName:
+    def test_uncached_characterize_refuses_an_unknown_engine(self):
+        grep = DCBench.default().entry("Grep")
+        with pytest.raises(ValueError, match="'fast' or 'reference'"):
+            characterize(grep, instructions=2_000, engine="fats")
+
+    def test_cached_characterize_refuses_it_after_a_warm_fill(self, tmp_path):
+        grep = DCBench.default().entry("Grep")
+        cache = SimCache(tmp_path, enabled=True)
+        characterize(grep, instructions=2_000, cache=cache)
+        with pytest.raises(ValueError, match="'fast' or 'reference'"):
+            characterize(grep, instructions=2_000, engine="nonsense", cache=cache)
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_suite_refuses_it_before_starting_workers(self):
+        with pytest.raises(ValueError, match="'fast' or 'reference'"):
+            characterize_suite(instructions=2_000, engine="fats", workers=2)
+
+
+class TestDefaultMachine:
+    def test_one_frozen_machine_per_exact_scale(self):
+        from repro.core.characterize import _default_machine
+
+        assert _default_machine(8) is _default_machine(8)
+        assert _default_machine(8) == scaled_machine(8)
+        assert _default_machine(1) is XEON_E5645
+        # 8.0 builds float capacities and another name: never the int's machine
+        assert _default_machine(8.0) is not _default_machine(8)
+        assert _default_machine(8.0) == scaled_machine(8.0)
