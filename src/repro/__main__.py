@@ -699,7 +699,9 @@ def _render_serve_report(label: str, report) -> None:
     print(f"  {report.procfs.render('overload')}")
 
 
-#: serve's degradation-posture flags, which --compare replaces with its own
+#: serve's degradation-posture flags, which --compare replaces with its own;
+#: each defaults to None, so a flag given at ServePolicy's default value
+#: still counts as given
 _POSTURE = ("limp", "unprotected", "max_queue", "shed_rate", "shed_threshold",
             "retries")
 
@@ -713,7 +715,7 @@ def _cmd_serve(args) -> int:
     parser = args.parser
     if args.compare:
         ignored = [f"--{dest.replace('_', '-')}" for dest in _POSTURE
-                   if getattr(args, dest) != parser.get_default(dest)]
+                   if getattr(args, dest) is not None]
         if ignored:
             parser.error(f"--compare runs its own protected and unprotected "
                          f"postures; drop {', '.join(ignored)}")
@@ -756,12 +758,15 @@ def _cmd_serve(args) -> int:
     if args.unprotected:
         policy = ServePolicy.unprotected(deadline_s=args.deadline)
     else:
-        policy = ServePolicy(
-            deadline_s=args.deadline,
+        knobs = dict(
             max_queue_depth=args.max_queue,
             shed_rate=args.shed_rate,
             shed_threshold=args.shed_threshold,
             retry_budget=args.retries,
+        )
+        policy = ServePolicy(
+            deadline_s=args.deadline,
+            **{knob: value for knob, value in knobs.items() if value is not None},
         )
     report = run_service(
         process=process,
@@ -907,19 +912,19 @@ COMMANDS = (
         _SEED,
         ("--deadline", dict(type=_POSITIVE, default=8.0, metavar="SECONDS",
                             help="per-request deadline (the SLO)")),
-        ("--max-queue", dict(type=_COUNT, default=64,
+        ("--max-queue", dict(type=_COUNT,
                              help="admission-control queue-depth limit")),
-        ("--shed-rate", dict(type=_RATE, default=0.0, metavar="RATE",
+        ("--shed-rate", dict(type=_RATE, metavar="RATE",
                              help="fraction of traffic shed above --shed-threshold")),
-        ("--shed-threshold", dict(type=_COUNT, default=16,
+        ("--shed-threshold", dict(type=_COUNT,
                                   help="queue depth at which shedding starts")),
-        ("--retries", dict(type=_number(int, 0, 16, what="retry budget"), default=1,
+        ("--retries", dict(type=_number(int, 0, 16, what="retry budget"),
                            help="retry budget for deadline-killed requests")),
         ("--limp", _spec("INDEX:FACTOR", _number(int, 0, what="server index"),
                          _number(float, 1),
                          help="limp this server's service time by FACTOR "
                               "(repeatable; e.g. 0:3.0)")),
-        ("--unprotected", dict(action="store_true",
+        ("--unprotected", dict(action="store_true", default=None,
                                help="disable every degradation control "
                                     "(the overload control group)")),
         ("--compare", dict(action="store_true",

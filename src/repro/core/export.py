@@ -1,15 +1,16 @@
-"""Machine-readable exports of the figure data (CSV / JSON).
+"""Machine-readable exports of the figure data and of cluster runs (CSV / JSON).
 
 The paper's plots are bar charts per workload; downstream users want the
-series as data.  These helpers serialise a suite characterization into
-one flat table, one row per workload, with every Figure 3–12 metric —
-suitable for spreadsheets, pandas, or re-plotting.
+series as data.  Four tables, each with a ``*_to_rows`` / ``*_to_csv``
+pair and a JSON form:
 
-Alongside the figure tables there are per-job exports: cluster
-``JobTimeline``s (one row per job, disk rates flattened per node) and
-multi-tenant ``MixResult``s (one row per trace job with wait/turnaround/
-slowdown), so a whole scheduled day of traffic serialises the same way a
-single characterization does.
+* a suite characterization (``to_csv`` / ``to_json``): one row per
+  workload with every Figure 3–12 metric;
+* cluster ``JobTimeline``s (``timelines_to_*``): one row per job, disk
+  rates flattened per node;
+* multi-tenant ``MixResult``s (``mix_to_*``): one row per trace job with
+  wait/turnaround/slowdown;
+* workflow runs (``workflow_to_*``): one row per DAG stage.
 """
 
 from __future__ import annotations
@@ -44,14 +45,18 @@ def characterizations_to_rows(chars: list[Characterization]) -> list[dict]:
     ]
 
 
+def _csv(fieldnames: list[str], rows: list[dict]) -> str:
+    """*rows* as CSV text under a *fieldnames* header."""
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 def to_csv(chars: list[Characterization]) -> str:
     """The full metric table as CSV text."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in characterizations_to_rows(chars):
-        writer.writerow(row)
-    return buffer.getvalue()
+    return _csv(COLUMNS, characterizations_to_rows(chars))
 
 
 def to_json(chars: list[Characterization], indent: int | None = 2) -> str:
@@ -99,13 +104,7 @@ def timelines_to_rows(timelines: list) -> list[dict]:
 def timelines_to_csv(timelines: list) -> str:
     """Per-job timeline table as CSV text."""
     rows = timelines_to_rows(timelines)
-    fieldnames = list(rows[0]) if rows else TIMELINE_COLUMNS
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
+    return _csv(list(rows[0]) if rows else TIMELINE_COLUMNS, rows)
 
 
 def timelines_to_json(timelines: list, indent: int | None = 2) -> str:
@@ -145,12 +144,7 @@ def mix_to_rows(mix) -> list[dict]:
 
 def mix_to_csv(mix) -> str:
     """The per-trace-job accounting of a mix as CSV text."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=MIX_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in mix_to_rows(mix):
-        writer.writerow(row)
-    return buffer.getvalue()
+    return _csv(MIX_COLUMNS, mix_to_rows(mix))
 
 
 def mix_to_json(mix, indent: int | None = 2) -> str:
@@ -183,96 +177,9 @@ def workflow_to_rows(result) -> list[dict]:
 
 def workflow_to_csv(result) -> str:
     """The per-stage accounting of a workflow run as CSV text."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(
-        buffer, fieldnames=WORKFLOW_COLUMNS, lineterminator="\n"
-    )
-    writer.writeheader()
-    for row in workflow_to_rows(result):
-        writer.writerow(row)
-    return buffer.getvalue()
+    return _csv(WORKFLOW_COLUMNS, workflow_to_rows(result))
 
 
 def workflow_to_json(result, indent: int | None = 2) -> str:
     """The whole workflow run — stages, accounting, outputs — as JSON."""
     return json.dumps(result.to_dict(), indent=indent)
-
-
-#: column order of the per-job instance export (the flat CSV view of a
-#: WfCommons-style recorded instance; the JSON form is the instance's own
-#: validated document, via ``Instance.to_json``)
-INSTANCE_COLUMNS = [
-    "index",
-    "workload",
-    "scale",
-    "user",
-    "pool",
-    "size_class",
-    "submit_s",
-    "start_s",
-    "finish_s",
-    "ideal_s",
-]
-
-
-def instance_to_rows(instance) -> list[dict]:
-    """One flat dict per job of a :class:`~repro.recipes.Instance`."""
-    rows = []
-    for job in instance.jobs:
-        d = job.to_dict()
-        rows.append({column: d[column] for column in INSTANCE_COLUMNS})
-    return rows
-
-
-def instance_to_csv(instance) -> str:
-    """The per-job view of a recorded instance as CSV text."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(
-        buffer, fieldnames=INSTANCE_COLUMNS, lineterminator="\n"
-    )
-    writer.writeheader()
-    for row in instance_to_rows(instance):
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
-#: column order of the per-bucket repetition-benchmark export
-REPBENCH_COLUMNS = [
-    "bucket",
-    "target_rate",
-    "queries",
-    "hits",
-    "misses",
-    "hit_rate",
-    "saved_s",
-    "executed_s",
-    "mean_effective_s",
-    "mean_cold_s",
-]
-
-
-def repbench_to_rows(report) -> list[dict]:
-    """One dict per bucket of a
-    :class:`~repro.recipes.RepetitionBenchReport`."""
-    rows = []
-    for bucket in report.buckets:
-        d = bucket.to_dict()
-        rows.append({column: d[column] for column in REPBENCH_COLUMNS})
-    return rows
-
-
-def repbench_to_csv(report) -> str:
-    """The per-bucket cache-payoff curve as CSV text."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(
-        buffer, fieldnames=REPBENCH_COLUMNS, lineterminator="\n"
-    )
-    writer.writeheader()
-    for row in repbench_to_rows(report):
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
-def repbench_to_json(report, indent: int | None = 2) -> str:
-    """The whole repetition benchmark — buckets + settings — as JSON."""
-    return json.dumps(report.to_dict(), indent=indent)

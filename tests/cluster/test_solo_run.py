@@ -44,13 +44,62 @@ from repro.cluster.tenancy import (
     solo_run,
 )
 from repro.cluster.workflow import WORKFLOW_DAGS
-from repro.workloads import workload
+from repro.mapreduce.engine import LocalEngine
+from repro.mapreduce.job import JobConf, MapReduceJob
+from repro.workloads import datagen, workload
+from repro.workloads.base import DataAnalysisWorkload, WorkloadInfo
 from tests.mapreduce.golden import _sha256, canonical, canonical_work
 
 #: run_mix's default shared-cluster shape (every shadow has it too)
 RUN_MIX_SHAPE = dict(
     num_slaves=4, map_slots=8, reduce_slots=4, block_size=256 * 1024, racks=1
 )
+
+
+def _count_words(_doc_id, text):
+    for word in text.split():
+        yield word, 1
+
+
+def _sum(key, counts):
+    yield key, sum(counts)
+
+
+def _by_count(_word, count):
+    yield count, 1
+
+
+class TermFrequencies(DataAnalysisWorkload):
+    """A two-stage workload outside the Table I registry: word counts,
+    then how many words share each count."""
+
+    info = WorkloadInfo(
+        name="TermFrequencies",
+        input_description="synthetic documents",
+        input_gb_low=1,
+        retired_instructions_1e9=1,
+        source="test",
+    )
+
+    def run(self, scale=1.0, cluster=None, engine=None):
+        engine = engine or LocalEngine()
+        docs = datagen.generate_documents(max(2, int(400 * scale)), seed=71)
+        counts = engine.execute(
+            MapReduceJob(_count_words, _sum, JobConf("tf-count", num_reduces=4),
+                         combiner=_sum),
+            docs, cluster=cluster, input_name="tf-docs",
+        )
+        histogram = engine.execute(
+            MapReduceJob(_by_count, _sum, JobConf("tf-histogram", num_reduces=2),
+                         combiner=_sum),
+            counts.output, cluster=cluster, input_name="tf-counts",
+        )
+        return self._merge_results(
+            self.info.name, [counts, histogram], dict(histogram.output)
+        )
+
+    def uarch_profile(self):
+        return {}
 
 
 def distinct_pairs(trace) -> list[tuple[str, float]]:
@@ -187,10 +236,9 @@ class TestSoloRun:
         assert output == run.output
 
     def test_accepts_an_unregistered_workload_object(self):
-        from repro.workloads.extra import TfIdfWorkload
-
-        run = TfIdfWorkload().run(scale=0.05, cluster=make_cluster(num_slaves=2))
-        duration_s, works, output = solo_run(TfIdfWorkload(), 0.05, num_slaves=2)
+        run = TermFrequencies().run(scale=0.05, cluster=make_cluster(num_slaves=2))
+        duration_s, works, output = solo_run(TermFrequencies(), 0.05, num_slaves=2)
+        assert len(works) == 2
         assert (duration_s, len(works), output) == (
             run.duration_s,
             len(run.job_results),

@@ -121,12 +121,12 @@ SURFACE = {
         ),
         "seed": (("--seed",), 0, None, None, "Store"),
         "deadline": (("--deadline",), 8.0, None, None, "Store"),
-        "max_queue": (("--max-queue",), 64, None, None, "Store"),
-        "shed_rate": (("--shed-rate",), 0.0, None, None, "Store"),
-        "shed_threshold": (("--shed-threshold",), 16, None, None, "Store"),
-        "retries": (("--retries",), 1, None, None, "Store"),
+        "max_queue": (("--max-queue",), None, None, None, "Store"),
+        "shed_rate": (("--shed-rate",), None, None, None, "Store"),
+        "shed_threshold": (("--shed-threshold",), None, None, None, "Store"),
+        "retries": (("--retries",), None, None, None, "Store"),
         "limp": (("--limp",), None, None, None, "Append"),
-        "unprotected": (("--unprotected",), False, None, 0, "StoreTrue"),
+        "unprotected": (("--unprotected",), None, None, 0, "StoreTrue"),
         "compare": (("--compare",), False, None, 0, "StoreTrue"),
         "format": (("--format",), "table", ("table", "json"), None, "Store"),
     },
@@ -213,6 +213,8 @@ BAD_INPUT = [
     (["serve", "--compare", "--limp", "9:2"], "drop --limp"),
     (["serve", "--compare", "--unprotected"], "drop --unprotected"),
     (["serve", "--compare", "--max-queue", "8"], "drop --max-queue"),
+    (["serve", "--compare", "--max-queue", "64"], "drop --max-queue"),
+    (["serve", "--compare", "--retries", "1"], "drop --retries"),
     (["serve", "--compare", "--shed-rate", "0.5"], "drop --shed-rate"),
     (["serve", "--compare", "--shed-threshold", "4"], "drop --shed-threshold"),
     (["serve", "--compare", "--retries", "0"], "drop --retries"),

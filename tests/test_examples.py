@@ -48,13 +48,6 @@ class TestExamples:
         assert "healthy cluster" in out
         assert "with speculation" in out
 
-    def test_programming_models(self, capsys):
-        load_example("programming_models").main()
-        out = capsys.readouterr().out
-        assert "WordCount" in out and "PageRank" in out
-        # every row must report matching outputs
-        assert "NO" not in out
-
     def test_multi_tenant(self, capsys):
         load_example("multi_tenant").main()
         out = capsys.readouterr().out

@@ -33,7 +33,6 @@ LAZY_PACKAGES = (
     "repro.core",
     "repro.hive",
     "repro.mapreduce",
-    "repro.mpi",
     "repro.perf",
     "repro.recipes",
     "repro.uarch",
