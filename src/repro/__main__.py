@@ -709,44 +709,44 @@ _POSTURE = ("limp", "unprotected", "max_queue", "shed_rate", "shed_threshold",
 def _cmd_serve(args) -> int:
     import json
 
-    from repro.cluster.chaos import run_overload_chaos
     from repro.cluster.serve import ArrivalProcess, ServePolicy, run_service
 
     parser = args.parser
+    process = ArrivalProcess(rate_per_s=args.rate, pattern=args.pattern)
     if args.compare:
         ignored = [f"--{dest.replace('_', '-')}" for dest in _POSTURE
                    if getattr(args, dest) is not None]
         if ignored:
             parser.error(f"--compare runs its own protected and unprotected "
                          f"postures; drop {', '.join(ignored)}")
-        result = run_overload_chaos(
-            seed=args.seed,
-            rate_per_s=args.rate,
-            num_requests=args.requests,
-            servers=args.servers,
-            pattern=args.pattern,
-            deadline_s=args.deadline,
+        protected, unprotected = (
+            run_service(process=process, num_requests=args.requests,
+                        servers=args.servers, policy=posture(args.deadline),
+                        seed=args.seed)
+            for posture in (ServePolicy.protected, ServePolicy.unprotected)
         )
+        p99_gap_s = unprotected.p99_s - protected.p99_s
+        ordering_holds = protected.p99_s < unprotected.p99_s
         if args.format == "json":
             payload = {
-                "seed": result.seed,
-                "rate_per_s": result.rate_per_s,
-                "pattern": result.pattern,
-                "deadline_s": result.deadline_s,
-                "p99_gap_s": result.p99_gap_s,
-                "ordering_holds": result.ordering_holds,
-                "protected": result.protected.to_dict(),
-                "unprotected": result.unprotected.to_dict(),
+                "seed": args.seed,
+                "rate_per_s": args.rate,
+                "pattern": args.pattern,
+                "deadline_s": args.deadline,
+                "p99_gap_s": p99_gap_s,
+                "ordering_holds": ordering_holds,
+                "protected": protected.to_dict(),
+                "unprotected": unprotected.to_dict(),
             }
             print(json.dumps(payload, indent=2))
         else:
             print(f"overload comparison: {args.pattern} arrivals at "
                   f"{args.rate:g} req/s, deadline {args.deadline:g}s")
-            _render_serve_report("protected", result.protected)
-            _render_serve_report("unprotected", result.unprotected)
-            print(f"p99 gap {result.p99_gap_s:.3f}s  "
-                  f"degradation ordering holds: {result.ordering_holds}")
-        return 0 if result.ordering_holds else 1
+            _render_serve_report("protected", protected)
+            _render_serve_report("unprotected", unprotected)
+            print(f"p99 gap {p99_gap_s:.3f}s  "
+                  f"degradation ordering holds: {ordering_holds}")
+        return 0 if ordering_holds else 1
 
     for index, _ in args.limp or ():
         if index >= args.servers:
@@ -754,7 +754,6 @@ def _cmd_serve(args) -> int:
                 f"--limp server {index} is not in the bank "
                 f"(have 0..{args.servers - 1})"
             )
-    process = ArrivalProcess(rate_per_s=args.rate, pattern=args.pattern)
     if args.unprotected:
         policy = ServePolicy.unprotected(deadline_s=args.deadline)
     else:

@@ -24,9 +24,11 @@ paper measures it:
   namespace exactly) and the jobtracker's job-history journal;
 * :mod:`repro.cluster.faults` — the resilience scheduler: task/node/
   shuffle/replica/master fault injection with Hadoop-1.x countermeasures;
-* :mod:`repro.cluster.chaos` — seeded chaos schedules over real workload
-  runs, asserting outputs survive every fault class (including losing
-  the master mid-job under both recovery modes);
+* :mod:`repro.cluster.chaos` — the chaos table: one row per fault regime
+  (mixed fail-stop faults, gray failures, a master crash, a rack outage,
+  a limping node, workflow faults), each replaying a real workload, mix
+  or DAG under seeded plans against its fault-free baseline
+  (:func:`run_chaos`);
 * :mod:`repro.cluster.scheduler` — multi-tenant job scheduling: pluggable
   FIFO / Fair (pools, delay scheduling, preemption) / Capacity schedulers
   and the :class:`MultiJobCluster` that interleaves many jobs over the
@@ -93,19 +95,9 @@ __getattr__, __dir__, __all__ = attach(globals(), {
     "FaultCounters": "faults",
     "FaultyTimeline": "faults",
     "ChaosResult": "chaos",
-    "FailSlowChaosResult": "chaos",
-    "IntegrityChaosResult": "chaos",
-    "MasterCrashResult": "chaos",
-    "OverloadChaosResult": "chaos",
-    "RackChaosResult": "chaos",
     "chaos_plan": "chaos",
     "integrity_chaos_plan": "chaos",
     "run_chaos": "chaos",
-    "run_fail_slow_chaos": "chaos",
-    "run_integrity_chaos": "chaos",
-    "run_master_crash_chaos": "chaos",
-    "run_overload_chaos": "chaos",
-    "run_rack_chaos": "chaos",
     "ArrivalProcess": "serve",
     "RequestClass": "serve",
     "RequestRecord": "serve",
@@ -153,8 +145,6 @@ __getattr__, __dir__, __all__ = attach(globals(), {
     "WorkflowRunner": "workflow",
     "WorkflowJournal": "journal",
     "WorkflowStageRecord": "journal",
-    "WorkflowChaosResult": "chaos",
-    "run_workflow_chaos": "chaos",
     "build_workflow": "workflow",
     "workflow_from_chain": "workflow",
     "hive_chain_workflow": "workflow",

@@ -1,43 +1,53 @@
-"""Chaos harness: seeded fault schedules over real workload executions.
+"""Chaos harness: one table of seeded fault plans over real executions.
 
 Chen et al.'s cross-industry study (arXiv:1208.4174) shows production
-MapReduce clusters run *permanently* in a degraded regime — tasks fail,
-nodes die, fetches flake — yet jobs finish with correct output.  The
-chaos harness asserts our model has the same property: it runs a real
-workload through the :class:`~repro.mapreduce.engine.LocalEngine` twice —
-once on a healthy cluster, once through a :class:`FaultyCluster` with a
-seeded schedule mixing every fault class (task failures, stragglers, a
-node crash, shuffle-fetch failures, replica loss) — and checks that
-
-* the functional output is bit-identical to the fault-free run,
-* the simulated duration is no shorter than the fault-free baseline,
-* the resilience accounting shows the injected faults were actually hit.
-
-Everything is seeded (``random.Random``), so a chaos run is exactly
-reproducible.
+MapReduce clusters run *permanently* degraded — tasks fail, nodes die,
+fetches flake, disks rot, racks lose power, hardware limps — yet jobs
+finish with correct output.  Each row of :data:`HARNESSES` pairs an
+executor (one workload on a :class:`FaultyCluster`, a job trace through
+``run_mix``, or a DAG through the :class:`WorkflowRunner`) with a plan
+factory that maps the fault-free baseline and the row's seeded RNG to
+``{label: plan}``.  :func:`run_chaos` returns one :class:`ChaosResult`:
+the baseline plus one :class:`ChaosRun` per label, every run on a fresh
+cluster of the row's fixed shape.  The contract each row must meet lives
+as check predicates in ``tests/cluster/test_chaos.py``.  Everything is
+seeded, so a chaos run is exactly reproducible.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 from repro.cluster.attempts import JobFailedError, RetryPolicy
 from repro.cluster.cluster import make_cluster, slave_names
 from repro.cluster.faults import FaultPlan, FaultyCluster, aggregate_accounting
+from repro.cluster.scheduler import make_scheduler
+from repro.cluster.workflow import (
+    _DAG_BLOCK_SIZE,
+    WorkflowFaultPlan,
+    WorkflowRunner,
+    build_workflow,
+)
+
+#: every plan runs under the stock retry policy
+_POLICY = RetryPolicy()
 
 
 def chaos_plan(
-    seed: int,
+    rng: random.Random,
     num_maps: int,
     num_reduces: int,
     node_names: list[str],
     map_window_s: float | None = None,
-    policy: RetryPolicy | None = None,
+    seed: int = 0,
 ) -> FaultPlan:
     """Sample a mixed fault schedule for one job shape.
 
-    Always injects at least one map failure; with seed-dependent
+    Always injects at least one map failure; with RNG-dependent
     probability adds a reduce failure, one straggler node, one node crash
     during the map phase (needs *map_window_s*, the fault-free map-phase
     duration, to aim the crash), shuffle-fetch failures (sometimes enough
@@ -48,937 +58,386 @@ def chaos_plan(
         raise ValueError("chaos needs at least one map task")
     if not node_names:
         raise ValueError("chaos needs at least one node")
-    rng = random.Random(seed)
-    policy = policy or RetryPolicy()
-
+    plan: dict[str, object] = {"seed": seed}
     k = max(1, num_maps // 8)
-    map_failures = tuple(sorted(rng.sample(range(num_maps), min(k, num_maps))))
-
-    reduce_failures: tuple[int, ...] = ()
+    plan["map_failures"] = tuple(sorted(rng.sample(range(num_maps), min(k, num_maps))))
     if num_reduces and rng.random() < 0.7:
-        reduce_failures = (rng.randrange(num_reduces),)
-
-    straggler_nodes: tuple[str, ...] = ()
-    straggler_factor = 4.0
+        plan["reduce_failures"] = (rng.randrange(num_reduces),)
+    straggler: tuple[str, ...] = ()
     if len(node_names) > 1 and rng.random() < 0.6:
-        straggler_nodes = (rng.choice(node_names),)
-        straggler_factor = rng.uniform(2.0, 5.0)
-
-    node_crashes: tuple[tuple[str, float], ...] = ()
+        plan["straggler_nodes"] = straggler = (rng.choice(node_names),)
+        plan["straggler_factor"] = rng.uniform(2.0, 5.0)
     if map_window_s and len(node_names) > 2 and rng.random() < 0.5:
-        victims = [n for n in node_names if n not in straggler_nodes]
-        node_crashes = (
+        victims = [n for n in node_names if n not in straggler]
+        plan["node_crashes"] = (
             (rng.choice(victims), map_window_s * rng.uniform(0.3, 0.8)),
         )
-
-    shuffle_failures: tuple[tuple[int, int, int], ...] = ()
     if num_reduces and rng.random() < 0.7:
-        times = rng.choice([1, 2, policy.max_fetch_retries + 1])
-        shuffle_failures = (
+        times = rng.choice([1, 2, _POLICY.max_fetch_retries + 1])
+        plan["shuffle_failures"] = (
             (rng.randrange(num_reduces), rng.randrange(num_maps), times),
         )
-
-    lost_replicas: tuple[tuple[int, str], ...] = ()
     if rng.random() < 0.5:
-        lost_replicas = ((rng.randrange(num_maps), rng.choice(node_names)),)
-
-    return FaultPlan(
-        map_failures=map_failures,
-        reduce_failures=reduce_failures,
-        straggler_nodes=straggler_nodes,
-        straggler_factor=straggler_factor,
-        node_crashes=node_crashes,
-        shuffle_failures=shuffle_failures,
-        lost_replicas=lost_replicas,
-        seed=seed,
-        policy=policy,
-    )
-
-
-@dataclass(frozen=True)
-class ChaosResult:
-    """Outcome of one chaos run compared with its fault-free twin."""
-
-    workload: str
-    seed: int
-    plan: FaultPlan
-    baseline_duration_s: float
-    chaotic_duration_s: float
-    identical_output: bool
-    accounting: dict[str, object]
-
-    @property
-    def slowdown(self) -> float:
-        if self.baseline_duration_s <= 0:
-            return 1.0
-        return self.chaotic_duration_s / self.baseline_duration_s
-
-
-def run_chaos(
-    workload_name: str,
-    seed: int,
-    scale: float = 0.3,
-    num_slaves: int = 4,
-    block_size: int = 64 * 1024,
-    policy: RetryPolicy | None = None,
-) -> ChaosResult:
-    """Run *workload_name* healthy and under a seeded chaos schedule.
-
-    The fault-free run both provides the comparison baseline and sizes the
-    chaos plan (task counts, map-phase window for aiming the node crash).
-    """
-    from repro.workloads.base import workload as load_workload
-
-    baseline_cluster = make_cluster(num_slaves, block_size=block_size)
-    baseline = load_workload(workload_name).run(
-        scale=scale, cluster=baseline_cluster
-    )
-    if not baseline.timelines:
-        raise ValueError("chaos needs a clustered workload run")
-    first = baseline.timelines[0]
-    plan = chaos_plan(
-        seed,
-        num_maps=first.map_tasks,
-        num_reduces=first.reduce_tasks,
-        node_names=[node.name for node in baseline_cluster.slaves],
-        map_window_s=first.map_phase_end_s - first.start_s,
-        policy=policy,
-    )
-
-    chaos_cluster = FaultyCluster(
-        make_cluster(num_slaves, block_size=block_size), plan
-    )
-    chaotic = load_workload(workload_name).run(scale=scale, cluster=chaos_cluster)
-
-    return ChaosResult(
-        workload=workload_name,
-        seed=seed,
-        plan=plan,
-        baseline_duration_s=baseline.duration_s,
-        chaotic_duration_s=chaotic.duration_s,
-        identical_output=repr(baseline.output) == repr(chaotic.output),
-        accounting=aggregate_accounting(chaotic.timelines),
-    )
+        plan["lost_replicas"] = ((rng.randrange(num_maps), rng.choice(node_names)),)
+    return FaultPlan(**plan)
 
 
 def integrity_chaos_plan(
-    seed: int,
-    num_maps: int,
-    num_reduces: int,
+    rng: random.Random,
     node_names: list[str],
     map_window_s: float | None = None,
-    corruption_rate: float = 0.25,
-    transfer_corruption_rate: float = 0.05,
-    link_loss_rate: float = 0.02,
-    policy: RetryPolicy | None = None,
+    seed: int = 0,
 ) -> FaultPlan:
     """Sample a gray-failure schedule: bit rot, flaky links, one partition.
 
     Unlike :func:`chaos_plan` (fail-stop faults), everything here fails
-    *silently*: replicas rot at rest, transfers flip bits in flight,
-    links drop segments, and one tasktracker is partitioned during the
-    map phase for longer than the heartbeat timeout — so it is declared
-    lost, its tasks are rescheduled, and its zombie attempts must be
-    fenced when it rejoins.  A post-job scrub is always on, so every
-    injected corruption is detected by the end of the run.  The mix is
-    bounded (a block's last good replica is never rotted) so a
-    checksum-verifying scheduler always completes with correct output.
+    *silently*: a quarter of replicas rot at rest, 5 % of transfers flip
+    bits in flight, links drop 2 % of segments, and one tasktracker is
+    partitioned during the map phase for longer than the heartbeat
+    timeout — so it is declared lost, its tasks are rescheduled, and its
+    zombie attempts must be fenced when it rejoins.  A post-job scrub is
+    always on, so every injected corruption is detected by the end of
+    the run.  The mix is bounded (a block's last good replica is never
+    rotted) so a checksum-verifying scheduler always completes with
+    correct output.
     """
-    if num_maps < 1:
-        raise ValueError("chaos needs at least one map task")
     if not node_names:
         raise ValueError("chaos needs at least one node")
-    rng = random.Random(f"integrity:{seed}")
-    policy = policy or RetryPolicy()
-
     partitions: tuple[tuple[str, float, float], ...] = ()
     if map_window_s and len(node_names) > 2:
         victim = rng.choice(node_names)
         p_start = map_window_s * rng.uniform(0.2, 0.6)
         # Longer than the heartbeat timeout, so the jobtracker notices
         # and the rejoining tracker produces fenceable zombies.
-        duration = policy.heartbeat_timeout_s * rng.uniform(2.0, 4.0)
+        duration = _POLICY.heartbeat_timeout_s * rng.uniform(2.0, 4.0)
         partitions = ((victim, p_start, duration),)
-
     return FaultPlan(
-        corruption_rate=corruption_rate,
-        transfer_corruption_rate=transfer_corruption_rate,
-        link_loss_rate=link_loss_rate,
+        corruption_rate=0.25,
+        transfer_corruption_rate=0.05,
+        link_loss_rate=0.02,
         partitions=partitions,
         scrub=True,
         seed=seed,
-        policy=policy,
     )
 
 
 @dataclass(frozen=True)
-class IntegrityChaosResult:
-    """Outcome of one integrity chaos run vs its fault-free twin."""
+class ChaosRun:
+    """One execution of a chaos subject: fault-free, or under one plan.
 
-    workload: str
-    seed: int
-    plan: FaultPlan
-    baseline_duration_s: float
-    chaotic_duration_s: float
-    identical_output: bool
-    corrupt_injected: int
-    checksum_failures: int
-    bad_blocks_reported: int
-    undetected_corrupt_replicas: int
-    zombie_attempts_fenced: int
-    net_retransmits: int
-    scrubbed_bytes: int
-    accounting: dict[str, object]
-
-    @property
-    def all_corruption_detected(self) -> bool:
-        """Every injected at-rest corruption was caught and repaired."""
-        return (
-            self.undetected_corrupt_replicas == 0
-            and self.checksum_failures >= self.corrupt_injected
-            and self.bad_blocks_reported >= self.corrupt_injected
-        )
-
-
-def run_integrity_chaos(
-    workload_name: str,
-    seed: int,
-    scale: float = 0.3,
-    num_slaves: int = 4,
-    block_size: int = 64 * 1024,
-    policy: RetryPolicy | None = None,
-) -> IntegrityChaosResult:
-    """Run *workload_name* healthy and under a gray-failure schedule.
-
-    The fault-free run provides the output baseline and sizes the plan
-    (map-phase window for aiming the partition).  The caller asserts the
-    chaotic output stays bit-identical and no corruption goes undetected
-    (``undetected_corrupt_replicas == 0`` after the final scrub).
+    ``duration_s`` is the job's duration (infinite when it aborted), a mix's
+    p99 job turnaround (the tail fail-slow hardware inflates) or a
+    workflow's end time.  ``result`` and ``cluster`` are the raw run
+    result and the cluster it ran on (``None`` for a mix, which builds
+    its own); they stay out of ``==`` and ``repr``.
     """
-    from repro.workloads.base import workload as load_workload
 
-    baseline_cluster = make_cluster(num_slaves, block_size=block_size)
-    baseline = load_workload(workload_name).run(
-        scale=scale, cluster=baseline_cluster
-    )
-    if not baseline.timelines:
+    plan: FaultPlan | WorkflowFaultPlan | None
+    completed: bool
+    duration_s: float
+    identical_output: bool
+    accounting: dict[str, object]
+    result: object = field(default=None, compare=False, repr=False)
+    cluster: object = field(default=None, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class ChaosResult:
+    """One subject's fault-free baseline and its run under every plan."""
+
+    harness: str
+    subject: str
+    seed: int
+    baseline: ChaosRun
+    runs: dict[str, ChaosRun]
+
+
+@dataclass(frozen=True)
+class Harness:
+    """One row of the chaos table: an executor, a plan factory, a shape.
+
+    ``stream`` seeds the row's RNG (formatted with ``subject``,
+    ``scheduler`` and ``seed``; ``None`` seeds it with the bare seed).
+    ``twins`` maps labels that another executor runs to that executor.
+    """
+
+    execute: Callable[[_Job, object], ChaosRun]
+    plans: Callable[[_Job, ChaosRun], dict[str, object]]
+    stream: str | None
+    scale: float
+    slaves: int
+    block_size: int
+    racks: int = 1
+    twins: dict[str, Callable[[_Job, object], ChaosRun]] = field(default_factory=dict)
+
+
+@dataclass
+class _Job:
+    """One :func:`run_chaos` call; its solo run, trace and DAG build lazily."""
+
+    row: Harness
+    subject: str
+    scale: float
+    scheduler: str
+    seed: int
+    rng: random.Random
+    baseline: ChaosRun | None = None
+
+    @cached_property
+    def solo(self) -> ChaosRun:
+        """The subject workload alone on a healthy cluster of the row."""
+        return _run_workload(self, None, self.row.racks)
+
+    @cached_property
+    def trace(self):
+        """Five copies of the subject, spaced just past its solo duration:
+        a healthy cluster keeps up, a limping one falls steadily behind,
+        and mitigation has idle healthy slots to race on."""
+        from repro.cluster.tenancy import TraceJob, WorkloadTrace
+
+        arrival, jobs = 0.0, []
+        for index in range(5):
+            jobs.append(TraceJob(index, self.subject, self.scale, arrival,
+                                 f"user{index % 3}", "batch", "small"))
+            arrival += self.solo.duration_s * self.rng.uniform(1.05, 1.25)
+        return WorkloadTrace(tuple(jobs), seed=self.seed, arrival_rate_per_s=0.0)
+
+    @cached_property
+    def workflow(self):
+        return build_workflow(self.subject, scale=self.scale, num_slaves=self.row.slaves)
+
+
+# -- executors -------------------------------------------------------------------
+
+
+def _run_workload(job: _Job, plan: FaultPlan | None, racks: int) -> ChaosRun:
+    from repro.workloads.base import workload
+
+    cluster = make_cluster(job.row.slaves, block_size=job.row.block_size, racks=racks)
+    if plan is not None:
+        cluster = FaultyCluster(cluster, plan)
+    try:
+        result = workload(job.subject).run(scale=job.scale, cluster=cluster)
+    except JobFailedError:  # includes DataLossError
+        return ChaosRun(plan, False, math.inf, False, {}, None, cluster)
+    if not result.timelines:
         raise ValueError("chaos needs a clustered workload run")
-    first = baseline.timelines[0]
-    plan = integrity_chaos_plan(
-        seed,
+    reference = job.solo.result if plan is not None else result
+    return ChaosRun(
+        plan,
+        True,
+        result.duration_s,
+        repr(result.output) == repr(reference.output),
+        aggregate_accounting(result.timelines),
+        result,
+        cluster,
+    )
+
+
+def _single_job(job: _Job, plan: FaultPlan | None, racks: int | None = None) -> ChaosRun:
+    """The subject workload alone, through a :class:`FaultyCluster`."""
+    if plan is None:
+        return job.solo
+    return _run_workload(job, plan, job.row.racks if racks is None else racks)
+
+
+def _mix(job: _Job, plan: FaultPlan | None) -> ChaosRun:
+    """The subject's trace through ``run_mix`` on 4 map / 2 reduce slots."""
+    from repro.cluster.serve import percentile
+    from repro.cluster.tenancy import run_mix
+
+    result = run_mix(
+        job.trace,
+        make_scheduler(job.scheduler),
+        num_slaves=job.row.slaves,
+        map_slots=4,
+        reduce_slots=2,
+        block_size=job.row.block_size,
+        plan=plan,
+    )
+    reference = job.baseline.result if plan is not None else result
+    acct = result.outcome.fault_accounting
+    return ChaosRun(
+        plan,
+        all(r.status == "completed" for r in result.outcome.reports),
+        percentile([r.turnaround_s for r in result.reports], 99.0),
+        repr(result.outputs) == repr(reference.outputs),
+        acct.to_dict() if acct is not None else {},
+        result,
+    )
+
+
+def _workflow(job: _Job, plan: WorkflowFaultPlan | None) -> ChaosRun:
+    """The subject DAG through a :class:`WorkflowRunner`.
+
+    A run completes when every stage ends as its plan allows: a stage
+    whose injected failures exceed its retry budget fails, exactly its
+    downstream cone is cancelled, and every other stage completes.
+    """
+    workflow = job.workflow
+    cluster = make_cluster(job.row.slaves, block_size=job.row.block_size)
+    result = WorkflowRunner(cluster, scheduler=job.scheduler, plan=plan).run(workflow)
+    expected = dict.fromkeys(workflow.order, "completed")
+    for name, times in plan.fail_stages if plan is not None else ():
+        if times > workflow.stage(name).policy.max_retries:
+            expected.update(dict.fromkeys(workflow.downstream_cone(name), "cancelled"))
+            expected[name] = "failed"
+    reference = job.baseline.result if plan is not None else result
+    return ChaosRun(
+        plan,
+        all(r.status == expected[r.stage] for r in result.reports),
+        result.end_s,
+        result.status == "completed"
+        and repr(result.outputs) == repr(reference.outputs),
+        result.accounting.to_dict(),
+        result,
+        cluster,
+    )
+
+
+# -- plan factories ---------------------------------------------------------------
+
+
+def _job_shape(base: ChaosRun) -> dict:
+    """The first job's task counts, slaves and map window, for aiming faults."""
+    first = base.result.timelines[0]
+    return dict(
         num_maps=first.map_tasks,
         num_reduces=first.reduce_tasks,
-        node_names=[node.name for node in baseline_cluster.slaves],
+        node_names=[node.name for node in base.cluster.slaves],
         map_window_s=first.map_phase_end_s - first.start_s,
-        policy=policy,
-    )
-
-    chaos_cluster = FaultyCluster(
-        make_cluster(num_slaves, block_size=block_size), plan
-    )
-    chaotic = load_workload(workload_name).run(scale=scale, cluster=chaos_cluster)
-    accounting = aggregate_accounting(chaotic.timelines)
-
-    return IntegrityChaosResult(
-        workload=workload_name,
-        seed=seed,
-        plan=plan,
-        baseline_duration_s=baseline.duration_s,
-        chaotic_duration_s=chaotic.duration_s,
-        identical_output=repr(baseline.output) == repr(chaotic.output),
-        corrupt_injected=int(accounting["corrupt_replicas_injected"]),
-        checksum_failures=int(accounting["checksum_failures"]),
-        bad_blocks_reported=int(accounting["bad_blocks_reported"]),
-        undetected_corrupt_replicas=chaos_cluster.hdfs.corrupt_replica_count,
-        zombie_attempts_fenced=int(accounting["zombie_attempts_fenced"]),
-        net_retransmits=int(accounting["net_retransmits"]),
-        scrubbed_bytes=int(accounting["scrubbed_bytes"]),
-        accounting=accounting,
     )
 
 
-@dataclass(frozen=True)
-class MasterCrashResult:
-    """Outcome of one master-crash chaos run: both recovery modes vs healthy.
+def _mixed_plans(job: _Job, base: ChaosRun) -> dict[str, FaultPlan]:
+    return {"mixed": chaos_plan(job.rng, **_job_shape(base), seed=job.seed)}
 
-    Each recovery mode runs the same workload with the JobTracker/NameNode
-    crashing at the same mid-job instant; what differs is whether the
-    restarted master replays the job-history journal (``resume``) or
-    re-submits the in-flight job from scratch (``restart``).
+
+def _integrity_plans(job: _Job, base: ChaosRun) -> dict[str, FaultPlan]:
+    shape = _job_shape(base)
+    return {"integrity": integrity_chaos_plan(
+        job.rng, shape["node_names"], shape["map_window_s"], seed=job.seed
+    )}
+
+
+def _master_crash_plans(job: _Job, base: ChaosRun) -> dict[str, FaultPlan]:
+    """The master dies once, mid-workload: cold restart vs journal replay."""
+    timelines = base.result.timelines
+    span = timelines[-1].end_s - timelines[0].start_s
+    crash_time = span * job.rng.uniform(0.2, 0.8)
+    return {
+        mode: FaultPlan(master_crash_time=crash_time, master_recovery=mode, seed=job.seed)
+        for mode in ("restart", "resume")
+    }
+
+
+def _rack_plans(mode: str, job: _Job, base: ChaosRun) -> dict[str, FaultPlan]:
+    """One whole rack fails in the map phase; a flat twin loses its members.
+
+    ``power`` crashes every member at once, ``tor`` partitions the rack
+    for longer than the heartbeat timeout.  The flat twin expresses the
+    same event as correlated crashes of the same nodes: flat round-robin
+    placement puts consecutive replicas on consecutive nodes, so some
+    blocks live entirely inside the victim set and are lost.
     """
-
-    workload: str
-    seed: int
-    crash_time_s: float
-    baseline_duration_s: float
-    restart_duration_s: float
-    resume_duration_s: float
-    restart_identical: bool
-    resume_identical: bool
-    restart_accounting: dict[str, object]
-    resume_accounting: dict[str, object]
-
-    @property
-    def resume_beats_restart(self) -> bool:
-        return self.resume_duration_s <= self.restart_duration_s
-
-    @property
-    def recovery_savings_s(self) -> float:
-        """Wall-clock the job-history journal saved over a cold restart."""
-        return self.restart_duration_s - self.resume_duration_s
-
-
-def run_master_crash_chaos(
-    workload_name: str,
-    seed: int,
-    scale: float = 0.3,
-    num_slaves: int = 4,
-    block_size: int = 64 * 1024,
-    downtime_s: float = 0.75,
-    policy: RetryPolicy | None = None,
-) -> MasterCrashResult:
-    """Kill the master mid-workload and compare both recovery modes.
-
-    The fault-free run sizes the schedule: the crash is aimed (seeded)
-    inside the workload's span so it lands mid-job.  Both recovery modes
-    then run the identical schedule; the harness caller asserts outputs
-    stay bit-identical and ``resume`` never loses to ``restart``.
-    """
-    from repro.workloads.base import workload as load_workload
-
-    baseline_cluster = make_cluster(num_slaves, block_size=block_size)
-    baseline = load_workload(workload_name).run(
-        scale=scale, cluster=baseline_cluster
-    )
-    if not baseline.timelines:
-        raise ValueError("chaos needs a clustered workload run")
-    span = baseline.timelines[-1].end_s - baseline.timelines[0].start_s
-    rng = random.Random(seed)
-    crash_time = span * rng.uniform(0.2, 0.8)
-
-    runs: dict[str, object] = {}
-    for mode in ("restart", "resume"):
-        plan = FaultPlan(
-            master_crash_time=crash_time,
-            master_recovery=mode,
-            master_downtime_s=downtime_s,
-            seed=seed,
-            policy=policy or RetryPolicy(),
-        )
-        cluster = FaultyCluster(
-            make_cluster(num_slaves, block_size=block_size), plan
-        )
-        runs[mode] = load_workload(workload_name).run(
-            scale=scale, cluster=cluster
-        )
-
-    return MasterCrashResult(
-        workload=workload_name,
-        seed=seed,
-        crash_time_s=crash_time,
-        baseline_duration_s=baseline.duration_s,
-        restart_duration_s=runs["restart"].duration_s,
-        resume_duration_s=runs["resume"].duration_s,
-        restart_identical=repr(baseline.output) == repr(runs["restart"].output),
-        resume_identical=repr(baseline.output) == repr(runs["resume"].output),
-        restart_accounting=aggregate_accounting(runs["restart"].timelines),
-        resume_accounting=aggregate_accounting(runs["resume"].timelines),
-    )
-
-
-@dataclass(frozen=True)
-class FailSlowChaosResult:
-    """Outcome of one fail-slow chaos run: a limping node, three mixes.
-
-    The same job trace runs fault-free, with one limping node and
-    speculation off, and with the same limping node and speculation on.
-    A fail-slow node completes everything it is given — slowly — so the
-    damage shows up in tail latency, not in failures; the mitigation
-    claim is that straggler detection plus speculative backups claws
-    most of that tail back while the commit fence keeps exactly one
-    attempt's output per task.
-    """
-
-    workload: str
-    seed: int
-    scheduler: str
-    limping_node: str
-    limp_factor: float
-    baseline_p99_s: float
-    limping_p99_s: float
-    speculative_p99_s: float
-    identical_outputs: bool
-    single_job_identical: bool
-    single_job_slowdown: float
-    stragglers_detected: tuple[str, ...]
-    speculative_attempts: int
-    speculative_wins: int
-    speculative_losers_fenced: int
-    zombies_fenced: int
-    fence_fenced: int
-
-    @property
-    def limping_slowdown(self) -> float:
-        """How much the limping node inflated the mix p99 (speculation off)."""
-        if self.baseline_p99_s <= 0:
-            return 1.0
-        return self.limping_p99_s / self.baseline_p99_s
-
-    @property
-    def recovered_fraction(self) -> float:
-        """Share of the fail-slow p99 inflation speculation clawed back."""
-        inflation = self.limping_p99_s - self.baseline_p99_s
-        if inflation <= 0:
-            return 1.0
-        return (self.limping_p99_s - self.speculative_p99_s) / inflation
-
-    @property
-    def every_loser_fenced(self) -> bool:
-        """Each speculative race fenced exactly one losing attempt."""
-        return (
-            self.speculative_losers_fenced == self.speculative_attempts
-            and self.fence_fenced
-            == self.zombies_fenced + self.speculative_losers_fenced
-        )
-
-
-def run_fail_slow_chaos(
-    workload_name: str = "Sort",
-    seed: int = 0,
-    scheduler: str = "fifo",
-    jobs: int = 5,
-    scale: float = 0.12,
-    num_slaves: int = 3,
-    map_slots: int = 4,
-    reduce_slots: int = 2,
-    block_size: int = 64 * 1024,
-    limp_factor: float = 3.0,
-) -> FailSlowChaosResult:
-    """Run a job trace against a limping node, with and without speculation.
-
-    Builds a trace of *jobs* identical jobs with seeded staggered
-    arrivals, limps the last slave's CPU/disk/NIC by *limp_factor*, and
-    plays the trace three ways (fault-free, limping with speculation
-    off, limping with speculation on) under the named scheduler.  Also
-    runs the workload solo through a limping :class:`FaultyCluster` to
-    check functional output is untouched by fail-slow hardware.
-    """
-    from repro.cluster.scheduler import FairScheduler, FifoScheduler
-    from repro.cluster.tenancy import TraceJob, WorkloadTrace, run_mix, solo_run
-    from repro.workloads.base import workload as load_workload
-
-    if jobs < 1:
-        raise ValueError("chaos needs at least one trace job")
-    makers = {"fifo": FifoScheduler, "fair": FairScheduler}
-    if scheduler not in makers:
-        raise ValueError("scheduler must be fifo or fair")
-    victim = slave_names(num_slaves)[-1]
-    limp = ((victim, limp_factor),)
-
-    plain_s, _, plain_output = solo_run(
-        workload_name, scale, num_slaves=num_slaves, block_size=block_size
-    )
-    solo_limping = load_workload(workload_name).run(
-        scale=scale,
-        cluster=FaultyCluster(
-            make_cluster(num_slaves, block_size=block_size),
-            FaultPlan(limping_nodes=limp, seed=seed),
-        ),
-    )
-
-    # Space arrivals just past the healthy solo duration: a fault-free
-    # cluster keeps up with the offered load, a limping one falls
-    # steadily behind — the fail-slow failure mode is a latency tail
-    # that compounds, and mitigation has idle healthy slots to race on.
-    rng = random.Random(f"failslow-chaos:{seed}")
-    arrival = 0.0
-    trace_jobs = []
-    for index in range(jobs):
-        trace_jobs.append(
-            TraceJob(
-                index,
-                workload_name,
-                scale,
-                arrival,
-                f"user{index % 3}",
-                "batch",
-                "small",
-            )
-        )
-        arrival += plain_s * rng.uniform(1.05, 1.25)
-    trace = WorkloadTrace(tuple(trace_jobs), seed=seed, arrival_rate_per_s=0.0)
-    shape = dict(
-        num_slaves=num_slaves,
-        map_slots=map_slots,
-        reduce_slots=reduce_slots,
-        block_size=block_size,
-    )
-
-    def p99(mix) -> float:
-        from repro.cluster.serve import percentile
-
-        return percentile([r.turnaround_s for r in mix.reports], 99.0)
-
-    baseline = run_mix(trace, makers[scheduler](), **shape)
-    limping = run_mix(
-        trace,
-        makers[scheduler](),
-        plan=FaultPlan(
-            speculative_execution=False, limping_nodes=limp, seed=seed
-        ),
-        **shape,
-    )
-    speculative = run_mix(
-        trace,
-        makers[scheduler](),
-        plan=FaultPlan(limping_nodes=limp, seed=seed),
-        **shape,
-    )
-    acct = speculative.outcome.fault_accounting
-
-    return FailSlowChaosResult(
-        workload=workload_name,
-        seed=seed,
-        scheduler=scheduler,
-        limping_node=victim,
-        limp_factor=limp_factor,
-        baseline_p99_s=p99(baseline),
-        limping_p99_s=p99(limping),
-        speculative_p99_s=p99(speculative),
-        identical_outputs=(
-            repr(limping.outputs) == repr(baseline.outputs)
-            and repr(speculative.outputs) == repr(baseline.outputs)
-        ),
-        single_job_identical=repr(plain_output) == repr(solo_limping.output),
-        single_job_slowdown=(
-            solo_limping.duration_s / plain_s if plain_s > 0 else 1.0
-        ),
-        stragglers_detected=acct.stragglers_detected,
-        speculative_attempts=acct.speculative_attempts,
-        speculative_wins=acct.speculative_wins,
-        speculative_losers_fenced=acct.speculative_losers_fenced,
-        zombies_fenced=acct.zombies_fenced,
-        fence_fenced=speculative.outcome.fenced_attempts,
-    )
-
-
-@dataclass(frozen=True)
-class OverloadChaosResult:
-    """Outcome of one overload chaos run: protected vs unprotected frontend.
-
-    The same saturating open-loop arrival stream plays twice: once
-    through a frontend with admission control, shedding and deadlines,
-    once through an anything-goes frontend.  Graceful degradation means
-    the protected frontend holds its admitted-traffic p99 near the
-    deadline while the unprotected queue — and its p99 — grows without
-    bound.
-    """
-
-    seed: int
-    rate_per_s: float
-    num_requests: int
-    servers: int
-    pattern: str
-    deadline_s: float
-    protected: object  # ServeReport
-    unprotected: object  # ServeReport
-
-    @property
-    def p99_gap_s(self) -> float:
-        return self.unprotected.p99_s - self.protected.p99_s
-
-    @property
-    def ordering_holds(self) -> bool:
-        """The degradation ordering the controls are supposed to buy."""
-        return self.protected.p99_s < self.unprotected.p99_s
-
-
-def run_overload_chaos(
-    seed: int = 0,
-    rate_per_s: float = 40.0,
-    num_requests: int = 600,
-    servers: int = 4,
-    pattern: str = "bursty",
-    deadline_s: float = 2.0,
-) -> OverloadChaosResult:
-    """Saturate a service frontend with and without degradation controls.
-
-    The defaults offer ~2.4x the bank's capacity (mean demand 0.24 s,
-    4 servers ≈ 16.7 req/s) in bursts, so the unprotected queue grows
-    essentially without bound while the protected frontend sheds its
-    way to a bounded admitted-traffic p99.
-    """
-    from repro.cluster.serve import ArrivalProcess, ServePolicy, run_service
-
-    process = ArrivalProcess(rate_per_s=rate_per_s, pattern=pattern)
-    protected_policy = ServePolicy(
-        deadline_s=deadline_s,
-        max_queue_depth=32,
-        shed_rate=0.5,
-        shed_threshold=8,
-        retry_budget=1,
-    )
-    protected = run_service(
-        process=process,
-        num_requests=num_requests,
-        servers=servers,
-        policy=protected_policy,
-        seed=seed,
-    )
-    unprotected = run_service(
-        process=process,
-        num_requests=num_requests,
-        servers=servers,
-        policy=ServePolicy.unprotected(deadline_s=deadline_s),
-        seed=seed,
-    )
-    return OverloadChaosResult(
-        seed=seed,
-        rate_per_s=rate_per_s,
-        num_requests=num_requests,
-        servers=servers,
-        pattern=pattern,
-        deadline_s=deadline_s,
-        protected=protected,
-        unprotected=unprotected,
-    )
-
-
-@dataclass(frozen=True)
-class WorkflowChaosResult:
-    """Outcome of one workflow chaos run: one DAG, four fault regimes.
-
-    The same DAG runs fault-free, then under a mid-workflow node crash,
-    a network partition, and total replica corruption of one completed
-    stage's output.  A workflow's functional output is the payload each
-    sink commits, so "survived" means every faulted run completed with
-    sink outputs bit-identical to the baseline — corruption via lineage
-    recomputation of the minimal upstream subgraph rather than a
-    :class:`DataLossError`.  A fifth run exhausts one stage's retry
-    budget and checks failure propagation: exactly the downstream cone
-    is cancelled, every independent stage still completes.
-    """
-
-    dag: str
-    seed: int
-    scheduler: str
-    stages: int
-    baseline_end_s: float
-    crash_node: str
-    crash_at_s: float
-    partition_node: str
-    destroyed_stage: str
-    crash_identical: bool
-    partition_identical: bool
-    corruption_identical: bool
-    lineage_recomputes: int
-    destroyed_outputs: int
-    failed_stage: str
-    stage_retries: int
-    cancelled_stages: tuple[str, ...]
-    surviving_stages: tuple[str, ...]
-    cone_exact: bool
-    checkpoints: int
-
-    @property
-    def identical_outputs(self) -> bool:
-        """Every fault regime reproduced the baseline sink outputs."""
-        return (
-            self.crash_identical
-            and self.partition_identical
-            and self.corruption_identical
-        )
-
-    @property
-    def survived(self) -> bool:
-        """The workflow-robustness contract held under every regime."""
-        return (
-            self.identical_outputs
-            and self.lineage_recomputes >= 1
-            and self.destroyed_outputs >= 1
-            and self.stage_retries >= 1
-            and self.cone_exact
-        )
-
-
-def run_workflow_chaos(
-    dag: str = "hive-chain",
-    seed: int = 0,
-    scheduler: str = "fifo",
-    scale: float = 0.05,
-    num_slaves: int = 4,
-) -> WorkflowChaosResult:
-    """Run one DAG through the workflow fault regimes, seeded.
-
-    Builds the named DAG (see ``WORKFLOW_DAGS``), runs it fault-free
-    for the baseline, then replays it under a seeded node crash, a
-    seeded partition, replica corruption of a seeded non-sink stage's
-    output, and an injected permanent stage failure.  Each regime gets
-    a fresh cluster, so runs are independent and exactly reproducible.
-    """
-    from repro.cluster.workflow import (
-        _DAG_BLOCK_SIZE,
-        WorkflowFaultPlan,
-        WorkflowRunner,
-        build_workflow,
-    )
-
-    workflow = build_workflow(dag, scale=scale, num_slaves=num_slaves)
-    rng = random.Random(f"workflow-chaos:{dag}:{scheduler}:{seed}")
-
-    def fresh():
-        return make_cluster(num_slaves=num_slaves, block_size=_DAG_BLOCK_SIZE)
-
-    def run(plan=None):
-        return WorkflowRunner(fresh(), scheduler=scheduler, plan=plan).run(
-            workflow
-        )
-
-    baseline = run()
-    if baseline.status != "completed":
-        raise RuntimeError(f"baseline workflow {dag!r} did not complete")
-
-    # Mid-workflow fail-stop crash of a seeded datanode.
-    crash_node = slave_names(num_slaves)[rng.randrange(num_slaves)]
-    crash_at = baseline.end_s * rng.uniform(0.2, 0.6)
-    crashed = run(WorkflowFaultPlan(node_crashes=((crash_node, crash_at),), seed=seed))
-
-    # Network partition of a seeded node across the middle of the run.
-    partition_node = slave_names(num_slaves)[rng.randrange(num_slaves)]
-    start = baseline.end_s * rng.uniform(0.1, 0.4)
-    duration = max(1.0, baseline.end_s * rng.uniform(0.2, 0.5))
-    partitioned = run(
-        WorkflowFaultPlan(
-            partitions=((partition_node, start, duration),), seed=seed
-        )
-    )
-
-    # Total replica loss of one completed, still-needed stage output.
-    candidates = [
-        name for name in workflow.order if workflow.consumers_of(name)
-    ]
-    destroyed_stage = rng.choice(candidates)
-    corrupted = run(
-        WorkflowFaultPlan(destroy_outputs=(destroyed_stage,), seed=seed)
-    )
-
-    # Permanent failure: exhaust the retry budget of a seeded stage and
-    # check exactly its downstream cone is cancelled.
-    failed_stage = rng.choice(list(workflow.order))
-    budget = workflow.stage(failed_stage).policy.max_retries
-    cascaded = run(
-        WorkflowFaultPlan(fail_stages=((failed_stage, budget + 1),), seed=seed)
-    )
-    cone = set(workflow.downstream_cone(failed_stage))
-    cancelled = tuple(
-        r.stage for r in cascaded.reports if r.status == "cancelled"
-    )
-    survivors = tuple(
-        r.stage for r in cascaded.reports if r.status == "completed"
-    )
-    cone_exact = set(cancelled) == cone and set(survivors) == (
-        set(workflow.order) - cone - {failed_stage}
-    )
-
-    def identical(result) -> bool:
-        return (
-            result.status == "completed"
-            and repr(result.outputs) == repr(baseline.outputs)
-        )
-
-    return WorkflowChaosResult(
-        dag=dag,
-        seed=seed,
-        scheduler=scheduler,
-        stages=len(workflow),
-        baseline_end_s=baseline.end_s,
-        crash_node=crash_node,
-        crash_at_s=crash_at,
-        partition_node=partition_node,
-        destroyed_stage=destroyed_stage,
-        crash_identical=identical(crashed),
-        partition_identical=identical(partitioned),
-        corruption_identical=identical(corrupted),
-        lineage_recomputes=corrupted.accounting.lineage_recomputes,
-        destroyed_outputs=corrupted.accounting.destroyed_outputs,
-        failed_stage=failed_stage,
-        stage_retries=cascaded.accounting.stage_retries,
-        cancelled_stages=cancelled,
-        surviving_stages=survivors,
-        cone_exact=cone_exact,
-        checkpoints=baseline.accounting.checkpoints,
-    )
-
-
-# -- failure domains: rack-level chaos -----------------------------------------
-
-
-def _blocks_lost_to(hdfs, failed_nodes) -> int:
-    """Blocks in *hdfs* with no replica outside *failed_nodes*.
-
-    Counts both blocks already emptied by processed ``fail_node`` calls
-    and blocks whose every remaining replica sits inside the failed
-    domain (a run that aborts on :class:`DataLossError` stops processing
-    crashes, so some doomed replicas are still on the books).
-    """
-    failed = frozenset(failed_nodes)
-    return sum(
-        1
-        for name in hdfs.files
-        for block in hdfs.files[name].blocks
-        if all(replica in failed for replica in block.replicas)
-    )
-
-
-@dataclass(frozen=True)
-class RackChaosResult:
-    """Outcome of losing one whole rack, rack-aware vs flat placement.
-
-    The headline failure-domain contract: with rack-aware placement a
-    full single-rack outage (:attr:`survived`) costs zero data and the
-    output stays bit-identical to the fault-free run, while *flat*
-    placement on the same cluster shape and seed demonstrably loses
-    blocks (:attr:`flat_demonstrably_loses`) — every replica of some
-    blocks lived inside the failed domain.
-    """
-
-    workload: str
-    seed: int
-    #: ``"power"`` (all nodes crash) or ``"tor"`` (timed rack partition).
-    mode: str
-    racks: int
-    victim_rack: str
-    outage_at_s: float
-    plan: FaultPlan
-    flat_plan: FaultPlan
-    baseline_duration_s: float
-    chaotic_duration_s: float
-    identical_output: bool
-    #: unrecoverable blocks after the rack-aware run (the contract: 0).
-    rack_blocks_lost: int
-    #: the namenode's rack-diversity gauge after the rack-aware run.
-    rack_under_diverse_blocks: int
-    #: whether the flat-placement twin even completed its jobs.
-    flat_completed: bool
-    #: unrecoverable blocks after the flat-placement twin.
-    flat_blocks_lost: int
-    accounting: dict[str, object]
-
-    @property
-    def survived(self) -> bool:
-        """Rack-aware placement rode out the rack loss with zero data loss."""
-        return self.identical_output and self.rack_blocks_lost == 0
-
-    @property
-    def flat_demonstrably_loses(self) -> bool:
-        """The flat twin lost blocks (or aborted on unreadable data)."""
-        return self.flat_blocks_lost >= 1 or not self.flat_completed
-
-    @property
-    def slowdown(self) -> float:
-        if self.baseline_duration_s <= 0:
-            return 1.0
-        return self.chaotic_duration_s / self.baseline_duration_s
-
-
-def run_rack_chaos(
-    workload_name: str,
-    seed: int,
-    scale: float = 0.3,
-    num_slaves: int = 6,
-    racks: int = 2,
-    block_size: int = 8 * 1024,
-    mode: str = "power",
-    policy: RetryPolicy | None = None,
-) -> RackChaosResult:
-    """Kill one whole rack mid-run; compare rack-aware vs flat placement.
-
-    Three executions, all seeded:
-
-    1. a fault-free run on a rack-aware cluster — the output baseline,
-       and the sizing for the outage time (aimed inside the map phase);
-    2. the same rack-aware cluster under the rack outage (``mode="power"``
-       crashes every member at once; ``mode="tor"`` partitions the rack
-       for a window longer than the heartbeat timeout);
-    3. a *flat* (single-rack, topology-less) twin whose members of the
-       same victim set all crash at the same instant — flat round-robin
-       placement puts consecutive replicas on consecutive nodes, so some
-       blocks live entirely inside the victim set and are lost.
-    """
-    from repro.workloads.base import workload as load_workload
-
-    if mode not in ("power", "tor"):
-        raise ValueError("mode must be 'power' or 'tor'")
-    if racks < 2:
-        raise ValueError("rack chaos needs at least two racks")
-    policy = policy or RetryPolicy()
-
-    baseline_cluster = make_cluster(num_slaves, block_size=block_size, racks=racks)
-    baseline = load_workload(workload_name).run(
-        scale=scale, cluster=baseline_cluster
-    )
-    if not baseline.timelines:
-        raise ValueError("rack chaos needs a clustered workload run")
-    first = baseline.timelines[0]
-    map_window_s = first.map_phase_end_s - first.start_s
-
-    rng = random.Random(f"rack-chaos:{mode}:{seed}")
-    victim_rack = rng.choice(list(baseline_cluster.topology.racks))
-    members = baseline_cluster.topology.nodes_in(victim_rack)
-    outage_at = map_window_s * rng.uniform(0.3, 0.8)
-
+    rng, topology = job.rng, base.cluster.topology
+    map_window_s = _job_shape(base)["map_window_s"]
+    victim = rng.choice(list(topology.racks))
+    at = map_window_s * rng.uniform(0.3, 0.8)
     if mode == "power":
-        plan = FaultPlan(
-            rack_outages=((victim_rack, outage_at),), seed=seed, policy=policy
-        )
+        outage = FaultPlan(rack_outages=((victim, at),), seed=job.seed)
     else:
-        duration = (
-            map_window_s * rng.uniform(0.8, 1.2) + 2 * policy.heartbeat_timeout_s
-        )
-        plan = FaultPlan(
-            tor_failures=((victim_rack, outage_at, duration),),
-            seed=seed,
-            policy=policy,
-        )
+        duration = map_window_s * rng.uniform(0.8, 1.2) + 2 * _POLICY.heartbeat_timeout_s
+        outage = FaultPlan(tor_failures=((victim, at, duration),), seed=job.seed)
+    members = topology.nodes_in(victim)
+    flat = FaultPlan(node_crashes=tuple((name, at) for name in members), seed=job.seed)
+    return {"outage": outage, "flat": flat}
 
-    chaos_cluster = FaultyCluster(
-        make_cluster(num_slaves, block_size=block_size, racks=racks), plan
-    )
-    chaotic = load_workload(workload_name).run(scale=scale, cluster=chaos_cluster)
 
-    # The flat twin: same cluster shape, no topology, and the same
-    # physical event expressed as correlated per-node crashes.
-    flat_plan = FaultPlan(
-        node_crashes=tuple((name, outage_at) for name in members),
-        seed=seed,
-        policy=policy,
-    )
-    flat_cluster = FaultyCluster(
-        make_cluster(num_slaves, block_size=block_size), flat_plan
-    )
-    flat_completed = True
-    try:
-        load_workload(workload_name).run(scale=scale, cluster=flat_cluster)
-    except JobFailedError:  # includes DataLossError
-        flat_completed = False
+def _fail_slow_plans(job: _Job, base: ChaosRun) -> dict[str, FaultPlan | None]:
+    """The last slave limps 3x: the mix with speculation off, then on, and
+    the subject alone, healthy and limping."""
+    limp = ((slave_names(job.row.slaves)[-1], 3.0),)
+    plan = FaultPlan(limping_nodes=limp, seed=job.seed)
+    return {
+        "limping": FaultPlan(speculative_execution=False, limping_nodes=limp, seed=job.seed),
+        "speculative": plan,
+        "solo": None,
+        "solo-limping": plan,
+    }
 
-    return RackChaosResult(
-        workload=workload_name,
-        seed=seed,
-        mode=mode,
-        racks=racks,
-        victim_rack=victim_rack,
-        outage_at_s=outage_at,
-        plan=plan,
-        flat_plan=flat_plan,
-        baseline_duration_s=baseline.duration_s,
-        chaotic_duration_s=chaotic.duration_s,
-        identical_output=repr(baseline.output) == repr(chaotic.output),
-        rack_blocks_lost=_blocks_lost_to(
-            chaos_cluster.hdfs, members if mode == "power" else ()
-        ),
-        rack_under_diverse_blocks=chaos_cluster.hdfs.rack_under_diverse_blocks,
-        flat_completed=flat_completed,
-        flat_blocks_lost=_blocks_lost_to(flat_cluster.hdfs, members),
-        accounting=aggregate_accounting(chaotic.timelines),
+
+def _workflow_plans(job: _Job, base: ChaosRun) -> dict[str, WorkflowFaultPlan]:
+    """A node crash, a partition, a lost stage output, an exhausted stage."""
+    rng, seed, workflow = job.rng, job.seed, job.workflow
+    names = slave_names(job.row.slaves)
+    end_s = base.duration_s
+    crash = (names[rng.randrange(len(names))], end_s * rng.uniform(0.2, 0.6))
+    partitioned = names[rng.randrange(len(names))]
+    start = end_s * rng.uniform(0.1, 0.4)
+    partition = (partitioned, start, max(1.0, end_s * rng.uniform(0.2, 0.5)))
+    # only a stage with consumers has an output still needed downstream
+    destroyed = rng.choice([n for n in workflow.order if workflow.consumers_of(n)])
+    failed = rng.choice(list(workflow.order))
+    budget = workflow.stage(failed).policy.max_retries
+    return {
+        "crash": WorkflowFaultPlan(node_crashes=(crash,), seed=seed),
+        "partition": WorkflowFaultPlan(partitions=(partition,), seed=seed),
+        "corruption": WorkflowFaultPlan(destroy_outputs=(destroyed,), seed=seed),
+        "cascade": WorkflowFaultPlan(fail_stages=((failed, budget + 1),), seed=seed),
+    }
+
+
+_SINGLE = dict(scale=0.3, slaves=4, block_size=64 * 1024)
+_RACK = dict(scale=0.3, slaves=6, block_size=8 * 1024, racks=2,
+             twins={"flat": partial(_single_job, racks=1)})
+
+#: the chaos table: harness name → its row
+HARNESSES: dict[str, Harness] = {
+    "mixed": Harness(_single_job, _mixed_plans, None, **_SINGLE),
+    "integrity": Harness(_single_job, _integrity_plans, "integrity:{seed}", **_SINGLE),
+    "master-crash": Harness(_single_job, _master_crash_plans, None, **_SINGLE),
+    "rack-power": Harness(_single_job, partial(_rack_plans, "power"),
+                          "rack-chaos:power:{seed}", **_RACK),
+    "rack-tor": Harness(_single_job, partial(_rack_plans, "tor"),
+                        "rack-chaos:tor:{seed}", **_RACK),
+    "fail-slow": Harness(_mix, _fail_slow_plans, "failslow-chaos:{seed}",
+                         scale=0.12, slaves=3, block_size=64 * 1024,
+                         twins={"solo": _single_job, "solo-limping": _single_job}),
+    "workflow": Harness(_workflow, _workflow_plans,
+                        "workflow-chaos:{subject}:{scheduler}:{seed}",
+                        scale=0.05, slaves=4, block_size=_DAG_BLOCK_SIZE),
+}
+
+
+def run_chaos(
+    harness: str,
+    subject: str,
+    seed: int,
+    *,
+    scale: float | None = None,
+    scheduler: str = "fifo",
+) -> ChaosResult:
+    """Run *subject* fault-free, then under each plan of the *harness* row.
+
+    *subject* is a workload name, or a ``WORKFLOW_DAGS`` name for the
+    ``workflow`` row; *scale* defaults to the row's.  *scheduler*
+    (``fifo`` or ``fair``) drives the ``fail-slow`` and ``workflow`` rows.
+    """
+    if harness not in HARNESSES:
+        raise ValueError(f"unknown chaos harness {harness!r} "
+                         f"(have: {', '.join(HARNESSES)})")
+    if scheduler not in ("fifo", "fair"):
+        raise ValueError(f"chaos runs the fifo or fair scheduler, not {scheduler!r}")
+    row = HARNESSES[harness]
+    stream = seed if row.stream is None else row.stream.format(
+        subject=subject, scheduler=scheduler, seed=seed
     )
+    scale = row.scale if scale is None else scale
+    job = _Job(row, subject, scale, scheduler, seed, random.Random(stream))
+    job.baseline = row.execute(job, None)
+    runs = {
+        label: row.twins.get(label, row.execute)(job, plan)
+        for label, plan in row.plans(job, job.baseline).items()
+    }
+    return ChaosResult(harness, subject, seed, job.baseline, runs)

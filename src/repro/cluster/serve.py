@@ -249,9 +249,9 @@ class ArrivalProcess:
 class ServePolicy:
     """The frontend's graceful-degradation knobs.
 
-    The defaults are a protected production posture; build an
-    anything-goes frontend (the overload control group) with
-    :meth:`unprotected`.
+    The defaults are a protected production posture; :meth:`protected`
+    is the tighter posture the overload comparison pits against an
+    anything-goes frontend (the control group), :meth:`unprotected`.
     """
 
     admission_control: bool = True
@@ -286,6 +286,18 @@ class ServePolicy:
             and self.retry_backoff_factor >= 1
         ):
             raise ValueError("retry backoff factor must be finite and >= 1")
+
+    @classmethod
+    def protected(cls, deadline_s: float = 8.0) -> "ServePolicy":
+        """The overload comparison's protected posture: a 32-deep queue,
+        half of traffic shed beyond depth 8, one retry."""
+        return cls(
+            max_queue_depth=32,
+            deadline_s=deadline_s,
+            shed_rate=0.5,
+            shed_threshold=8,
+            retry_budget=1,
+        )
 
     @classmethod
     def unprotected(cls, deadline_s: float = 8.0) -> "ServePolicy":

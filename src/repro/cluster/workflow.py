@@ -667,6 +667,15 @@ class WorkflowRunner:
                         EVENT_STAGE_READY, time_s=arrival, stage=name
                     )
             outcome = multi.run(raise_on_failure=False)
+            # The clock moves only when a job finishes, yet a failed job's
+            # attempts still held their slots: after a wave in which every
+            # job failed, the wave ends when its last slot frees, or the
+            # next wave would start on slots charged past the clock.
+            self.cluster.clock = max(
+                self.cluster.clock,
+                *(t for node in self.cluster.slaves for t in node.map_slot_free),
+                *(t for node in self.cluster.slaves for t in node.reduce_slot_free),
+            )
             if outcome.fault_accounting is not None:
                 mix_acct = outcome.fault_accounting
                 acct.killed_attempts += mix_acct.killed_attempts

@@ -2,28 +2,28 @@
 
 Fail-slow is the third failure class next to fail-stop and gray
 failures: the hardware keeps answering, just slowly, so the damage is a
-latency tail rather than an error.  These tests pin the PR's contract:
+latency tail rather than an error.  These tests pin the injection:
 
 * limp factors stretch exactly the device they name (a ``limping_nodes``
   entry limps the whole machine — CPU, disk and NIC together);
 * a factor of 1.0 is bit-identical to no injection at all, and fault-free
   runs are bit-identical with the detection machinery present
-  (observational freedom);
-* on the pinned latency-bound Sort trace a limping node inflates the mix
-  p99 well past the baseline with speculation off, and host-diagnosed
-  speculative backups claw back most of the inflation with it on;
-* outputs stay bit-identical to the fault-free run in every cell of the
-  workload x scheduler x seed matrix, and every speculative loser is
-  fenced by the commit fence.
+  (observational freedom).
+
+The mitigation contract — on the pinned latency-bound Sort trace
+speculation claws back most of the limp's p99 inflation, outputs stay
+bit-identical and every speculative loser is fenced — is the
+``fail-slow`` row of the chaos table (``tests/cluster/test_chaos.py``).
 """
 
 import pytest
 
 from repro.cluster import FaultPlan, FaultyCluster, make_cluster
-from repro.cluster.chaos import run_fail_slow_chaos
+from repro.cluster.chaos import run_chaos
 from repro.cluster.scheduler import FifoScheduler
 from repro.cluster.tenancy import TraceJob, WorkloadTrace, run_mix
 from repro.workloads import workload
+from tests.cluster.test_chaos import SEEDS, check
 
 SHAPE = dict(num_slaves=3, map_slots=4, reduce_slots=2, block_size=64 * 1024)
 
@@ -223,46 +223,22 @@ class TestMixObservationalFreedom:
             )
 
 
-# -- the chaos matrix ----------------------------------------------------------
+# -- the fail-slow row of the chaos table (tests/cluster/test_chaos.py) --------
 
 
 class TestFailSlowChaosMatrix:
     @pytest.mark.parametrize("scheduler", ["fifo", "fair"])
     @pytest.mark.parametrize("kind", ["Sort", "WordCount", "PageRank"])
     def test_outputs_survive_and_losers_are_fenced(self, kind, scheduler):
-        for seed in (0, 1, 2):
-            result = run_fail_slow_chaos(kind, seed=seed, scheduler=scheduler)
-            # limping is a performance fault, never a correctness fault
-            assert result.identical_outputs, (kind, scheduler, seed)
-            assert result.single_job_identical, (kind, scheduler, seed)
-            # the injection really bit: the mix tail and the solo run
-            # both stretched
-            assert result.limping_slowdown > 1.5, (kind, scheduler, seed)
-            assert result.single_job_slowdown > 1.0, (kind, scheduler, seed)
-            # speculation raced the limping node and the fence kept
-            # exactly one committed attempt per task
-            assert result.stragglers_detected == (result.limping_node,)
-            assert result.speculative_attempts > 0
-            assert result.every_loser_fenced, (kind, scheduler, seed)
+        for seed in SEEDS["fail-slow"]:
+            check("fail-slow", kind, seed, "outputs_survive_and_losers_are_fenced",
+                  scheduler)
 
     @pytest.mark.parametrize("scheduler", ["fifo", "fair"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pinned_sort_recovery(self, scheduler, seed):
-        """The headline mitigation claim, on the latency-bound Sort trace:
-        a limping node more than doubles the mix p99, and speculative
-        re-execution claws back most of the inflation.  (Short-task mixes
-        are the classic counter-case — racing a backup costs more than the
-        limp, which is why speculation is a policy, not a default-on
-        win everywhere.)"""
-        result = run_fail_slow_chaos("Sort", seed=seed, scheduler=scheduler)
-        assert result.limping_slowdown > 2.0
-        assert result.recovered_fraction > 0.5
-        assert result.speculative_wins > 0
-        assert result.speculative_losers_fenced > 0
-        assert result.every_loser_fenced
+        check("fail-slow", "Sort", seed, "pinned_sort_recovery", scheduler)
 
     def test_chaos_parameters_are_validated(self):
         with pytest.raises(ValueError):
-            run_fail_slow_chaos(jobs=0)
-        with pytest.raises(ValueError):
-            run_fail_slow_chaos(scheduler="capacity")
+            run_chaos("fail-slow", "Sort", 0, scheduler="capacity")

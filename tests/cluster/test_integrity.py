@@ -1,6 +1,6 @@
 """Gray failures: end-to-end data integrity and flaky/partitioned networks.
 
-Three layers of coverage:
+Two layers of coverage here:
 
 * unit tests for the integrity primitives — per-chunk CRC32 checksums,
   corruption markers, bad-block reporting (journaled, never dropping a
@@ -8,13 +8,15 @@ Three layers of coverage:
   commit fencing and time-bounded graylisting;
 * scenario tests driving real workloads through one gray-failure class
   at a time (at-rest rot → failover + repair, in-flight corruption →
-  re-fetch, lossy links → retransmits, a partition → zombie fencing);
-* the integrity chaos matrix: every class at once on a pinned
-  workload × seed grid, asserting the integrity contract — output
-  bit-identical to the fault-free run, every injected corruption
-  caught, nothing left rotten — plus observational freedom: with all
-  gray-failure rates zero the scheduler matches the stock cluster
-  exactly, including the new ``/proc`` counters.
+  re-fetch, lossy links → retransmits, a partition → zombie fencing),
+  plus observational freedom: with all gray-failure rates zero the
+  scheduler matches the stock cluster exactly, including the new
+  ``/proc`` counters.
+
+Every class at once on a pinned workload × seed grid — output
+bit-identical to the fault-free run, every injected corruption caught,
+nothing left rotten — is the ``integrity`` row of the chaos table
+(``tests/cluster/test_chaos.py``).
 """
 
 import pytest
@@ -32,22 +34,9 @@ from repro.cluster import (
     make_cluster,
     replay,
 )
-from repro.cluster.chaos import run_integrity_chaos
 from repro.cluster.node import Node
 from repro.workloads import workload
-
-WORKLOADS = ("WordCount", "Sort", "PageRank")
-SEEDS = (1, 2, 4, 5)
-
-_results: dict[tuple[str, int], object] = {}
-
-
-def integrity(name: str, seed: int):
-    key = (name, seed)
-    if key not in _results:
-        _results[key] = run_integrity_chaos(name, seed=seed)
-    return _results[key]
-
+from tests.cluster.test_chaos import SEEDS, W3, check, check_matrix, check_reproducible
 
 def make_hdfs(n_nodes=4, block_size=1024, replication=3, **kw):
     nodes = [Node(f"n{i}") for i in range(n_nodes)]
@@ -426,51 +415,29 @@ class TestObservationalFreedom:
 
 
 # ---------------------------------------------------------------------------
-# The integrity chaos matrix
+# The integrity row of the chaos table (tests/cluster/test_chaos.py)
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", W3)
+@pytest.mark.parametrize("seed", SEEDS["integrity"])
 class TestIntegrityChaosMatrix:
     def test_output_is_bit_identical(self, name, seed):
-        assert integrity(name, seed).identical_output
+        check("integrity", name, seed, "output_is_bit_identical")
 
     def test_every_injected_corruption_is_caught(self, name, seed):
-        result = integrity(name, seed)
-        assert result.corrupt_injected > 0
-        assert result.all_corruption_detected
-        assert result.undetected_corrupt_replicas == 0
+        check("integrity", name, seed, "every_injected_corruption_is_caught")
 
     def test_gray_failures_never_speed_the_job_up(self, name, seed):
-        result = integrity(name, seed)
-        assert result.chaotic_duration_s >= result.baseline_duration_s
+        check("integrity", name, seed, "gray_failures_never_speed_the_job_up")
 
 
 class TestIntegrityChaosProperties:
     def test_same_seed_is_exactly_reproducible(self):
-        a = run_integrity_chaos("WordCount", seed=5)
-        b = run_integrity_chaos("WordCount", seed=5)
-        assert a.chaotic_duration_s == b.chaotic_duration_s
-        assert a.accounting == b.accounting
-        assert a.plan == b.plan
+        check_reproducible("integrity")
 
     def test_matrix_exercises_every_gray_failure_class(self):
-        results = [integrity(name, seed) for name in WORKLOADS for seed in SEEDS]
-        assert all(r.corrupt_injected for r in results)
-        assert all(r.scrubbed_bytes for r in results)
-        assert any(r.zombie_attempts_fenced for r in results)
-        assert any(r.net_retransmits for r in results)
-        assert any(r.plan.partitions for r in results)
-        assert all(r.plan.transfer_corruption_rate > 0 for r in results)
+        check_matrix("integrity", "matrix_exercises_every_gray_failure_class")
 
     def test_zombies_never_commit(self):
-        # Wherever a zombie was fenced, the task's committed attempt ran
-        # on a different, reachable node.
-        for name in WORKLOADS:
-            for seed in SEEDS:
-                result = integrity(name, seed)
-                if not result.zombie_attempts_fenced:
-                    continue
-                partitioned = set(result.accounting["nodes_partitioned"])
-                assert partitioned
+        check_matrix("integrity", "zombies_never_commit")

@@ -4,7 +4,9 @@ Covers the two Hadoop-1.x recovery modes — ``restart`` (stock,
 ``mapred.jobtracker.restart.recover=false``: the in-flight job re-runs
 from scratch) and ``resume`` (``recover=true``: the job-history journal
 is replayed and completed map outputs on live tasktrackers are reused) —
-plus the namespace recovery contract after mixed fault schedules.
+plus the namespace recovery contract after mixed fault schedules.  The
+seeded mid-workload crash matrix is the ``master-crash`` row of the
+chaos table (``tests/cluster/test_chaos.py``).
 """
 
 import math
@@ -12,23 +14,10 @@ import math
 import pytest
 
 from repro.cluster.attempts import AttemptState
-from repro.cluster.chaos import run_master_crash_chaos
 from repro.cluster.cluster import JobWork, MapWork, ReduceWork, make_cluster
 from repro.cluster.faults import FaultPlan, FaultyCluster
 from repro.workloads import workload
-
-WORKLOADS = ("WordCount", "Sort", "PageRank")
-SEEDS = (0, 2, 5, 6, 10)
-
-_results: dict[tuple[str, int], object] = {}
-
-
-def crash_chaos(name: str, seed: int):
-    key = (name, seed)
-    if key not in _results:
-        _results[key] = run_master_crash_chaos(name, seed=seed)
-    return _results[key]
-
+from tests.cluster.test_chaos import SEEDS, W3, check, check_matrix
 
 def work(maps=16, cpu=1.0, reduces=4, slaves=4) -> JobWork:
     return JobWork(
@@ -208,48 +197,6 @@ class TestCrashTiming:
         assert a.accounting() == b.accounting()
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
-@pytest.mark.parametrize("seed", SEEDS)
-class TestMasterCrashChaosMatrix:
-    """WordCount/Sort/PageRank × pinned seeds with a mid-run master crash.
-
-    The seeds are pinned like the mixed-fault chaos matrix: rescheduling
-    after a crash can occasionally *improve* a greedy schedule (Graham's
-    anomalies), so the suite fixes schedules where the outage dominates.
-    """
-
-    def test_outputs_are_bit_identical_in_both_modes(self, name, seed):
-        result = crash_chaos(name, seed)
-        assert result.restart_identical
-        assert result.resume_identical
-
-    def test_the_master_crashed_exactly_once(self, name, seed):
-        result = crash_chaos(name, seed)
-        assert result.restart_accounting["master_crashes"] == 1
-        assert result.resume_accounting["master_crashes"] == 1
-
-    def test_resume_is_at_least_as_fast_as_restart(self, name, seed):
-        result = crash_chaos(name, seed)
-        assert result.resume_duration_s <= result.restart_duration_s
-        assert result.recovery_savings_s >= 0
-
-    def test_the_outage_never_speeds_the_run_up(self, name, seed):
-        result = crash_chaos(name, seed)
-        assert result.restart_duration_s >= result.baseline_duration_s
-        assert result.resume_duration_s >= result.baseline_duration_s
-
-
-class TestMasterCrashChaosProperties:
-    def test_matrix_exercises_both_recovery_paths(self):
-        results = [crash_chaos(n, s) for n in WORKLOADS for s in SEEDS]
-        assert any(r.restart_accounting["jobs_restarted"] for r in results)
-        assert any(r.resume_accounting["jobs_resumed"] for r in results)
-        assert any(r.resume_accounting["maps_recovered"] for r in results)
-        assert all(
-            r.restart_accounting["recovery_downtime_s"] > 0 for r in results
-        )
-
-
 class TestNamespaceRecoveryUnderFaults:
     """The tentpole contract: replay(fsimage, edits) == the live namespace
     after arbitrary seeded fault schedules driven by real workloads."""
@@ -292,3 +239,26 @@ class TestNamespaceRecoveryUnderFaults:
         workload("WordCount").run(scale=0.3, cluster=faulty)
         recovered = cluster.journal.recover()
         assert self.namespace_state(recovered) == self.namespace_state(cluster.hdfs)
+
+
+@pytest.mark.parametrize("name", W3)
+@pytest.mark.parametrize("seed", SEEDS["master-crash"])
+class TestMasterCrashChaosMatrix:
+    """The master-crash row of the chaos table (tests/cluster/test_chaos.py)."""
+
+    def test_outputs_are_bit_identical_in_both_modes(self, name, seed):
+        check("master-crash", name, seed, "outputs_are_bit_identical_in_both_modes")
+
+    def test_the_master_crashed_exactly_once(self, name, seed):
+        check("master-crash", name, seed, "the_master_crashed_exactly_once")
+
+    def test_resume_is_at_least_as_fast_as_restart(self, name, seed):
+        check("master-crash", name, seed, "resume_is_at_least_as_fast_as_restart")
+
+    def test_the_outage_never_speeds_the_run_up(self, name, seed):
+        check("master-crash", name, seed, "the_outage_never_speeds_the_run_up")
+
+
+class TestMasterCrashChaosProperties:
+    def test_matrix_exercises_both_recovery_paths(self):
+        check_matrix("master-crash", "matrix_exercises_both_recovery_paths")

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.__main__ import build_parser, main
-from repro.cluster.chaos import run_overload_chaos
 from repro.cluster.serve import (
     ArrivalProcess,
     RequestClass,
@@ -245,32 +244,48 @@ class TestRunService:
 # -- the pinned saturation scenario --------------------------------------------
 
 
+def overload(seed: int):
+    """The pinned saturation scenario: bursty arrivals at ~2.4x the bank's
+    capacity (mean demand 0.24 s, 4 servers ≈ 16.7 req/s), played through
+    the protected and the unprotected posture."""
+    process = ArrivalProcess(rate_per_s=40.0, pattern="bursty")
+    return tuple(
+        run_service(process=process, num_requests=600, servers=4,
+                    policy=posture(2.0), seed=seed)
+        for posture in (ServePolicy.protected, ServePolicy.unprotected)
+    )
+
+
 class TestOverloadChaos:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_degradation_ordering_under_saturation(self, seed):
         """Graceful degradation buys a bounded p99; doing nothing does not."""
-        result = run_overload_chaos(seed=seed)
-        assert result.ordering_holds
+        protected, unprotected = overload(seed)
+        assert protected.p99_s < unprotected.p99_s
         # protected: admitted traffic answers within the deadline
-        assert result.protected.p99_s < result.deadline_s
+        assert protected.p99_s < 2.0
         # unprotected: the open-loop queue drives p99 far past the SLO
-        assert result.unprotected.p99_s > 2 * result.deadline_s
+        assert unprotected.p99_s > 2 * 2.0
         # the price of the bound is shed traffic, and the frontend's
         # /proc counters agree with the report
-        assert result.protected.shed > 0
-        assert result.protected.procfs.requests_shed == result.protected.shed
-        assert result.unprotected.shed == 0
-        assert result.unprotected.procfs.requests_shed == 0
-        assert (
-            result.protected.slo_attainment > result.unprotected.slo_attainment
-        )
+        assert protected.shed > 0
+        assert protected.procfs.requests_shed == protected.shed
+        assert unprotected.shed == 0
+        assert unprotected.procfs.requests_shed == 0
+        assert protected.slo_attainment > unprotected.slo_attainment
 
     def test_comparison_is_deterministic(self):
-        a = run_overload_chaos(seed=0)
-        b = run_overload_chaos(seed=0)
-        assert a.protected.to_dict() == b.protected.to_dict()
-        assert a.unprotected.to_dict() == b.unprotected.to_dict()
-        assert a.p99_gap_s == b.p99_gap_s
+        (a_protected, a_unprotected), (b_protected, b_unprotected) = (
+            overload(0), overload(0)
+        )
+        assert a_protected.to_dict() == b_protected.to_dict()
+        assert a_unprotected.to_dict() == b_unprotected.to_dict()
+
+    def test_protected_posture(self):
+        policy = ServePolicy.protected(deadline_s=2.0)
+        assert (policy.max_queue_depth, policy.shed_rate, policy.shed_threshold,
+                policy.retry_budget, policy.deadline_s) == (32, 0.5, 8, 1, 2.0)
+        assert policy.admission_control and policy.kill_at_deadline
 
 
 # -- the serve CLI -------------------------------------------------------------

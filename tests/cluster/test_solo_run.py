@@ -2,9 +2,9 @@
 
 Figure 2 (each workload alone on 1/4/8 slaves) and every mix's slowdown
 denominator rest on this one operation.  Its callers — ``run_mix``,
-``request_classes_from_trace``, the workflow DAG builders,
-``speedup_study`` and fail-slow chaos — each keep their own memo scope
-around it, so this file pins three things:
+``request_classes_from_trace``, the workflow DAG builders and
+``speedup_study`` — each keep their own memo scope around it, so this
+file pins three things:
 
 * **what** each caller computes, as digests recorded before the callers
   shared one function (the per-caller copies they replaced computed

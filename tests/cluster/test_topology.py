@@ -1,4 +1,4 @@
-"""Failure domains: topology, rack-aware placement, rack-level chaos.
+"""Failure domains: topology, rack-aware placement, rack-level faults.
 
 Three contracts pin the feature:
 
@@ -11,7 +11,8 @@ Three contracts pin the feature:
 * **Racks bound the blast radius** — under a whole-rack outage (power
   or ToR) rack-aware placement finishes the paper workloads with zero
   data loss and bit-identical output, while flat placement on the same
-  seed demonstrably loses blocks.
+  seed demonstrably loses blocks.  This one is the ``rack-power`` and
+  ``rack-tor`` rows of the chaos table (``tests/cluster/test_chaos.py``).
 """
 
 import dataclasses
@@ -31,12 +32,13 @@ from repro.cluster import (
     restore_into,
     snapshot,
 )
-from repro.cluster.chaos import run_rack_chaos
+from repro.cluster.chaos import run_chaos
 from repro.cluster.hdfs import Hdfs
 from repro.cluster.network import Network, Nic
 from repro.cluster.node import Node
 from repro.perf.procfs import ProcFs
 from repro.workloads import workload
+from tests.cluster.test_chaos import check, check_reproducible
 
 WORKLOADS = ("WordCount", "Sort", "PageRank")
 SEEDS = (0, 1, 2)
@@ -336,52 +338,30 @@ class TestObservationalFreedom:
         assert "maps_rack_local 1" in line and "bytes_cross_rack 0" in line
 
 
-_rack_results: dict[tuple[str, int, str], object] = {}
-
-
-def rack_chaos(name: str, seed: int, mode: str):
-    key = (name, seed, mode)
-    if key not in _rack_results:
-        _rack_results[key] = run_rack_chaos(name, seed, mode=mode)
-    return _rack_results[key]
-
-
 @pytest.mark.parametrize("name", WORKLOADS)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("mode", ("power", "tor"))
 class TestRackChaosMatrix:
+    """The rack-power and rack-tor rows of the chaos table
+    (tests/cluster/test_chaos.py)."""
+
     def test_rack_aware_survives_rack_loss(self, name, seed, mode):
-        result = rack_chaos(name, seed, mode)
-        assert result.identical_output
-        assert result.rack_blocks_lost == 0
-        assert result.survived
+        check(f"rack-{mode}", name, seed, "rack_aware_survives_rack_loss")
 
     def test_flat_placement_demonstrably_loses(self, name, seed, mode):
-        result = rack_chaos(name, seed, mode)
-        assert result.flat_blocks_lost >= 1
-        assert result.flat_demonstrably_loses
+        check(f"rack-{mode}", name, seed, "flat_placement_demonstrably_loses")
 
     def test_outage_was_actually_injected(self, name, seed, mode):
-        result = rack_chaos(name, seed, mode)
-        if mode == "power":
-            assert result.accounting["nodes_crashed"]
-        else:
-            assert result.accounting["nodes_partitioned"]
+        check(f"rack-{mode}", name, seed, "outage_was_actually_injected")
 
 
 class TestRackChaosProperties:
     def test_same_seed_is_exactly_reproducible(self):
-        a = run_rack_chaos("WordCount", 1, mode="power")
-        b = run_rack_chaos("WordCount", 1, mode="power")
-        assert a.chaotic_duration_s == b.chaotic_duration_s
-        assert a.plan == b.plan
-        assert a.victim_rack == b.victim_rack
+        check_reproducible("rack-power")
 
     def test_modes_are_validated(self):
         with pytest.raises(ValueError):
-            run_rack_chaos("WordCount", 0, mode="meteor")
-        with pytest.raises(ValueError):
-            run_rack_chaos("WordCount", 0, racks=1)
+            run_chaos("rack-meteor", "WordCount", 0)
 
 
 class TestRackFaultPlans:

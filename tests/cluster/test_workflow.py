@@ -12,16 +12,18 @@ The robustness contracts pinned here:
 * a JobTracker crash mid-DAG resumes from the workflow journal and
   re-runs **zero** completed stages (asserted via accounting);
 * the ProcFs workflow counters are observationally free: running with
-  them off is bit-identical to running with them on;
-* the chaos matrix: Hive chains and iterative DAGs x {fifo, fair} x
-  seeds survive mid-workflow crashes, partitions and replica corruption
-  with bit-identical final outputs.
+  them off is bit-identical to running with them on.
+
+The chaos matrix — Hive chains and iterative DAGs x {fifo, fair} x
+seeds surviving mid-workflow crashes, partitions and replica corruption
+with bit-identical final outputs — is the ``workflow`` row of the chaos
+table (``tests/cluster/test_chaos.py``).
 """
 
 import pytest
 
+from repro.__main__ import main
 from repro.cluster.cluster import JobWork, MapWork, ReduceWork, make_cluster
-from repro.cluster.chaos import run_workflow_chaos
 from repro.cluster.eventbus import (
     EVENT_CHECKPOINT,
     EVENT_HEAL,
@@ -39,6 +41,7 @@ from repro.cluster.workflow import (
     build_workflow,
     workflow_from_chain,
 )
+from tests.cluster.test_chaos import check, check_reproducible
 
 
 def small_work(name, n_maps=1, cpu=0.01):
@@ -435,7 +438,30 @@ class TestObservationalFreedom:
         assert blind_cluster.master.procfs.stage_retries == 0
 
 
-# -- the chaos matrix ----------------------------------------------------------
+class TestEveryNodeCrashed:
+    """Crashing the only slave fails every job of the first wave before
+    any finishes; the workflow must still end with its stages failed and
+    their cones cancelled, not with a stale-cluster error."""
+
+    def test_stages_fail_and_cones_cancel(self):
+        workflow = build_workflow("diamond", scale=0.05, num_slaves=1)
+        plan = WorkflowFaultPlan(node_crashes=(("slave1", 0.05),), seed=0)
+        cluster = make_cluster(num_slaves=1, block_size=256 * 1024)
+        result = WorkflowRunner(cluster, plan=plan).run(workflow)
+        assert result.status == "partial"
+        statuses = {r.stage: r.status for r in result.reports}
+        assert statuses == {"ingest": "failed", "side": "failed", "left": "cancelled",
+                            "right": "cancelled", "join": "cancelled"}
+        assert result.outputs == {}
+
+    def test_cli_exits_1(self, capsys):
+        code = main(["run-workflow", "--dag", "diamond", "--slaves", "1",
+                     "--crash-node", "slave1", "--crash-time", "0.05"])
+        assert code == 1
+        assert "contract violation: workflow partial" in capsys.readouterr().err
+
+
+# -- the workflow row of the chaos table (tests/cluster/test_chaos.py) ---------
 
 
 class TestWorkflowChaosMatrix:
@@ -443,16 +469,7 @@ class TestWorkflowChaosMatrix:
     @pytest.mark.parametrize("scheduler", ["fifo", "fair"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_dag_survives_every_fault_regime(self, dag, scheduler, seed):
-        result = run_workflow_chaos(dag, seed=seed, scheduler=scheduler)
-        assert result.crash_identical
-        assert result.partition_identical
-        assert result.corruption_identical
-        assert result.lineage_recomputes >= 1
-        assert result.stage_retries >= 1
-        assert result.cone_exact
-        assert result.survived
+        check("workflow", dag, seed, "dag_survives_every_fault_regime", scheduler)
 
     def test_chaos_is_reproducible(self):
-        one = run_workflow_chaos("diamond", seed=5, scheduler="fair")
-        two = run_workflow_chaos("diamond", seed=5, scheduler="fair")
-        assert one == two
+        check_reproducible("workflow")

@@ -173,6 +173,6 @@ def test_faulty_timeline_report_shape():
 
 
 def test_aggregate_accounting_shape():
-    totals = run_chaos("WordCount", seed=0, scale=0.1).accounting
+    totals = run_chaos("mixed", "WordCount", 0, scale=0.1).runs["mixed"].accounting
     assert list(totals) == ACCOUNTING_KEYS
     assert all(type(totals[key]) is tuple for key in NODE_NAME_KEYS)
