@@ -42,6 +42,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro._gc import nogc
 from repro.cluster.attempts import CommitFence, JobFailedError, RetryPolicy
 from repro.cluster.cluster import (
     TASK_LOG_BYTES,
@@ -157,7 +158,15 @@ class QueueConfig:
 
 @dataclass(eq=False)  # identity semantics: a submission is not a value
 class ScheduledJob:
-    """One submitted job plus its dispatch-time state."""
+    """One submitted job plus its dispatch-time state.
+
+    The six dispatch containers (``pending``, ``map_starts``,
+    ``map_ends``, ``map_nodes``, ``attempts``, ``disk_writes``) exist only
+    once :meth:`MultiJobCluster.run` starts dispatch and gives every job
+    its own.  Until then they are the shared immutable empty tuple, so a
+    submitted (or directly built) job reads as having no pending work and
+    a submission allocates no container it may never use.
+    """
 
     job_id: str
     work: JobWork
@@ -167,18 +176,18 @@ class ScheduledJob:
     seq: int = 0
     depends_on: "ScheduledJob | None" = None
 
-    # dispatch state (owned by MultiJobCluster)
-    pending: deque = field(default_factory=deque, repr=False)
-    map_starts: dict = field(default_factory=dict, repr=False)
-    map_ends: dict = field(default_factory=dict, repr=False)
-    map_nodes: dict = field(default_factory=dict, repr=False)
-    attempts: dict = field(default_factory=dict, repr=False)
+    # dispatch state (owned by MultiJobCluster; built by run())
+    pending: deque = field(default=(), repr=False)
+    map_starts: dict = field(default=(), repr=False)
+    map_ends: dict = field(default=(), repr=False)
+    map_nodes: dict = field(default=(), repr=False)
+    attempts: dict = field(default=(), repr=False)
     started_s: float | None = None
     first_launch_s: float | None = None
     map_phase_end_s: float | None = None
     finished_s: float | None = None
     net_bytes: int = 0
-    disk_writes: dict = field(default_factory=dict, repr=False)
+    disk_writes: dict = field(default=(), repr=False)
     #: running ``max(map_ends.values())`` maintained incrementally, so
     #: the dispatch loop never recomputes the max inside a sort key;
     #: ``None`` until the first map attempt commits an end time
@@ -1076,7 +1085,10 @@ class MultiJobCluster:
             raise ValueError("arrival_s must be finite and non-negative")
         if not user.strip() or not pool.strip():
             raise ValueError("user and pool must be non-empty")
-        if after is not None and after not in self.jobs:
+        # seq is a job's index in the append-only list: O(1), not a scan
+        if after is not None and not (
+            after.seq < len(self.jobs) and self.jobs[after.seq] is after
+        ):
             raise ValueError("after= must name a job submitted to this mix")
         seq = len(self.jobs)
         if job_id is None:
@@ -1094,7 +1106,6 @@ class MultiJobCluster:
             seq=seq,
             depends_on=after,
         )
-        job.pending = deque(range(len(work.maps)))
         self._ids.add(job_id)
         self.jobs.append(job)
         self.scheduler.on_submit(job)
@@ -1130,6 +1141,7 @@ class MultiJobCluster:
 
     # -- execution -------------------------------------------------------------
 
+    @nogc
     def run(self, raise_on_failure: bool = True) -> MixOutcome:
         """Execute the whole mix and return its :class:`MixOutcome`.
 
@@ -1142,7 +1154,10 @@ class MultiJobCluster:
         once, and the delivered log rides on the outcome.  Under
         ``"lean"`` no bus is built and the outcome's ``events`` tuple is
         empty.  Publishing never changes a round, so both levels place
-        and time every task identically.
+        and time every task identically.  Dispatch starts by giving every
+        job its own dispatch containers, and the whole run keeps the
+        cyclic collector paused (it creates no cyclic garbage;
+        ``tests/cluster/test_nogc.py``).
 
         When a job aborts permanently (a task exhausted its attempts, or
         no live node remained), the mix does not deadlock: the job is
@@ -1159,6 +1174,10 @@ class MultiJobCluster:
         self._ran = True
         cluster = self.cluster
         cluster.ensure_schedulable()
+        for job in self.jobs:
+            job.pending = deque(range(len(job.work.maps)))
+            job.map_starts, job.map_ends, job.map_nodes = {}, {}, {}
+            job.attempts, job.disk_writes = {}, {}
         self.scheduler.reset()
         origin = cluster.clock
         if self.plan is not None:

@@ -73,6 +73,7 @@ from itertools import accumulate, chain
 from operator import attrgetter
 from pathlib import Path
 
+from repro._gc import nogc
 from repro.uarch.config import MachineConfig
 from repro.uarch.counters import COUNTERS
 from repro.uarch.pipeline import Core, SimulationResult
@@ -513,6 +514,7 @@ MIX_SCHEMA_VERSION = 2
 #: Modules whose source bytes define a mix's outcome.  Any edit to one of
 #: these produces a new cluster code version and a cold mix cache.
 _CLUSTER_VERSIONED_MODULES = (
+    "repro._gc",
     "repro.cluster.attempts",
     "repro.cluster.cluster",
     "repro.cluster.disk",
@@ -679,6 +681,7 @@ def _trace_record(tjob) -> bytes:
     )
 
 
+@nogc
 def mix_cache_key(multi, trace=None) -> str:
     """Stable content hash for one mix execution's inputs.
 
@@ -1113,6 +1116,7 @@ def _decode_mix(blob: bytes, trace_jobs: int | None = None):
     return outcome, ideals.tolist(), stages.tolist()
 
 
+@nogc
 def load_mix(
     key: str, root: str | os.PathLike | None = None, trace_jobs: int | None = None
 ):
@@ -1131,6 +1135,7 @@ def load_mix(
     return _load("mix", key, root, _decode_mix, trace_jobs)
 
 
+@nogc
 def store_mix(
     key: str, outcome, root: str | os.PathLike | None = None, ideals=None, stages=None
 ) -> None:

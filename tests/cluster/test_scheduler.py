@@ -431,6 +431,23 @@ class TestSubmissionValidation:
         foreign = other.submit(synthetic_job("x"))
         with pytest.raises(ValueError):
             multi.submit(synthetic_job("a"), after=foreign)
+        # a foreign job whose seq is a valid index here is still foreign
+        multi.submit(synthetic_job("b"))
+        with pytest.raises(ValueError):
+            multi.submit(synthetic_job("c"), after=foreign)
+
+    def test_dependency_check_does_not_scan_the_job_list(self):
+        """``after=`` is checked by index, so a long chain builds in
+        linear time: a scan of ``jobs`` would make it quadratic."""
+
+        class NoScan(list):
+            def __contains__(self, item):
+                raise AssertionError("submit(after=) scanned the job list")
+
+        multi = MultiJobCluster(small_cluster())
+        multi.jobs = NoScan()
+        chain = multi.submit_chain([synthetic_job(f"s{i}") for i in range(3)])
+        assert [job.depends_on for job in chain] == [None, chain[0], chain[1]]
 
     def test_submit_after_run_rejected(self):
         multi = MultiJobCluster(small_cluster())
