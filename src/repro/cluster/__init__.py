@@ -41,8 +41,9 @@ paper measures it:
   degradation (admission control, load shedding, deadlines, bounded
   retries) and p50/p95/p99/p999 latency reporting;
 * :mod:`repro.cluster.eventbus` — the deterministic typed event bus the
-  multi-job dispatch loop and the workflow orchestrator publish to,
-  with a replayable delivery log;
+  workflow orchestrator publishes to, with a replayable delivery log,
+  and the ``check_event`` rules the multi-job dispatch loop's event log
+  applies too;
 * :mod:`repro.cluster.workflow` — event-driven DAG workflows over the
   multi-job cluster: stages with data dependencies (HDFS paths),
   bounded stage retries, lineage-based recomputation after total

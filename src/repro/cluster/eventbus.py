@@ -20,10 +20,13 @@ architecture scaled to the simulator:
   control plane decide, in order?") and the determinism contract the
   tests pin (same mix → same log; replayed log → same observations).
 
-The dispatch loop of :class:`~repro.cluster.scheduler.MultiJobCluster`
-and the DAG layer of :mod:`repro.cluster.workflow` both speak this bus,
-which is what lets schedulers, fault injection and workflow recovery
-compose without each feature re-threading the other's control flow.
+The DAG layer of :mod:`repro.cluster.workflow` speaks this bus, which is
+what lets schedulers, fault injection and workflow recovery compose
+without each feature re-threading the other's control flow.  The
+dispatch loop of :class:`~repro.cluster.scheduler.MultiJobCluster` logs
+the same typed events, refused by the same :func:`check_event`, without
+a bus: nothing subscribes to them, so it records each one as a row in
+the order a bus would deliver it.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "EVENT_TYPES",
     "Event",
     "EventBus",
+    "check_event",
     "replay",
 ]
 
@@ -95,7 +99,18 @@ EVENT_TYPES = (
 _SCALARS = (str, int, float, bool, type(None))
 
 
-@dataclass(frozen=True, order=True)
+def check_event(event_type: str, payload: dict) -> None:
+    """Refuse an unknown *event_type* (``ValueError``) or a payload value
+    that is not a plain scalar (``TypeError``): the checks every event
+    log shares, whether a bus delivers it or a dispatcher records it."""
+    if event_type not in EVENT_TYPES:
+        raise ValueError(f"unknown event type {event_type!r}")
+    for key, value in payload.items():
+        if not isinstance(value, _SCALARS):
+            raise TypeError(f"event payload {key}={value!r} is not a plain scalar")
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class Event:
     """One typed control-plane transition.
 
@@ -169,13 +184,7 @@ class EventBus:
         Payload values must be plain scalars so the log stays
         serialisable and replayable.
         """
-        if event_type not in EVENT_TYPES:
-            raise ValueError(f"unknown event type {event_type!r}")
-        for key, value in payload.items():
-            if not isinstance(value, _SCALARS):
-                raise TypeError(
-                    f"event payload {key}={value!r} is not a plain scalar"
-                )
+        check_event(event_type, payload)
         event = Event(
             priority=priority,
             seq=self._seq,

@@ -40,7 +40,9 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import starmap
+from operator import attrgetter
 
 from repro._gc import nogc
 from repro.cluster.attempts import CommitFence, JobFailedError, RetryPolicy
@@ -59,7 +61,8 @@ from repro.cluster.eventbus import (
     EVENT_JOB_FINISHED,
     EVENT_STAGE_READY,
     EVENT_SUBMIT,
-    EventBus,
+    Event,
+    check_event,
 )
 from repro.cluster.faults import FaultPlan
 from repro.cluster.node import Node
@@ -220,7 +223,7 @@ class RunningTask:
     end_s: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskInterval:
     """One task occupancy interval, for slot-occupancy time series."""
 
@@ -723,14 +726,43 @@ class Deferred:
             delattr(self, name)
             self.__dict__["_deferred_" + name] = decode
 
+    @nogc
     def __getattr__(self, name: str):
         # Only reached when *name* is not set: a deferred field's first read.
-        decode = self.__dict__.pop("_deferred_" + name, None)
+        # A decoder builds one object per row and no cycle, so it runs with
+        # the collector paused, as run() does.  The decoder is dropped only
+        # once it returns, so one that raises raises its own error again
+        # on every read.
+        key = "_deferred_" + name
+        decode = self.__dict__.get(key)
         if decode is None:
             raise AttributeError(name)
         value = decode()
         setattr(self, name, value)
+        del self.__dict__[key]
         return value
+
+
+class RowDecoder:
+    """A deferred field kept as field tuples until its first read.
+
+    Calling it builds ``container(make(*row) for row in rows)``.  The
+    entry codec reads the rows themselves (:meth:`MixOutcome.rows`), so a
+    fresh outcome is stored without one object per task or event.  It
+    refers to no outcome and never drops its rows: a copy of the outcome
+    taken before the first read shares it and still decodes, and the
+    rows go once no unread outcome holds the decoder.
+    """
+
+    __slots__ = ("make", "rows", "container")
+
+    def __init__(self, make, rows: list[tuple], container=list) -> None:
+        self.make = make
+        self.rows = rows
+        self.container = container
+
+    def __call__(self):
+        return self.container(starmap(self.make, self.rows))
 
 
 @dataclass
@@ -755,19 +787,36 @@ class MixOutcome(Deferred):
     #: attribute that would shadow a deferred one (see :meth:`deferred`)
     events: tuple = field(default_factory=tuple)
 
+    #: a section's row form: one field tuple per object, in field order
+    _ROW_OF = {
+        "task_intervals": attrgetter(*(f.name for f in fields(TaskInterval))),
+        "events": attrgetter(*(f.name for f in fields(Event))),
+    }
+
     @classmethod
-    def deferred(cls, *, task_intervals, events, **fields) -> MixOutcome:
+    def deferred(cls, *, task_intervals, events, **values) -> MixOutcome:
         """An outcome whose ``task_intervals`` and ``events`` are
         zero-argument decoders, each run the first time its field is read.
 
-        The mix cache's warm path: ``run_mix``, ``MixResult`` and the
-        ``mix`` table read neither field, and rebuilding them costs more
-        than everything else in a cached entry.  Once read (``==`` and
+        Both a fresh run (:class:`RowDecoder`s over the rows dispatch
+        recorded) and a cache hit (decoders over the entry's columns) are
+        built this way: ``run_mix``, ``MixResult``, the ``mix`` table and
+        the entry codec read neither field, and building them costs more
+        than everything else in an outcome.  Once read (``==`` and
         ``repr`` read both) the outcome is an ordinary one.
         """
-        outcome = cls(task_intervals=None, events=None, **fields)
+        outcome = cls(task_intervals=None, events=None, **values)
         outcome._defer(task_intervals=task_intervals, events=events)
         return outcome
+
+    def rows(self, name: str) -> list[tuple]:
+        """Section *name* (``"task_intervals"`` or ``"events"``) as field
+        tuples: the rows of an unread :class:`RowDecoder` as they are,
+        otherwise one tuple per object (decoding the field first)."""
+        decode = self.__dict__.get("_deferred_" + name)
+        if isinstance(decode, RowDecoder):
+            return decode.rows
+        return list(map(self._ROW_OF[name], getattr(self, name)))
 
     def report(self, job_id: str) -> JobReport:
         # run_mix looks up every stage of every trace job: index once
@@ -1044,7 +1093,7 @@ class MultiJobCluster:
         #: control-plane event log.  ``"lean"``
         #: samples each slave once at the mix origin and once at the mix
         #: end, restricts per-job write rates to nodes the job touched,
-        #: and suppresses the event bus — the regime for data-center
+        #: and records no event log — the regime for data-center
         #: scale runs where per-job × per-node sampling is quadratic.
         self.observability = observability
         self.jobs: list[ScheduledJob] = []
@@ -1052,19 +1101,20 @@ class MultiJobCluster:
         self._ids: set[str] = set()
         self._ran = False
         self._running: list[RunningTask] = []
-        # a preempted attempt's interval is tombstoned (None) in place;
-        # see _replace_interval
-        self._intervals: list[TaskInterval | None] = []
-        self._interval_index: dict[TaskInterval, list[int]] | None = None
+        # one (kind, job_id, node, start_s, end_s) row per task attempt; a
+        # preempted attempt's row is tombstoned (None) in place, see
+        # _replace_interval
+        self._intervals: list[tuple | None] = []
+        self._interval_index: dict[tuple, list[int]] | None = None
         self._indexed = 0
         self._faults: _MixFaults | None = None
         self._acct: MixFaultAccounting | None = None
         # Limping hosts whose attempts actually triggered a backup race.
         self._detected_slow: set[str] = set()
-        #: the control-plane event bus (built by run() under
-        #: observability="full"; stays None under "lean", which publishes
-        #: nothing)
-        self.bus: EventBus | None = None
+        # the control-plane event log as (priority, seq, type, time_s,
+        # payload) rows: a list under observability="full", None under
+        # "lean", which records nothing
+        self._events: list[tuple] | None = None
         self._failures: list[JobFailedError] = []
         self._ready_announced: set[str] = set()
 
@@ -1149,12 +1199,14 @@ class MultiJobCluster:
         (:meth:`_run_round`) until the mix quiesces, each followed by the
         next ``dispatch`` event.  Under ``observability="full"`` every
         control-plane transition (submit, stage-ready, dispatch round,
-        attempt finished, job finished/failed/cancelled) is published on
-        an :class:`~repro.cluster.eventbus.EventBus` and delivered at
-        once, and the delivered log rides on the outcome.  Under
-        ``"lean"`` no bus is built and the outcome's ``events`` tuple is
-        empty.  Publishing never changes a round, so both levels place
-        and time every task identically.  Dispatch starts by giving every
+        attempt finished, job finished/failed/cancelled) is recorded in
+        the event log that rides on the outcome, in the order an
+        :class:`~repro.cluster.eventbus.EventBus` would deliver it.  Under
+        ``"lean"`` nothing is recorded and the outcome's ``events`` tuple
+        is empty.  Recording never changes a round, so both levels place
+        and time every task identically.  Task intervals and events are
+        kept as rows, and the outcome builds their objects on first read
+        (:meth:`MixOutcome.deferred`).  Dispatch starts by giving every
         job its own dispatch containers, and the whole run keeps the
         cyclic collector paused (it creates no cyclic garbage;
         ``tests/cluster/test_nogc.py``).
@@ -1198,7 +1250,7 @@ class MultiJobCluster:
             for node in cluster.slaves:
                 node.procfs.sample(origin)
         else:
-            self.bus = EventBus()
+            self._events = []
             for job in self.jobs:
                 self._publish(
                     EVENT_SUBMIT,
@@ -1210,11 +1262,10 @@ class MultiJobCluster:
                     after=job.depends_on.job_id if job.depends_on else None,
                 )
 
-        bus = self.bus
-        if bus is not None:
+        if not lean:
             self._publish(EVENT_DISPATCH, time_s=origin)
         while self._run_round():
-            if bus is not None:
+            if not lean:
                 self._publish(EVENT_DISPATCH, time_s=cluster.clock)
 
         unfinished = sorted(
@@ -1250,13 +1301,13 @@ class MultiJobCluster:
             )
             for job in self.jobs
         ]
-        return MixOutcome(
+        outcome = MixOutcome.deferred(
             scheduler=self.scheduler.name,
             reports=reports,
             end_s=end_s,
             preemptions=self._preemptions,
             preemption_wasted_s=self._preemption_wasted,
-            task_intervals=self._task_intervals(),
+            task_intervals=RowDecoder(TaskInterval, self._task_intervals()),
             fault_accounting=self._acct,
             fenced_attempts=self.fence.fenced,
             failed_jobs=tuple(
@@ -1265,22 +1316,26 @@ class MultiJobCluster:
             cancelled_jobs=tuple(
                 j.job_id for j in self.jobs if j.status == "cancelled"
             ),
-            events=tuple(self.bus.log) if self.bus is not None else (),
+            events=RowDecoder(Event, self._events or [], tuple),
         )
+        # from here on the rows live only in the decoders
+        self._intervals = self._interval_index = self._events = None
+        return outcome
 
     # -- the dispatch round ----------------------------------------------------
 
     def _publish(self, event_type: str, time_s: float, **payload) -> None:
-        """Publish and deliver one event when a bus is live (no-op under
-        ``observability="lean"``).  The per-round and per-task call sites
-        test ``self.bus`` first, so a lean run builds no event payloads;
-        the rare failure paths rely on the no-op.  Every event here has
-        priority 0, so delivering it at once logs it in publication
-        order, as a final drain would, without a queue the size of the
-        whole log."""
-        if self.bus is not None:
-            self.bus.publish(event_type, time_s=time_s, **payload)
-            self.bus.process_one()
+        """Record one event row (no-op under ``observability="lean"``),
+        after the checks :meth:`~repro.cluster.eventbus.EventBus.publish`
+        applies.  The per-round and per-task call sites test
+        ``self._events`` first, so a lean run builds no event payloads;
+        the rare failure paths rely on the no-op.  Every event has
+        priority 0 and its index for ``seq``: the log is in publication
+        order, the order a bus delivers priority-0 events in."""
+        events = self._events
+        if events is not None:
+            check_event(event_type, payload)
+            events.append((0, len(events), event_type, time_s, payload))
 
     def _floor_of(self, job: ScheduledJob) -> float | None:
         if job.depends_on is not None:
@@ -1319,7 +1374,7 @@ class MultiJobCluster:
             floor = self._floor_of(job)
             if floor is not None:
                 floors[job] = floor
-                if self.bus is not None and job.job_id not in self._ready_announced:
+                if self._events is not None and job.job_id not in self._ready_announced:
                     self._ready_announced.add(job.job_id)
                     self._publish(
                         EVENT_STAGE_READY,
@@ -1487,10 +1542,8 @@ class MultiJobCluster:
         if job.first_launch_s is None or task_start < job.first_launch_s:
             job.first_launch_s = task_start
         self._running.append(RunningTask(job, m_index, node, slot, task_start, end))
-        self._intervals.append(
-            TaskInterval("map", job.job_id, node.name, task_start, end)
-        )
-        if self.bus is not None:
+        self._intervals.append(("map", job.job_id, node.name, task_start, end))
+        if self._events is not None:
             self._publish(
                 EVENT_ATTEMPT_FINISHED,
                 time_s=end,
@@ -1548,11 +1601,11 @@ class MultiJobCluster:
             # the attempt's charged I/O stays charged (work really done,
             # then thrown away); shrink its occupancy interval to the kill
             self._replace_interval(
-                TaskInterval("map", job.job_id, rt.node.name, rt.start_s, rt.end_s),
-                TaskInterval("map", job.job_id, rt.node.name, rt.start_s, now),
+                ("map", job.job_id, rt.node.name, rt.start_s, rt.end_s),
+                ("map", job.job_id, rt.node.name, rt.start_s, now),
             )
 
-    def _replace_interval(self, old: TaskInterval, new: TaskInterval) -> None:
+    def _replace_interval(self, old: tuple, new: tuple) -> None:
         """``list.remove(old)`` then ``append(new)``, without the scan.
 
         The first call builds an interval -> live positions index; each
@@ -1576,10 +1629,10 @@ class MultiJobCluster:
         intervals.append(new)
         self._indexed = len(intervals) - 1
 
-    def _task_intervals(self) -> list[TaskInterval]:
-        """The outcome's intervals: preemption tombstones compacted out."""
+    def _task_intervals(self) -> list[tuple]:
+        """The outcome's interval rows: preemption tombstones compacted out."""
         if self._interval_index is None:
-            return list(self._intervals)
+            return self._intervals
         return [iv for iv in self._intervals if iv is not None]
 
     def _finish_job(self, job: ScheduledJob) -> None:
@@ -1640,12 +1693,12 @@ class MultiJobCluster:
             maps_off_rack=tiers.count("off"),
             node_racks=cluster._node_racks(),
         )
-        bus = self.bus
+        events = self._events
         for r_index, (node, exec_start, exec_end) in enumerate(spans):
             self._intervals.append(
-                TaskInterval("reduce", job.job_id, node.name, exec_start, exec_end)
+                ("reduce", job.job_id, node.name, exec_start, exec_end)
             )
-            if bus is not None:
+            if events is not None:
                 self._publish(
                     EVENT_ATTEMPT_FINISHED,
                     time_s=exec_end,
@@ -1656,7 +1709,7 @@ class MultiJobCluster:
                     end_s=exec_end,
                 )
         job.status = "completed"
-        if bus is not None:
+        if events is not None:
             self._publish(
                 EVENT_JOB_FINISHED,
                 time_s=end,
@@ -1896,9 +1949,7 @@ class MultiJobCluster:
                 job.map_nodes[m_index] = node
                 if job.last_map_end_s is None or end > job.last_map_end_s:
                     job.last_map_end_s = end
-                self._intervals.append(
-                    TaskInterval("map", job.job_id, node.name, task_start, end)
-                )
+                self._intervals.append(("map", job.job_id, node.name, task_start, end))
         raise JobFailedError(f"{job.job_id}: map re-execution did not converge")
 
     def _shuffle_for(

@@ -818,13 +818,16 @@ _TIMELINE_FIELDS = (
     "reduce_tasks", "disk_writes_per_second", "network_bytes",
     "maps_node_local", "maps_rack_local", "maps_off_rack", "node_racks",
 )
-_INTERVAL_FIELDS = ("kind", "job_id", "node", "start_s", "end_s")
-_EVENT_FIELDS = ("priority", "seq", "type", "time_s", "payload")
 
 
 def _transpose(rows, fields: tuple[str, ...]) -> list[list]:
     """Rows of objects → one list per field."""
     return [list(map(attrgetter(name), rows)) for name in fields]
+
+
+def _columns(rows: list[tuple], width: int) -> list[tuple]:
+    """Field tuples → one tuple per field (*width* empty ones for no rows)."""
+    return list(zip(*rows)) or [()] * width
 
 
 def _scalar_code(value) -> str:
@@ -868,13 +871,11 @@ def _encode_mix(outcome, ideals=None, stages=None) -> bytes:
         rack_maps.setdefault(tuple(mapping.items()), len(rack_maps))
         for mapping in racks
     ]
-    kinds, iv_jobs, iv_nodes, iv_starts, iv_ends = _transpose(
-        outcome.task_intervals, _INTERVAL_FIELDS
+    kinds, iv_jobs, iv_nodes, iv_starts, iv_ends = _columns(
+        outcome.rows("task_intervals"), 5
     )
     kind_ids = {kind: index for index, kind in enumerate(dict.fromkeys(kinds))}
-    priorities, seqs, types, times, payloads = _transpose(
-        outcome.events, _EVENT_FIELDS
-    )
+    priorities, seqs, types, times, payloads = _columns(outcome.rows("events"), 5)
     # Event payloads: the distinct (type, keys, value kinds) shapes once
     # each; values appended, in row order, to one column per kind.
     shapes = {}

@@ -517,8 +517,8 @@ class FastMultiJobCluster(MultiJobCluster):
     def _flush_announcements(self) -> None:
         """Publish STAGE_READY for newly-floored jobs in submission
         order — the order the reference's top-of-round jobs scan emits.
-        Without a bus there is nothing to publish."""
-        if self.bus is not None:
+        Without an event log there is nothing to record."""
+        if self._events is not None:
             self._pending_announce.sort(key=lambda job: job.seq)
             for job in self._pending_announce:
                 floor = self._floors[job]

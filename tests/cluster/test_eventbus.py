@@ -3,9 +3,9 @@
 Two load-bearing contracts:
 
 * **The dispatch log** — under ``observability="full"``
-  ``MultiJobCluster.run`` publishes every control-plane transition and
-  the delivered log rides on the outcome; under ``"lean"`` no bus is
-  built.  That the log never moves a timeline, /proc counter or the
+  ``MultiJobCluster.run`` records every control-plane transition, in the
+  order a bus delivers it, and the log rides on the outcome; under
+  ``"lean"`` it records nothing.  That the log never moves a timeline, /proc counter or the
   clock is pinned by ``test_dispatch_golden.py``.
 * **Deterministic replay** — the same mix produces the same delivered
   event log, and :func:`replay` re-dispatches a recorded log so a fresh
@@ -180,8 +180,10 @@ class TestDeterministicLog:
     def test_lean_run_builds_no_bus(self):
         multi = MultiJobCluster(small_cluster(), FifoScheduler(), observability="lean")
         self.build(multi)
-        assert multi.run().events == ()
-        assert multi.bus is None
+        outcome = multi.run()
+        # the unread outcome holds the rows dispatch recorded: none
+        assert outcome.rows("events") == []
+        assert outcome.events == ()
 
     def test_same_mix_same_history(self):
         one = self.run_once()
