@@ -1,18 +1,16 @@
 """Command-line interface: ``python -m repro <command>``.
 
 Commands: ``list``, ``tables``, ``run``, ``characterize``, ``speedup``,
-``domains``, ``colocate``, ``mix``, ``record``, ``fit-recipe``,
-``gen-trace``, ``rep-bench``, ``serve``, ``run-workflow`` and
-``profile``.  ``python -m repro <command> --help`` lists a command's
-flags.
+``domains``, ``colocate``, ``mix``, ``rep-bench``, ``serve``,
+``run-workflow`` and ``profile``.  ``python -m repro <command> --help``
+lists a command's flags.
 
 Each flag is declared once, as a ``(name, add_argument keywords)`` pair,
 in a group shared by every command that takes it; ``COMMANDS`` holds one
 ``(name, help, handler, flags)`` row per command and is all
 :func:`build_parser` reads.  Each cross-flag check exists once too: the
-node/rack fault checks in :func:`_node_faults`, the mix/record trace
-source in :func:`_run_trace`.  Handlers import what they run when
-they run, so ``--help`` loads no simulator code.
+node/rack fault checks live in :func:`_node_faults`.  Handlers import
+what they run when they run, so ``--help`` loads no simulator code.
 """
 
 from __future__ import annotations
@@ -120,12 +118,9 @@ _FORMAT = ("--format", dict(choices=("table", "json"), default="table"))
 _SCHEDULER = ("--scheduler", dict(choices=("fifo", "fair", "capacity"),
                                   default="fair",
                                   help="which Hadoop-1.x scheduler to model"))
-_JOBS = ("--jobs", dict(type=_COUNT, default=8, help="number of trace jobs"))
 _ARRIVAL_RATE = ("--rate", dict(type=_POSITIVE, default=2.0, metavar="PER_SECOND",
                                 help="mean Poisson arrival rate "
                                      "(simulated jobs per second)"))
-_OUTPUT = ("--output", dict(metavar="FILE",
-                            help="write the JSON here (default: stdout)"))
 _SLAVES = ("--slaves", dict(type=_COUNT, default=4,
                             help="number of simulated slave nodes"))
 
@@ -133,18 +128,6 @@ _CLUSTER_SHAPE = (
     _SLAVES,
     ("--map-slots", dict(type=_COUNT, default=8, help="map slots per slave")),
     ("--reduce-slots", dict(type=_COUNT, default=4, help="reduce slots per slave")),
-)
-
-_TRACE_SOURCE = (
-    ("--trace", dict(metavar="FILE",
-                     help="replay this trace JSON (e.g. from gen-trace) "
-                          "instead of generating one; --jobs and --rate are "
-                          "then ignored, and --seed seeds only the fault "
-                          "plan")),
-    _JOBS,
-    _ARRIVAL_RATE,
-    _SEED,
-    _SCHEDULER,
 )
 
 _RACKS = (
@@ -230,64 +213,6 @@ def _print_block(title: str | None, items: dict, width: int) -> None:
         elif isinstance(value, float):
             value = f"{value:.3f}"
         print(f"  {key:<{width}s}{value}")
-
-
-def _load(path: str, command: str, parse):
-    """``parse(text)`` of a CLI input file, or ``None`` when the file cannot
-    be read or parsed (reported in the command's voice)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse(fh.read())
-    except OSError as error:
-        print(f"{command}: cannot read {path}: {error}", file=sys.stderr)
-    except (ValueError, TypeError, KeyError) as error:
-        print(f"{command}: {path}: {error}", file=sys.stderr)
-    return None
-
-
-def _emit(text: str, output: str | None, what: str) -> None:
-    """Print *text*, or write it to *output* and say what landed where."""
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {what} to {output}")
-    else:
-        print(text)
-
-
-def _run_trace(args, **options):
-    """``(trace, mix)`` for mix and record: the ``--trace`` file, or a
-    generated trace, run through ``--scheduler`` on the ``--slaves``
-    cluster; ``None`` (reported) when the trace file is unusable."""
-    from repro.cluster.scheduler import make_scheduler
-    from repro.cluster.tenancy import (
-        WorkloadTrace,
-        default_pools,
-        default_queues,
-        generate_trace,
-        run_mix,
-    )
-
-    if args.trace:
-        trace = _load(args.trace, args.command, WorkloadTrace.from_json)
-        if trace is None:
-            return None
-    else:
-        trace = generate_trace(
-            seed=args.seed, num_jobs=args.jobs, arrival_rate_per_s=args.rate
-        )
-    scheduler = make_scheduler(
-        args.scheduler, pools=default_pools(trace), queues=default_queues(trace)
-    )
-    mix = run_mix(
-        trace,
-        scheduler,
-        num_slaves=args.slaves,
-        map_slots=args.map_slots,
-        reduce_slots=args.reduce_slots,
-        **options,
-    )
-    return trace, mix
 
 
 # -- command handlers ------------------------------------------------------------
@@ -462,7 +387,15 @@ def _cmd_mix(args) -> int:
     import json
 
     from repro.cluster import FaultPlan, JobFailedError
-    from repro.cluster.tenancy import characterize_colocation
+    from repro.cluster.scheduler import make_scheduler
+    from repro.cluster.tenancy import (
+        WorkloadTrace,
+        characterize_colocation,
+        default_pools,
+        default_queues,
+        generate_trace,
+        run_mix,
+    )
     from repro.core.simcache import MixCache
 
     node_crashes, partitions, rack_outages, tor_failures = _node_faults(args)
@@ -475,16 +408,38 @@ def _cmd_mix(args) -> int:
             tor_failures=tor_failures,
             seed=args.seed,
         )
-    mix_cache = None if args.no_mix_cache else MixCache()
+    if args.trace:
+        try:
+            with open(args.trace, encoding="utf-8") as fh:
+                trace = WorkloadTrace.from_json(fh.read())
+        except OSError as error:
+            print(f"mix: cannot read {args.trace}: {error}", file=sys.stderr)
+            return 2
+        except (ValueError, TypeError, KeyError) as error:
+            print(f"mix: {args.trace}: {error}", file=sys.stderr)
+            return 2
+    else:
+        trace = generate_trace(
+            seed=args.seed, num_jobs=args.jobs, arrival_rate_per_s=args.rate
+        )
+    scheduler = make_scheduler(
+        args.scheduler, pools=default_pools(trace), queues=default_queues(trace)
+    )
     try:
-        ran = _run_trace(args, plan=plan, racks=args.racks, engine=args.engine,
-                         mix_cache=mix_cache)
+        mix = run_mix(
+            trace,
+            scheduler,
+            num_slaves=args.slaves,
+            map_slots=args.map_slots,
+            reduce_slots=args.reduce_slots,
+            plan=plan,
+            racks=args.racks,
+            engine=args.engine,
+            mix_cache=None if args.no_mix_cache else MixCache(),
+        )
     except JobFailedError as error:
         print(f"mix: {error}", file=sys.stderr)
         return 1
-    if ran is None:
-        return 2
-    trace, mix = ran
 
     colocation = None
     if args.colocate:
@@ -529,57 +484,10 @@ def _cmd_mix(args) -> int:
     return 0
 
 
-def _cmd_record(args) -> int:
-    from repro.recipes import record_instance
-
-    ran = _run_trace(args)
-    if ran is None:
-        return 2
-    instance = record_instance(ran[1], name=args.name)
-    _emit(instance.to_json(), args.output,
-          f"instance ({len(instance.jobs)} jobs)")
-    return 0
-
-
-def _cmd_fit_recipe(args) -> int:
-    import json
-
-    from repro.cluster.tenancy import WorkloadTrace
-    from repro.recipes import Instance, fit_recipe, instance_from_trace
-
-    def parse(text: str):
-        """An Instance from an instance JSON or a bare trace JSON."""
-        data = json.loads(text)
-        if isinstance(data, dict) and "schema_version" in data:
-            return Instance.from_dict(data)
-        return instance_from_trace(WorkloadTrace.from_dict(data))
-
-    instance = _load(args.instance, "fit-recipe", parse)
-    if instance is None:
-        return 2
-    recipe = fit_recipe(instance, name=args.name)
-    _emit(recipe.to_json(), args.output,
-          f"recipe ({len(recipe.users)} users, "
-          f"repetition {recipe.repetition_rate:.2f})")
-    return 0
-
-
-def _cmd_gen_trace(args) -> int:
-    from repro.recipes import Recipe, generate_from_recipe
-
-    recipe = _load(args.recipe, "gen-trace", Recipe.from_json)
-    if recipe is None:
-        return 2
-    trace = generate_from_recipe(recipe, num_jobs=args.jobs, seed=args.seed)
-    _emit(trace.to_json(), args.output,
-          f"trace ({len(trace.jobs)} jobs)")
-    return 0
-
-
 def _cmd_rep_bench(args) -> int:
     import json
 
-    from repro.recipes import run_repetition_benchmark
+    from repro.hive import run_repetition_benchmark
 
     report = run_repetition_benchmark(
         buckets=args.buckets,
@@ -849,7 +757,15 @@ COMMANDS = (
         _with(_INSTRUCTIONS, default=80_000),
     )),
     ("mix", "multi-tenant trace through a scheduler", _cmd_mix, (
-        *_TRACE_SOURCE,
+        ("--trace", dict(metavar="FILE",
+                         help="replay this trace JSON (as written by "
+                              "WorkloadTrace.to_json) instead of generating "
+                              "one; --jobs and --rate are then ignored, and "
+                              "--seed seeds only the fault plan")),
+        ("--jobs", dict(type=_COUNT, default=8, help="number of trace jobs")),
+        _ARRIVAL_RATE,
+        _SEED,
+        _SCHEDULER,
         *_CLUSTER_SHAPE,
         *_node_fault_flags("mix"),
         *_RACKS,
@@ -861,28 +777,6 @@ COMMANDS = (
                             help="characterize the busiest co-located instant")),
         _with(_INSTRUCTIONS, default=20_000),
         _FORMAT,
-    )),
-    ("record", "run a multi-tenant mix and serialize it as a WfCommons-style "
-               "instance JSON", _cmd_record, (
-        *_TRACE_SOURCE,
-        *_CLUSTER_SHAPE,
-        ("--name", dict(default="recorded-mix",
-                        help="instance name stored in the JSON")),
-        _OUTPUT,
-    )),
-    ("fit-recipe", "fit a workload recipe (mix, sizes, arrivals, "
-                   "repetitiveness) from an instance or trace JSON",
-     _cmd_fit_recipe, (
-        ("instance", dict(help="instance JSON (from record) or trace JSON")),
-        ("--name", dict(help="recipe name (default: the instance's)")),
-        _OUTPUT,
-    )),
-    ("gen-trace", "regenerate a synthetic workload trace of any length from "
-                  "a fitted recipe", _cmd_gen_trace, (
-        ("recipe", dict(help="recipe JSON (from fit-recipe)")),
-        _with(_JOBS, default=50),
-        _SEED,
-        _OUTPUT,
     )),
     ("rep-bench", "Redbench-style repetition benchmark: materialization-cache "
                   "payoff per repetitiveness bucket", _cmd_rep_bench, (

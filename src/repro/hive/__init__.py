@@ -16,7 +16,9 @@ end:
   JOIN is a reduce-side join followed by downstream stages;
 * :mod:`repro.hive.engine` — a session that owns tables, runs plans on a
   :class:`~repro.mapreduce.engine.LocalEngine`, and returns result rows
-  (plus the job results for the cluster timing model).
+  (plus the job results for the cluster timing model);
+* :mod:`repro.hive.repbench` — the Redbench-style repetition benchmark:
+  the materialization cache's payoff per repetitiveness bucket.
 """
 
 from repro._lazy import attach
@@ -37,4 +39,7 @@ __getattr__, __dir__, __all__ = attach(globals(), {
     "MaterializationCache": "engine",
     "QueryExecution": "engine",
     "result_cache_enabled": "engine",
+    "BucketReport": "repbench",
+    "RepetitionBenchReport": "repbench",
+    "run_repetition_benchmark": "repbench",
 })

@@ -14,7 +14,7 @@ shape of that result on the mini-Hive engine:
 * run every stream through a :class:`~repro.hive.MaterializationCache`
   and report per-bucket hit rates and simulated latency wins.
 
-The contract (pinned in ``tests/recipes/test_repbench.py`` and enforced
+The contract (pinned in ``tests/hive/test_repbench.py`` and enforced
 by the ``rep-bench`` CLI): hit rate is monotonically non-decreasing in
 the bucket's repetition rate, and the most-repetitive bucket shows a
 strictly positive latency win.  Everything is seeded and deterministic.

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.recipes import run_repetition_benchmark
-from repro.recipes.repbench import DEFAULT_BUCKETS, _query_stream
+from repro.hive import run_repetition_benchmark
+from repro.hive.repbench import DEFAULT_BUCKETS, _query_stream
 import random
 
 

@@ -5,10 +5,12 @@ the sorted option strings, default, choices, nargs and action.  A flag
 renamed, dropped or given a new default must show up here, not in a
 user's script.  ``BAD_INPUT`` holds out-of-range input that must stop at
 the parser with exit status 2 and a message naming the problem, never a
-traceback or a silent run.
+traceback or a silent run.  The classes below run ``mix --trace`` and
+``rep-bench`` end to end.
 """
 
 import argparse
+import json
 import re
 from pathlib import Path
 
@@ -77,31 +79,6 @@ SURFACE = {
         "colocate": (("--colocate",), False, None, 0, "StoreTrue"),
         "instructions": (("--instructions",), 20000, None, None, "Store"),
         "format": (("--format",), "table", ("table", "json"), None, "Store"),
-    },
-    "record": {
-        "trace": (("--trace",), None, None, None, "Store"),
-        "jobs": (("--jobs",), 8, None, None, "Store"),
-        "rate": (("--rate",), 2.0, None, None, "Store"),
-        "seed": (("--seed",), 0, None, None, "Store"),
-        "scheduler": (
-            ("--scheduler",), "fair", ("fifo", "fair", "capacity"), None, "Store"
-        ),
-        "slaves": (("--slaves",), 4, None, None, "Store"),
-        "map_slots": (("--map-slots",), 8, None, None, "Store"),
-        "reduce_slots": (("--reduce-slots",), 4, None, None, "Store"),
-        "name": (("--name",), "recorded-mix", None, None, "Store"),
-        "output": (("--output",), None, None, None, "Store"),
-    },
-    "fit-recipe": {
-        "instance": ((), None, None, None, "Store"),
-        "name": (("--name",), None, None, None, "Store"),
-        "output": (("--output",), None, None, None, "Store"),
-    },
-    "gen-trace": {
-        "recipe": ((), None, None, None, "Store"),
-        "jobs": (("--jobs",), 50, None, None, "Store"),
-        "seed": (("--seed",), 0, None, None, "Store"),
-        "output": (("--output",), None, None, None, "Store"),
     },
     "rep-bench": {
         "buckets": (("--buckets",), (0.0, 0.25, 0.5, 0.75, 0.95), None, None, "Store"),
@@ -189,11 +166,8 @@ BAD_INPUT = [
     (["mix", "--rate", "0"], "--rate: must be a number > 0"),
     (["mix", "--jobs", "0"], "--jobs: must be a count >= 1"),
     (["mix", "--jobs", "-2"], "--jobs: must be a count >= 1"),
-    (["record", "--jobs", "0"], "--jobs: must be a count >= 1"),
-    (["record", "--jobs", "-2"], "--jobs: must be a count >= 1"),
     (["run", "Grep", "--slaves", "0"], "--slaves: must be a count >= 1"),
     (["mix", "--slaves", "0"], "--slaves: must be a count >= 1"),
-    (["record", "--slaves", "0"], "--slaves: must be a count >= 1"),
     (["rep-bench", "--slaves", "0"], "--slaves: must be a count >= 1"),
     (["mix", "--map-slots", "0"], "--map-slots: must be a count >= 1"),
     (["characterize", "Grep", "--instructions", "0"], "--instructions: must be a count"),
@@ -231,3 +205,60 @@ def test_bad_input_is_a_usage_error(argv, message, capsys):
     err = capsys.readouterr().err
     assert re.search(r"^repro [\w-]+: error: ", err, re.M), err
     assert message in err
+
+
+class TestTraceReplay:
+    def test_mix_replays_a_trace_file(self, tmp_path, capsys):
+        from repro.cluster.tenancy import generate_trace
+
+        trace = tmp_path / "trace.json"
+        trace.write_text(generate_trace(seed=3, num_jobs=6).to_json())
+        assert main(["mix", "--trace", str(trace), "--slaves", "2",
+                     "--map-slots", "4", "--reduce-slots", "2"]) == 0
+        assert "6 jobs" in capsys.readouterr().out
+
+
+class TestRepBenchCli:
+    def test_contract_passes_and_prints_buckets(self, capsys):
+        assert main(["rep-bench", "--queries", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "materialization cache on" in out
+        assert "95%" in out
+
+    def test_no_result_cache_flag(self, capsys):
+        assert main(["rep-bench", "--queries", "4",
+                     "--no-result-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "cache off" in out
+
+    def test_json_format(self, capsys):
+        assert main(["rep-bench", "--queries", "4",
+                     "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(data["buckets"]) == 5
+
+
+class TestBadInput:
+    def test_missing_files_fail_cleanly(self, tmp_path, capsys):
+        assert main(["mix", "--trace", str(tmp_path / "nope.json")]) == 2
+        assert "mix: cannot read" in capsys.readouterr().err
+
+    def test_invalid_json_fails_cleanly(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{nope")
+        assert main(["mix", "--trace", str(bad)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rep-bench", "--buckets", "0.9,0.1"],      # not ascending
+            ["rep-bench", "--buckets", "0.1,1.5"],      # out of range
+            ["rep-bench", "--buckets", "abc"],          # not numbers
+            ["rep-bench", "--queries", "0"],            # not a count
+        ],
+    )
+    def test_bad_flags_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2

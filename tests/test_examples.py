@@ -55,11 +55,10 @@ class TestExamples:
         assert "Jain fairness index" in out
         assert "outputs identical across schedulers: True" in out
 
-    def test_recipes(self, capsys):
-        load_example("recipes").main()
+    def test_result_cache(self, capsys):
+        load_example("result_cache").main()
         out = capsys.readouterr().out
-        assert "recorded 8 jobs (3 Hive" in out
-        assert "regenerated 80 jobs" in out
+        assert "payoff per repetitiveness bucket" in out
         assert "hit rate monotone in repetitiveness: True" in out
 
     @pytest.mark.slow

@@ -34,7 +34,6 @@ LAZY_PACKAGES = (
     "repro.hive",
     "repro.mapreduce",
     "repro.perf",
-    "repro.recipes",
     "repro.uarch",
 )
 
