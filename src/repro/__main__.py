@@ -1,9 +1,9 @@
 """Command-line interface: ``python -m repro <command>``.
 
 Commands: ``list``, ``tables``, ``run``, ``characterize``, ``speedup``,
-``domains``, ``colocate``, ``mix``, ``rep-bench``, ``serve``,
-``run-workflow`` and ``profile``.  ``python -m repro <command> --help``
-lists a command's flags.
+``domains``, ``colocate``, ``mix``, ``rep-bench``, ``run-workflow`` and
+``profile``.  ``python -m repro <command> --help`` lists a command's
+flags.
 
 Each flag is declared once, as a ``(name, add_argument keywords)`` pair,
 in a group shared by every command that takes it; ``COMMANDS`` holds one
@@ -591,106 +591,6 @@ def _cmd_workflow(args) -> int:
     return 0
 
 
-def _render_serve_report(label: str, report) -> None:
-    pct = report.latency_percentiles
-    quantiles = "  ".join(
-        f"{name} {value:.3f}s" if value == value else f"{name} -"
-        for name, value in pct.items()
-    )
-    print(f"{label}: {report.offered} offered on {report.servers} server(s)  "
-          f"completed {report.completed}  shed {report.shed}  "
-          f"killed {report.killed}  retries {report.retries}")
-    print(f"  latency   {quantiles}")
-    print(f"  goodput   {report.goodput_rps:.2f} req/s  "
-          f"utilization {report.utilization:.1%}  "
-          f"SLO attainment {report.slo_attainment:.1%}")
-    print(f"  {report.procfs.render('overload')}")
-
-
-#: serve's degradation-posture flags, which --compare replaces with its own;
-#: each defaults to None, so a flag given at ServePolicy's default value
-#: still counts as given
-_POSTURE = ("limp", "unprotected", "max_queue", "shed_rate", "shed_threshold",
-            "retries")
-
-
-def _cmd_serve(args) -> int:
-    import json
-
-    from repro.cluster.serve import ArrivalProcess, ServePolicy, run_service
-
-    parser = args.parser
-    process = ArrivalProcess(rate_per_s=args.rate, pattern=args.pattern)
-    if args.compare:
-        ignored = [f"--{dest.replace('_', '-')}" for dest in _POSTURE
-                   if getattr(args, dest) is not None]
-        if ignored:
-            parser.error(f"--compare runs its own protected and unprotected "
-                         f"postures; drop {', '.join(ignored)}")
-        protected, unprotected = (
-            run_service(process=process, num_requests=args.requests,
-                        servers=args.servers, policy=posture(args.deadline),
-                        seed=args.seed)
-            for posture in (ServePolicy.protected, ServePolicy.unprotected)
-        )
-        p99_gap_s = unprotected.p99_s - protected.p99_s
-        ordering_holds = protected.p99_s < unprotected.p99_s
-        if args.format == "json":
-            payload = {
-                "seed": args.seed,
-                "rate_per_s": args.rate,
-                "pattern": args.pattern,
-                "deadline_s": args.deadline,
-                "p99_gap_s": p99_gap_s,
-                "ordering_holds": ordering_holds,
-                "protected": protected.to_dict(),
-                "unprotected": unprotected.to_dict(),
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"overload comparison: {args.pattern} arrivals at "
-                  f"{args.rate:g} req/s, deadline {args.deadline:g}s")
-            _render_serve_report("protected", protected)
-            _render_serve_report("unprotected", unprotected)
-            print(f"p99 gap {p99_gap_s:.3f}s  "
-                  f"degradation ordering holds: {ordering_holds}")
-        return 0 if ordering_holds else 1
-
-    for index, _ in args.limp or ():
-        if index >= args.servers:
-            parser.error(
-                f"--limp server {index} is not in the bank "
-                f"(have 0..{args.servers - 1})"
-            )
-    if args.unprotected:
-        policy = ServePolicy.unprotected(deadline_s=args.deadline)
-    else:
-        knobs = dict(
-            max_queue_depth=args.max_queue,
-            shed_rate=args.shed_rate,
-            shed_threshold=args.shed_threshold,
-            retry_budget=args.retries,
-        )
-        policy = ServePolicy(
-            deadline_s=args.deadline,
-            **{knob: value for knob, value in knobs.items() if value is not None},
-        )
-    report = run_service(
-        process=process,
-        num_requests=args.requests,
-        servers=args.servers,
-        policy=policy,
-        seed=args.seed,
-        limping_servers=tuple(args.limp or ()),
-    )
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        posture = "unprotected" if args.unprotected else "protected"
-        _render_serve_report(posture, report)
-    return 0
-
-
 def _cmd_profile(args) -> int:
     from repro.core.suite import DCBench
     from repro.perf.sampling import profile_trace
@@ -790,40 +690,6 @@ COMMANDS = (
         ("--no-result-cache", dict(action="store_true",
                                    help="disable the materialization cache "
                                         "(also REPRO_RESULT_CACHE=0)")),
-        _FORMAT,
-    )),
-    ("serve", "open-loop service traffic through a degrading frontend",
-     _cmd_serve, (
-        _with(_ARRIVAL_RATE, default=8.0,
-              help="mean open-loop arrival rate (requests per second)"),
-        ("--requests", dict(type=_COUNT, default=200,
-                            help="number of requests to offer")),
-        ("--servers", dict(type=_COUNT, default=4,
-                           help="identical servers in the bank")),
-        ("--pattern", dict(choices=("poisson", "diurnal", "bursty"),
-                           default="poisson", help="arrival process shape")),
-        _SEED,
-        ("--deadline", dict(type=_POSITIVE, default=8.0, metavar="SECONDS",
-                            help="per-request deadline (the SLO)")),
-        ("--max-queue", dict(type=_COUNT,
-                             help="admission-control queue-depth limit")),
-        ("--shed-rate", dict(type=_RATE, metavar="RATE",
-                             help="fraction of traffic shed above --shed-threshold")),
-        ("--shed-threshold", dict(type=_COUNT,
-                                  help="queue depth at which shedding starts")),
-        ("--retries", dict(type=_number(int, 0, 16, what="retry budget"),
-                           help="retry budget for deadline-killed requests")),
-        ("--limp", _spec("INDEX:FACTOR", _number(int, 0, what="server index"),
-                         _number(float, 1),
-                         help="limp this server's service time by FACTOR "
-                              "(repeatable; e.g. 0:3.0)")),
-        ("--unprotected", dict(action="store_true", default=None,
-                               help="disable every degradation control "
-                                    "(the overload control group)")),
-        ("--compare", dict(action="store_true",
-                           help="run protected vs unprotected on the same arrivals "
-                                "(no posture flags); exit 1 unless protected "
-                                "wins on p99")),
         _FORMAT,
     )),
     ("run-workflow", "run a multi-stage DAG workflow with lineage-based "

@@ -4,7 +4,7 @@ A package ``__init__`` that only re-exports names hands :func:`attach` a
 ``{public name: defining submodule}`` table and gets back its module
 ``__getattr__``, ``__dir__`` and ``__all__``.  A name's submodule is
 imported on first access, so ``from repro.cluster import MultiJobCluster``
-loads the scheduler and what it imports, not chaos, serve or workflow.
+loads the scheduler and what it imports, not chaos or workflow.
 A target ``"module:attr"`` re-exports ``attr`` under another name.
 
 A public name that is also a submodule's name (``repro.core.characterize``)

@@ -36,10 +36,6 @@ paper measures it:
 * :mod:`repro.cluster.tenancy` — trace-driven workload mixes: seeded
   Poisson arrivals over a heavy-tailed job-size distribution, named
   users/pools, fairness metrics, and shared-LLC co-location reports;
-* :mod:`repro.cluster.serve` — open-loop service traffic: seeded
-  Poisson/diurnal/bursty arrivals over a server bank with graceful
-  degradation (admission control, load shedding, deadlines, bounded
-  retries) and p50/p95/p99/p999 latency reporting;
 * :mod:`repro.cluster.eventbus` — the deterministic typed event bus the
   workflow orchestrator publishes to, with a replayable delivery log,
   and the ``check_event`` rules the multi-job dispatch loop's event log
@@ -99,15 +95,6 @@ __getattr__, __dir__, __all__ = attach(globals(), {
     "chaos_plan": "chaos",
     "integrity_chaos_plan": "chaos",
     "run_chaos": "chaos",
-    "ArrivalProcess": "serve",
-    "RequestClass": "serve",
-    "RequestRecord": "serve",
-    "ServePolicy": "serve",
-    "ServeReport": "serve",
-    "default_request_classes": "serve",
-    "percentile": "serve",
-    "request_classes_from_trace": "serve",
-    "run_service": "serve",
     "Scheduler": "scheduler",
     "FifoScheduler": "scheduler",
     "FairScheduler": "scheduler",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable
 
@@ -241,9 +242,25 @@ def _single_job(job: _Job, plan: FaultPlan | None, racks: int | None = None) -> 
     return _run_workload(job, plan, job.row.racks if racks is None else racks)
 
 
+def percentile(values: list[float], p: float) -> float:
+    """Nearest-rank percentile of *values* (NaN for an empty list).
+
+    Nearest-rank is what latency dashboards actually report: the p-th
+    percentile is an observed sample, never an interpolation between
+    two samples.  The rank is exact on the decimal *p* denotes (in
+    floats, ``99.9 / 100 * 1000`` lands just above 999).
+    """
+    if not 0 < p <= 100:
+        raise ValueError("percentile must be in (0, 100]")
+    if not values:
+        return float("nan")
+    ordered = sorted(values)
+    rank = math.ceil(Fraction(repr(float(p))) * len(ordered) / 100)
+    return ordered[rank - 1]
+
+
 def _mix(job: _Job, plan: FaultPlan | None) -> ChaosRun:
     """The subject's trace through ``run_mix`` on 4 map / 2 reduce slots."""
-    from repro.cluster.serve import percentile
     from repro.cluster.tenancy import run_mix
 
     result = run_mix(

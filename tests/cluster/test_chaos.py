@@ -23,10 +23,13 @@ map's output lands on a less contended disk), so the table fixes
 schedules where the injected damage dominates.
 """
 
+import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster import (
     FaultPlan,
@@ -35,7 +38,7 @@ from repro.cluster import (
     RetryPolicy,
     make_cluster,
 )
-from repro.cluster.chaos import ChaosResult, chaos_plan, run_chaos
+from repro.cluster.chaos import ChaosResult, chaos_plan, percentile, run_chaos
 from repro.workloads import workload
 
 W3 = ("WordCount", "Sort", "PageRank")
@@ -457,3 +460,42 @@ class TestChaosProperties:
             workload("WordCount").run(scale=0.3, cluster=cluster)
         assert excinfo.value.task_id == "m_000000"
         assert excinfo.value.attempts == 4
+
+
+# -- the mix row's p99 turnaround: nearest-rank percentiles -----------------------
+
+
+class TestPercentile:
+    def test_nearest_rank_returns_observed_samples(self):
+        values = [4.0, 1.0, 3.0, 2.0]
+        assert percentile(values, 50.0) == 2.0
+        assert percentile(values, 75.0) == 3.0
+        assert percentile(values, 100.0) == 4.0
+        # nearest-rank never interpolates: every answer is a sample
+        assert percentile(values, 99.0) in values
+
+    def test_empty_is_nan_not_an_error(self):
+        assert math.isnan(percentile([], 99.0))
+
+    def test_out_of_range_p_is_rejected(self):
+        with pytest.raises(ValueError):
+            percentile([1.0], 0.0)
+        with pytest.raises(ValueError):
+            percentile([1.0], 101.0)
+
+    def test_p999_of_a_thousand_is_not_the_maximum(self):
+        # 99.9 / 100 * 1000 is just above 999 in floats; the rank is 999
+        assert percentile(range(1, 1001), 99.9) == 999
+        for n in range(1000, 5001, 1000):
+            assert percentile(range(1, n + 1), 99.9) == n - n // 1000
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.sampled_from(["50", "95", "99", "99.9"]),
+        n=st.integers(min_value=1, max_value=5000),
+    )
+    @example(p="99.9", n=1000)
+    def test_rank_matches_exact_arithmetic(self, p, n):
+        # values 1..n, so the answer is the rank itself
+        rank = math.ceil(Fraction(p) * n / 100)
+        assert percentile(range(1, n + 1), float(p)) == rank

@@ -1,17 +1,15 @@
 """``tenancy.solo_run``: one healthy run of a workload on a fresh cluster.
 
 Figure 2 (each workload alone on 1/4/8 slaves) and every mix's slowdown
-denominator rest on this one operation.  Its callers — ``run_mix``,
-``request_classes_from_trace``, the workflow DAG builders and
-``speedup_study`` — each keep their own memo scope around it, so this
-file pins three things:
+denominator rest on this one operation.  Its three callers —
+``run_mix``, the workflow DAG builders and ``speedup_study`` — each keep
+their own memo scope around it, so this file pins three things:
 
 * **what** each caller computes, as digests recorded before the callers
   shared one function (the per-caller copies they replaced computed
   exactly these);
 * **how long** each caller remembers a shadow (per ``run_mix`` call,
-  process-wide in ``serve`` keyed on the whole cluster shape, or not at
-  all);
+  or not at all);
 * that ``repro.cluster`` stays importable without the workload,
   MapReduce and Hive layers, which ``solo_run`` reaches only at call
   time.
@@ -30,12 +28,10 @@ from pathlib import Path
 import pytest
 
 import repro
-import repro.cluster.serve as serve_mod
 import repro.cluster.tenancy as tenancy_mod
 from repro.analysis.speedup import speedup_study
 from repro.cluster.cluster import make_cluster
 from repro.cluster.scheduler import FifoScheduler
-from repro.cluster.serve import _shape_key, request_classes_from_trace
 from repro.cluster.tenancy import (
     TraceJob,
     WorkloadTrace,
@@ -106,33 +102,11 @@ def distinct_pairs(trace) -> list[tuple[str, float]]:
     return list(dict.fromkeys((job.workload, job.scale) for job in trace.jobs))
 
 
-def serve_trace() -> WorkloadTrace:
-    """Three distinct ``(workload, scale)`` pairs, one of them twice."""
-    return WorkloadTrace(
-        (
-            TraceJob(0, "Grep", 0.05, 0.0, "ada", "interactive", "small"),
-            TraceJob(1, "WordCount", 0.06, 0.1, "bo", "interactive", "small"),
-            TraceJob(2, "Grep", 0.05, 0.2, "carol", "interactive", "small"),
-            TraceJob(3, "K-means", 0.15, 0.3, "ada", "analytics", "medium"),
-        ),
-        seed=0,
-        arrival_rate_per_s=0.0,
-    )
-
-
 # -- pins recorded before the callers shared solo_run --------------------------
 
 #: sha256(canonical(speedup_study([Sort, K-means, SVM], (1, 4, 8),
 #: scale=0.5).durations))
 SPEEDUP_DURATIONS = "de8ac13db8347585ea4cc6b30171555ff6b6421eaeb559dcbf3f77734a15b75b"
-
-#: request_classes_from_trace(serve_trace()) at its default shape:
-#: (name, demand_s.hex(), weight)
-SERVE_CLASSES = (
-    ("Grep@0.05", "0x1.53ec2798fde03p-4", 2.0),
-    ("K-means@0.15", "0x1.12e2621f229b0p-3", 1.0),
-    ("WordCount@0.06", "0x1.4ab985c4c231ap-3", 1.0),
-)
 
 #: each registry DAG at its builder defaults: (stages without payloads,
 #: the repr of every stage payload)
@@ -166,13 +140,6 @@ class TestPins:
         studied = [workload(name) for name in ("Sort", "K-means", "SVM")]
         result = speedup_study(studied, slave_counts=(1, 4, 8), scale=0.5)
         assert _sha256(canonical(result.durations)) == SPEEDUP_DURATIONS
-
-    def test_request_classes_from_trace(self, monkeypatch):
-        monkeypatch.setattr(serve_mod, "_SOLO_SECONDS", {})
-        classes = request_classes_from_trace(serve_trace())
-        assert tuple(
-            (c.name, c.demand_s.hex(), c.weight) for c in classes
-        ) == SERVE_CLASSES
 
     @pytest.mark.parametrize("dag", sorted(WORKFLOW_STAGES))
     def test_workflow_builder_stages(self, dag):
@@ -271,10 +238,6 @@ class TestSoloRun:
 # -- each caller's memo scope --------------------------------------------------
 
 
-def no_shadow(*args, **kwargs):
-    raise AssertionError("a memo hit must not run a shadow")
-
-
 @pytest.fixture
 def shadow_calls(monkeypatch):
     """Every ``solo_run`` call from any caller, as ``(name, scale, shape)``."""
@@ -329,13 +292,6 @@ class TestMemoScopes:
         assert repr(warm.outputs) == repr(cold.outputs)
         assert [(n, s) for n, s, _ in shadow_calls] == distinct_pairs(trace)
 
-    def test_serve_memo_is_process_wide(self, shadow_calls, monkeypatch):
-        monkeypatch.setattr(serve_mod, "_SOLO_SECONDS", {})
-        first = request_classes_from_trace(serve_trace())
-        assert len(shadow_calls) == 3
-        assert request_classes_from_trace(serve_trace()) == first
-        assert len(shadow_calls) == 3
-
     def test_builders_and_speedup_keep_no_memo(self, shadow_calls):
         WORKFLOW_DAGS["diamond"]()
         WORKFLOW_DAGS["diamond"]()
@@ -343,40 +299,6 @@ class TestMemoScopes:
         speedup_study([workload("Grep")], slave_counts=(1, 2), scale=0.05)
         speedup_study([workload("Grep")], slave_counts=(1, 2), scale=0.05)
         assert len(shadow_calls) == 6
-
-
-class TestServeMemoKey:
-    def test_spelled_out_defaults_share_an_entry(self, monkeypatch):
-        """``{num_slaves: 4}`` and ``{num_slaves: 4, map_slots: 24}`` are
-        one cluster, so they are one memo entry."""
-        assert _shape_key(num_slaves=4) == _shape_key(num_slaves=4, map_slots=24)
-        sentinel = 42.0
-        monkeypatch.setattr(
-            serve_mod,
-            "_SOLO_SECONDS",
-            {("Grep", 0.05, _shape_key(num_slaves=4)): sentinel},
-        )
-        monkeypatch.setattr(tenancy_mod, "solo_run", no_shadow)
-        trace = WorkloadTrace(serve_trace().jobs[:1], seed=0, arrival_rate_per_s=0.0)
-        classes = request_classes_from_trace(
-            trace, num_slaves=4, map_slots=24, reduce_slots=12, block_size=2 * 1024 * 1024
-        )
-        assert classes[0].demand_s == sentinel
-
-    @pytest.mark.parametrize("argument", [{"racks": 2}, {"cpu_speed": 0.5}])
-    def test_racks_and_cpu_speed_separate_entries(self, argument):
-        assert _shape_key(num_slaves=4, **argument) != _shape_key(num_slaves=4)
-
-    def test_every_make_cluster_argument_is_in_the_key(self):
-        import inspect
-
-        assert [name for name, _ in _shape_key()] == sorted(
-            inspect.signature(make_cluster).parameters
-        )
-
-    def test_unknown_arguments_are_rejected(self):
-        with pytest.raises(TypeError):
-            _shape_key(num_slaves=4, slots=8)
 
 
 # -- import isolation ----------------------------------------------------------

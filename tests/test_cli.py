@@ -89,24 +89,6 @@ SURFACE = {
         "no_result_cache": (("--no-result-cache",), False, None, 0, "StoreTrue"),
         "format": (("--format",), "table", ("table", "json"), None, "Store"),
     },
-    "serve": {
-        "rate": (("--rate",), 8.0, None, None, "Store"),
-        "requests": (("--requests",), 200, None, None, "Store"),
-        "servers": (("--servers",), 4, None, None, "Store"),
-        "pattern": (
-            ("--pattern",), "poisson", ("poisson", "diurnal", "bursty"), None, "Store"
-        ),
-        "seed": (("--seed",), 0, None, None, "Store"),
-        "deadline": (("--deadline",), 8.0, None, None, "Store"),
-        "max_queue": (("--max-queue",), None, None, None, "Store"),
-        "shed_rate": (("--shed-rate",), None, None, None, "Store"),
-        "shed_threshold": (("--shed-threshold",), None, None, None, "Store"),
-        "retries": (("--retries",), None, None, None, "Store"),
-        "limp": (("--limp",), None, None, None, "Append"),
-        "unprotected": (("--unprotected",), None, None, 0, "StoreTrue"),
-        "compare": (("--compare",), False, None, 0, "StoreTrue"),
-        "format": (("--format",), "table", ("table", "json"), None, "Store"),
-    },
     "run-workflow": {
         "dag": (
             ("--dag",), "hive-chain", ("hive-chain", "kmeans", "pagerank", "diamond"),
@@ -183,15 +165,6 @@ BAD_INPUT = [
     (["mix", "--racks", "3", "--slaves", "2"], "--racks 3 exceeds --slaves 2"),
     (["colocate", "Grep"], "two or more distinct workloads"),
     (["colocate", "Grep", "Grep"], "two or more distinct workloads"),
-    # --compare runs its own two postures: a posture flag would be ignored
-    (["serve", "--compare", "--limp", "9:2"], "drop --limp"),
-    (["serve", "--compare", "--unprotected"], "drop --unprotected"),
-    (["serve", "--compare", "--max-queue", "8"], "drop --max-queue"),
-    (["serve", "--compare", "--max-queue", "64"], "drop --max-queue"),
-    (["serve", "--compare", "--retries", "1"], "drop --retries"),
-    (["serve", "--compare", "--shed-rate", "0.5"], "drop --shed-rate"),
-    (["serve", "--compare", "--shed-threshold", "4"], "drop --shed-threshold"),
-    (["serve", "--compare", "--retries", "0"], "drop --retries"),
 ]
 
 

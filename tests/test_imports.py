@@ -199,7 +199,7 @@ def test_cli_help_imports_no_repro_module(command):
     assert {m for m in imported if m.split(".")[0] == "repro"} <= {"repro", "repro.__main__"}
 
 
-def test_multijobcluster_import_skips_chaos_serve_workflow_and_uarch():
+def test_multijobcluster_import_skips_chaos_workflow_and_uarch():
     code = (
         "import json, sys\n"
         "from repro.cluster import MultiJobCluster\n"
@@ -207,7 +207,7 @@ def test_multijobcluster_import_skips_chaos_serve_workflow_and_uarch():
     )
     loaded = set(json.loads(run_python(code)))
     assert "repro.cluster.scheduler" in loaded
-    for module in ("repro.cluster.chaos", "repro.cluster.serve", "repro.cluster.workflow"):
+    for module in ("repro.cluster.chaos", "repro.cluster.workflow"):
         assert module not in loaded
     assert not [m for m in loaded if m.startswith("repro.uarch")]
 

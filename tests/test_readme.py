@@ -1,11 +1,13 @@
-"""README's two inventories must match the tree: the examples table
-lists every ``examples/*.py`` and the package map every subpackage of
-``repro``, no more and no fewer."""
+"""README's three inventories must match the tree: the examples table
+lists every ``examples/*.py``, the package map every subpackage of
+``repro``, and the CLI sentence every command in ``COMMANDS`` order, no
+more and no fewer."""
 
 import re
 from pathlib import Path
 
 import repro
+from repro.__main__ import COMMANDS
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -36,3 +38,10 @@ def test_package_map_lists_every_subpackage():
     assert first_column("## Package map") == {
         f"repro.{path.parent.name}" for path in PACKAGE.glob("*/__init__.py")
     }
+
+
+def test_cli_sentence_lists_every_command_in_order():
+    start = README.index("A CLI, `python -m repro <command>`")
+    sentence = README[start:README.index(";", start)]
+    named = re.findall(r"`([^`]+)`", sentence)[1:]
+    assert named == [name for name, *_ in COMMANDS]
