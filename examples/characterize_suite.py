@@ -6,8 +6,11 @@ CloudSuite, SPEC CPU2006, SPECweb2005 and HPCC — on the simulated Xeon
 E5645, prints every figure's series in the paper's order, and evaluates
 the paper's five key findings programmatically.
 
-Run:  python examples/characterize_suite.py        (~2 minutes)
-      python examples/characterize_suite.py --fast (~30 seconds)
+Run:  python examples/characterize_suite.py        (~20 seconds)
+      python examples/characterize_suite.py --fast (~5 seconds)
+
+(times on an empty simulation cache; a warm ``.repro-cache`` replays
+every entry in well under a second.)
 """
 
 import sys

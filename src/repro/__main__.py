@@ -1,9 +1,8 @@
 """Command-line interface: ``python -m repro <command>``.
 
 Commands: ``list``, ``tables``, ``run``, ``characterize``, ``speedup``,
-``domains``, ``colocate``, ``mix``, ``rep-bench``, ``run-workflow`` and
-``profile``.  ``python -m repro <command> --help`` lists a command's
-flags.
+``domains``, ``mix``, ``rep-bench`` and ``run-workflow``.  ``python -m
+repro <command> --help`` lists a command's flags.
 
 Each flag is declared once, as a ``(name, add_argument keywords)`` pair,
 in a group shared by every command that takes it; ``COMMANDS`` holds one
@@ -103,13 +102,10 @@ def _with(flag: tuple, **changes) -> tuple:
     return name, {**kwargs, **changes}
 
 
-_WORKLOAD = ("workload", dict(help="suite workload name (see list)"))
 _SEED = ("--seed", dict(type=int, default=0,
                         help="seed of every random choice the command makes "
                              "(runs are reproducible)"))
 _SCALE = ("--scale", dict(type=_POSITIVE, help="workload input scale"))
-_INSTRUCTIONS = ("--instructions", dict(type=_COUNT,
-                                        help="trace length per workload"))
 _ENGINE = ("--engine", dict(choices=("fast", "reference"), default="fast",
                             help="simulation/dispatch engine: fast (the "
                                  "default) or reference; bit-identical by "
@@ -357,32 +353,6 @@ def _cmd_domains(_args) -> int:
     return 0
 
 
-def _cmd_colocate(args) -> int:
-    from repro.core.suite import DCBench
-    from repro.uarch.config import scaled_machine
-    from repro.uarch.multicore import MultiCoreSystem
-
-    if len(args.workloads) < 2 or len(set(args.workloads)) != len(args.workloads):
-        args.parser.error("colocate needs two or more distinct workloads, "
-                          f"got {' '.join(args.workloads)}")
-    suite = DCBench.default()
-    scale = 8
-    specs = [
-        suite.entry(name).trace_spec(args.instructions, seed=100 + i).scaled(scale)
-        for i, name in enumerate(args.workloads)
-    ]
-    result = MultiCoreSystem(scaled_machine(scale)).run_colocated(specs)
-    print(f"{'workload':<18s}{'solo IPC':>10s}{'co-located IPC':>16s}{'slowdown':>10s}")
-    for name in args.workloads:
-        solo_ipc = result.solo[name].ipc()
-        # effective IPC includes the DRAM-contention correction folded
-        # into the slowdown (the raw shared run reports LLC effects only).
-        effective = solo_ipc / result.slowdown(name)
-        print(f"{name:<18s}{solo_ipc:>10.2f}{effective:>16.2f}"
-              f"{result.slowdown(name):>9.2f}x")
-    return 0
-
-
 def _cmd_mix(args) -> int:
     import json
 
@@ -390,7 +360,6 @@ def _cmd_mix(args) -> int:
     from repro.cluster.scheduler import make_scheduler
     from repro.cluster.tenancy import (
         WorkloadTrace,
-        characterize_colocation,
         default_pools,
         default_queues,
         generate_trace,
@@ -441,15 +410,8 @@ def _cmd_mix(args) -> int:
         print(f"mix: {error}", file=sys.stderr)
         return 1
 
-    colocation = None
-    if args.colocate:
-        colocation = characterize_colocation(mix, instructions=args.instructions)
-
     if args.format == "json":
-        payload = mix.to_dict()
-        if args.colocate:
-            payload["colocation"] = colocation.to_dict() if colocation else None
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(mix.to_dict(), indent=2))
         return 0
 
     print(f"{args.scheduler} scheduler: {len(trace.jobs)} jobs, "
@@ -472,15 +434,6 @@ def _cmd_mix(args) -> int:
               f"mean slowdown {stats['mean_slowdown']:.2f}x")
     if plan is not None:
         _print_block("fault accounting:", mix.outcome.fault_accounting.to_dict(), 27)
-    if args.colocate:
-        if colocation is None:
-            print("co-location: no instant with two jobs' tasks on one node")
-        else:
-            print(f"co-location at t={colocation.time_s:.3f}s on "
-                  f"{colocation.node}: {', '.join(colocation.workloads)}")
-            for name in colocation.workloads:
-                print(f"  {name:<18s}solo IPC {colocation.solo_ipc[name]:.2f}  "
-                      f"shared-LLC slowdown {colocation.slowdowns[name]:.2f}x")
     return 0
 
 
@@ -523,7 +476,6 @@ def _cmd_workflow(args) -> int:
         WorkflowRunner,
         build_workflow,
     )
-    from repro.core.export import workflow_to_json
 
     parser = args.parser
     node_crashes, partitions, _, _ = _node_faults(args)
@@ -559,7 +511,7 @@ def _cmd_workflow(args) -> int:
     result = runner.run(workflow)
 
     if args.format == "json":
-        print(workflow_to_json(result))
+        print(json.dumps(result.to_dict(), indent=2))
     else:
         acct = result.accounting
         print(f"{args.dag} on {args.scheduler}: {result.status}, "
@@ -591,17 +543,6 @@ def _cmd_workflow(args) -> int:
     return 0
 
 
-def _cmd_profile(args) -> int:
-    from repro.core.suite import DCBench
-    from repro.perf.sampling import profile_trace
-
-    suite = DCBench.default()
-    spec = suite.entry(args.workload).trace_spec(args.instructions)
-    profile = profile_trace(spec, period=args.period)
-    print(profile.render(args.top))
-    return 0
-
-
 # -- the command table -----------------------------------------------------------
 
 COMMANDS = (
@@ -609,7 +550,7 @@ COMMANDS = (
     ("tables", "print Tables I-III", _cmd_tables, ()),
     ("run", "execute one workload on a simulated cluster, optionally under "
             "fault injection", _cmd_run, (
-        _WORKLOAD,
+        ("workload", dict(help="suite workload name (see list)")),
         _with(_SCALE, default=0.5),
         _SLAVES,
         _SEED,
@@ -642,7 +583,8 @@ COMMANDS = (
     )),
     ("characterize", "Figures 3-12 metrics", _cmd_characterize, (
         ("workloads", dict(nargs="*", help="workload names (default: all)")),
-        _with(_INSTRUCTIONS, default=200_000),
+        ("--instructions", dict(type=_COUNT, default=200_000,
+                                help="trace length per workload")),
         _with(_FORMAT, choices=("table", "csv", "json")),
         _ENGINE,
         ("--workers", dict(type=_workers, metavar="N|auto",
@@ -652,10 +594,6 @@ COMMANDS = (
     )),
     ("speedup", "the Figure 2 scaling study", _cmd_speedup, ()),
     ("domains", "the Figure 1 domain shares", _cmd_domains, ()),
-    ("colocate", "co-locate workloads on one socket", _cmd_colocate, (
-        ("workloads", dict(nargs="+", help="two or more distinct suite workloads")),
-        _with(_INSTRUCTIONS, default=80_000),
-    )),
     ("mix", "multi-tenant trace through a scheduler", _cmd_mix, (
         ("--trace", dict(metavar="FILE",
                          help="replay this trace JSON (as written by "
@@ -673,9 +611,6 @@ COMMANDS = (
         ("--no-mix-cache", dict(action="store_true",
                                 help="bypass the persistent .repro-cache "
                                      "(also REPRO_MIX_CACHE=0)")),
-        ("--colocate", dict(action="store_true",
-                            help="characterize the busiest co-located instant")),
-        _with(_INSTRUCTIONS, default=20_000),
         _FORMAT,
     )),
     ("rep-bench", "Redbench-style repetition benchmark: materialization-cache "
@@ -711,13 +646,6 @@ COMMANDS = (
                                       help="crash the JobTracker right after "
                                            "STAGE's wave commits")),
         _FORMAT,
-    )),
-    ("profile", "sampled flat profile of a workload", _cmd_profile, (
-        _WORKLOAD,
-        _with(_INSTRUCTIONS, default=100_000),
-        ("--period", dict(type=_COUNT, default=97,
-                          help="sample every N-th retired op")),
-        ("--top", dict(type=_COUNT, default=10, help="rows to print")),
     )),
 )
 

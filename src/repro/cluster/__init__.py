@@ -35,7 +35,7 @@ paper measures it:
   shared slot/disk/network/HDFS models;
 * :mod:`repro.cluster.tenancy` — trace-driven workload mixes: seeded
   Poisson arrivals over a heavy-tailed job-size distribution, named
-  users/pools, fairness metrics, and shared-LLC co-location reports;
+  users/pools and fairness metrics;
 * :mod:`repro.cluster.eventbus` — the deterministic typed event bus the
   workflow orchestrator publishes to, with a replayable delivery log,
   and the ``check_event`` rules the multi-job dispatch loop's event log
@@ -116,8 +116,6 @@ __getattr__, __dir__, __all__ = attach(globals(), {
     "MixResult": "tenancy",
     "run_mix": "tenancy",
     "solo_run": "tenancy",
-    "ColocationReport": "tenancy",
-    "characterize_colocation": "tenancy",
     "Event": "eventbus",
     "EventBus": "eventbus",
     "EVENT_TYPES": "eventbus",

@@ -158,7 +158,7 @@ class JobTimeline:
         return self.end_s - self.start_s
 
     def to_dict(self) -> dict:
-        """JSON-serializable per-job report (see :mod:`repro.core.export`)."""
+        """JSON-serializable per-job report."""
         return {
             "job_name": self.job_name,
             "start_s": self.start_s,

@@ -118,7 +118,9 @@ class Event:
     heap of events drains deterministically.  ``time_s`` tags the
     simulated instant the publisher observed (informational; delivery
     order never consults it, because publishers at equal simulated time
-    must still drain in publication order).
+    must still drain in publication order).  ``==`` compares all five
+    fields, so two logs are equal only when the same things happened;
+    the hash stays on ``(priority, seq)`` because the payload is a dict.
     """
 
     priority: int
@@ -126,6 +128,17 @@ class Event:
     type: str = field(compare=False)
     time_s: float = field(compare=False)
     payload: dict = field(compare=False, default_factory=dict)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.priority == other.priority
+            and self.seq == other.seq
+            and self.type == other.type
+            and self.time_s == other.time_s
+            and self.payload == other.payload
+        )
 
     def describe(self) -> tuple:
         """Hashable summary ``(type, sorted payload items)`` for log

@@ -20,10 +20,6 @@ things at once:
 * the job's **ideal solo duration**, the denominator of its slowdown;
 * the per-task byte/CPU demands (``JobWork``) that the shared cluster
   schedules.
-
-Co-location hook: :func:`characterize_colocation` finds the busiest
-instant of the mix and characterizes the distinct workloads co-resident
-on one node under a shared LLC via :mod:`repro.uarch.multicore`.
 """
 
 from __future__ import annotations
@@ -54,8 +50,6 @@ __all__ = [
     "MixResult",
     "run_mix",
     "solo_run",
-    "ColocationReport",
-    "characterize_colocation",
 ]
 
 #: size classes of the heavy-tailed mix: (probability, pool, choices),
@@ -558,81 +552,3 @@ def _tenant_reports(trace, outcome, ideals, stages) -> list[TenantJobReport]:
         )
     return reports
 
-
-# -- LLC co-location characterization -----------------------------------------
-
-
-@dataclass
-class ColocationReport:
-    """Shared-LLC characterization of one node's busiest instant."""
-
-    time_s: float
-    node: str
-    workloads: tuple[str, ...]
-    slowdowns: dict[str, float]
-    solo_ipc: dict[str, float]
-
-    def worst(self) -> tuple[str, float]:
-        name = max(self.slowdowns, key=self.slowdowns.get)
-        return name, self.slowdowns[name]
-
-    def to_dict(self) -> dict:
-        return {
-            "time_s": self.time_s,
-            "node": self.node,
-            "workloads": list(self.workloads),
-            "slowdowns": dict(self.slowdowns),
-            "solo_ipc": dict(self.solo_ipc),
-        }
-
-
-def characterize_colocation(
-    mix: MixResult,
-    instructions: int = 20_000,
-    machine_scale: int = 8,
-    seed: int = 0,
-) -> ColocationReport | None:
-    """Characterize the mix's most co-located (node, instant) under a
-    shared LLC.
-
-    Finds the node/instant where the most *distinct workloads* have tasks
-    resident at once, builds each workload's trace spec, and runs them
-    through :class:`repro.uarch.multicore.MultiCoreSystem`.  Returns
-    ``None`` when no two distinct workloads ever co-reside.
-    """
-    from repro.uarch.config import scaled_machine
-    from repro.uarch.multicore import MultiCoreSystem
-    from repro.workloads.base import workload
-
-    owner: dict[str, str] = {}
-    for report in mix.reports:
-        for job_id in report.job_ids:
-            owner[job_id] = report.trace_job.workload
-    best: tuple[int, float, str, tuple[str, ...]] | None = None
-    for interval in mix.outcome.task_intervals:
-        t = interval.start_s
-        resident = sorted(
-            {
-                owner[iv.job_id]
-                for iv in mix.outcome.task_intervals
-                if iv.node == interval.node and iv.start_s <= t < iv.end_s
-            }
-        )
-        key = (len(resident), -t, interval.node, tuple(resident))
-        if best is None or key > best:
-            best = key
-    if best is None or best[0] < 2:
-        return None
-    count, neg_t, node, names = best
-    specs = [
-        workload(name).trace_spec(instructions, seed=seed).scaled(machine_scale)
-        for name in names
-    ]
-    result = MultiCoreSystem(scaled_machine(machine_scale)).run_colocated(specs)
-    return ColocationReport(
-        time_s=-neg_t,
-        node=node,
-        workloads=tuple(names),
-        slowdowns=dict(result.slowdowns),
-        solo_ipc={name: result.solo[name].ipc() for name in names},
-    )

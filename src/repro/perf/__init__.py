@@ -10,9 +10,7 @@ reproduces that interface over the simulator:
 * :mod:`repro.perf.session` — a ``PerfSession`` that reads every event
   of the catalogue out of a finished simulation, like ``perf stat``;
 * :mod:`repro.perf.procfs` — a simulated ``/proc`` exposing the cluster's
-  disk and network activity (the paper's disk-writes-per-second data);
-* :mod:`repro.perf.sampling` — sampled ``perf record`` profiles of a
-  trace's program counter.
+  disk and network activity (the paper's disk-writes-per-second data).
 
 Two fast engines live here too, each bit-identical to the reference it
 replaces (the repo's benchmark, ``bench/``, times both):

@@ -44,6 +44,4 @@ __getattr__, __dir__, __all__ = attach(globals(), {
     "Core": "pipeline",
     "SimulationResult": "pipeline",
     "simulate": "pipeline",
-    "CoLocationResult": "multicore",
-    "MultiCoreSystem": "multicore",
 })

@@ -12,6 +12,8 @@ Two load-bearing contracts:
   observer reconstructs exactly the per-job history the live run saw.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster.cluster import JobWork, MapWork, ReduceWork, make_cluster
@@ -131,6 +133,30 @@ class TestEventBus:
         b = Event(priority=0, seq=9, type=EVENT_SUBMIT, time_s=2.0, payload={"j": 1})
         assert a.describe() == b.describe()
 
+    def test_equality_compares_every_field(self):
+        a = Event(0, 0, EVENT_SUBMIT, 0.0, {})
+        b = Event(0, 0, EVENT_DISPATCH, 5.0, {"x": 1})
+        assert a != b
+        assert a == Event(0, 0, EVENT_SUBMIT, 0.0, {})
+        # heap order and hash stay on (priority, seq): the payload is a dict
+        assert not a < b and not b < a
+        assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize(
+        "field, other",
+        [("priority", 1), ("seq", 1), ("type", EVENT_DISPATCH), ("time_s", 0.5),
+         ("payload", {"job_id": "b"})],
+    )
+    def test_events_differing_in_one_field_are_unequal(self, field, other):
+        event = Event(0, 0, EVENT_SUBMIT, 0.0, {"job_id": "a"})
+        assert event != replace(event, **{field: other})
+        assert event == replace(event)
+
+    def test_an_event_never_equals_another_type(self):
+        event = Event(0, 0, EVENT_SUBMIT, 0.0, {})
+        assert event.__eq__((0, 0, EVENT_SUBMIT, 0.0, {})) is NotImplemented
+        assert event != (0, 0, EVENT_SUBMIT, 0.0, {})
+
     def test_taxonomy_is_closed_and_unique(self):
         assert len(set(EVENT_TYPES)) == len(EVENT_TYPES)
 
@@ -191,6 +217,23 @@ class TestDeterministicLog:
         assert [e.describe() for e in one.events] == [
             e.describe() for e in two.events
         ]
+
+    def test_outcomes_differing_in_one_payload_are_unequal(self):
+        one = self.run_once()
+        two = self.run_once()
+        assert one == two
+        last = two.events[-1]
+        changed = replace(last, payload={**last.payload, "job_id": "elsewhere"})
+        two.events = (*two.events[:-1], changed)
+        assert one != two
+
+    @pytest.mark.parametrize("field, other", [("type", EVENT_SUBMIT), ("time_s", -1.0)])
+    def test_outcomes_differing_in_one_event_field_are_unequal(self, field, other):
+        one = self.run_once()
+        two = self.run_once()
+        last = two.events[-1]
+        two.events = (*two.events[:-1], replace(last, **{field: other}))
+        assert one != two
 
     def test_replayed_log_reconstructs_per_job_history(self):
         outcome = self.run_once()

@@ -21,9 +21,10 @@ from repro.cluster.scheduler import (
     FifoScheduler,
 )
 from repro.cluster.tenancy import (
+    MixResult,
+    TenantJobReport,
     TraceJob,
     WorkloadTrace,
-    characterize_colocation,
     default_pools,
     default_queues,
     generate_trace,
@@ -80,6 +81,24 @@ class TestGenerateTrace:
         with pytest.raises(ValueError):
             TraceJob(0, "Grep", 0.1, -1.0, "u", "p", "small")
 
+    @pytest.mark.parametrize(
+        "scale, arrival_s",
+        [(math.inf, 0.0), (math.nan, 0.0), (0.1, math.inf), (0.1, math.nan)],
+        ids=["scale-inf", "scale-nan", "arrival-inf", "arrival-nan"],
+    )
+    def test_trace_job_rejects_non_finite(self, scale, arrival_s):
+        with pytest.raises(ValueError, match="finite"):
+            TraceJob(0, "Grep", scale, arrival_s, "u", "p", "small")
+
+    def test_trace_needs_at_least_one_job(self):
+        with pytest.raises(ValueError, match="at least one job"):
+            WorkloadTrace((), seed=0, arrival_rate_per_s=1.0)
+
+    def test_pools_and_users_are_sorted_and_distinct(self):
+        trace = pinned_trace()
+        assert trace.pools() == ["batch", "interactive"]
+        assert trace.users() == ["ada", "bo", "carol", "deepak"]
+
     def test_trace_to_dict_round_trips_through_json(self):
         trace = generate_trace(seed=2, num_jobs=5)
         payload = json.loads(json.dumps(trace.to_dict()))
@@ -127,6 +146,67 @@ class TestGenerateTrace:
         queues = default_queues(trace)
         assert {q.name for q in queues} == set(trace.pools())
         assert sum(q.capacity for q in queues) == pytest.approx(1.0)
+
+
+# -- per-job accounting ---------------------------------------------------------
+
+
+def accounted_mix() -> MixResult:
+    """Three hand-accounted jobs: slowdowns 2, 1 and 3; waits 0.5, 0, 0."""
+    jobs = (
+        TraceJob(0, "Grep", 0.05, 0.0, "ada", "interactive", "small"),
+        TraceJob(1, "Sort", 0.3, 1.0, "bo", "batch", "large"),
+        TraceJob(2, "Grep", 0.05, 2.0, "ada", "interactive", "small"),
+    )
+    times = [(0.5, 2.0, 1.0), (1.0, 5.0, 4.0), (2.0, 5.0, 1.0)]
+    reports = [
+        TenantJobReport(job, (f"job{job.index}",), launch, finished, ideal)
+        for job, (launch, finished, ideal) in zip(jobs, times)
+    ]
+    trace = WorkloadTrace(jobs, seed=0, arrival_rate_per_s=0.0)
+    return MixResult("fifo", trace, reports, outcome=None)
+
+
+class TestTenantAccounting:
+    def test_wait_turnaround_and_slowdown(self):
+        report = accounted_mix().reports[0]
+        assert report.wait_s == 0.5
+        assert report.turnaround_s == 2.0
+        assert report.slowdown == 2.0
+
+    def test_zero_ideal_reads_as_no_slowdown(self):
+        job = pinned_trace().jobs[0]
+        assert TenantJobReport(job, ("j",), 1.0, 3.0, ideal_s=0.0).slowdown == 1.0
+
+    def test_report_dict_extends_the_trace_job(self):
+        report = accounted_mix().reports[1]
+        data = json.loads(json.dumps(report.to_dict()))
+        assert data.items() >= report.trace_job.to_dict().items()
+        assert data["job_ids"] == ["job1"]
+        assert (data["wait_s"], data["turnaround_s"], data["slowdown"]) == (0.0, 4.0, 1.0)
+
+    def test_means_select_by_pool_size_class_and_user(self):
+        mix = accounted_mix()
+        assert mix.mean_slowdown() == pytest.approx(2.0)
+        assert mix.mean_slowdown(pool="interactive") == pytest.approx(2.5)
+        assert mix.mean_slowdown(size_class="large") == pytest.approx(1.0)
+        assert math.isnan(mix.mean_slowdown(pool="interactive", user="bo"))
+        assert mix.mean_wait(user="ada") == pytest.approx(0.25)
+        assert mix.mean_wait(user="bo") == 0.0
+
+    @pytest.mark.parametrize(
+        "by, expected",
+        [("job", 36 / 42), ("user", 3.5**2 / (2 * (2.5**2 + 1))),
+         ("pool", 3.5**2 / (2 * (2.5**2 + 1)))],
+    )
+    def test_jain_fairness_groups_before_it_averages(self, by, expected):
+        assert accounted_mix().jain_fairness(by=by) == pytest.approx(expected)
+
+    def test_by_pool_partitions_the_jobs(self):
+        assert accounted_mix().by_pool() == {
+            "batch": {"jobs": 1, "mean_wait_s": 0.0, "mean_slowdown": 1.0},
+            "interactive": {"jobs": 2, "mean_wait_s": 0.25, "mean_slowdown": 2.5},
+        }
 
 
 # -- the pinned acceptance trace -----------------------------------------------
@@ -275,31 +355,3 @@ class TestEngineNames:
     def test_reference_is_the_default(self):
         assert inspect.signature(run_mix).parameters["engine"].default == "reference"
 
-
-# -- shared-LLC co-location ----------------------------------------------------
-
-
-class TestColocation:
-    def test_busiest_instant_is_characterized(self):
-        trace = generate_trace(seed=0, num_jobs=6, arrival_rate_per_s=20.0)
-        mix = run_mix(trace, FifoScheduler(), **SMALL)
-        report = characterize_colocation(mix, instructions=6000)
-        assert report is not None
-        assert len(report.workloads) >= 2
-        assert set(report.slowdowns) == set(report.workloads)
-        assert all(s >= 1.0 for s in report.slowdowns.values())
-        assert all(ipc > 0 for ipc in report.solo_ipc.values())
-        worst_name, worst_slowdown = report.worst()
-        assert worst_name in report.workloads
-        assert worst_slowdown == max(report.slowdowns.values())
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["node"] == report.node
-
-    def test_single_job_mix_has_no_colocation(self):
-        trace = WorkloadTrace(
-            (TraceJob(0, "Grep", 0.05, 0.0, "ada", "interactive", "small"),),
-            seed=0,
-            arrival_rate_per_s=0.0,
-        )
-        mix = run_mix(trace, FifoScheduler(), **SMALL)
-        assert characterize_colocation(mix, instructions=6000) is None

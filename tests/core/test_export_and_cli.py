@@ -1,4 +1,8 @@
-"""Tests for the CSV/JSON exports and the command-line interface."""
+"""Tests for the CSV/JSON exports and the command-line interface.
+
+``to_csv`` / ``to_json`` export a suite characterization; a cluster run,
+a mix and a workflow export themselves through ``to_dict()``, which the
+``--format json`` of ``mix`` and ``run-workflow`` prints."""
 
 import csv
 import io
@@ -8,19 +12,7 @@ import pytest
 
 from repro.__main__ import build_parser, main
 from repro.core import DCBench, characterize
-from repro.core.export import (
-    COLUMNS,
-    MIX_COLUMNS,
-    TIMELINE_COLUMNS,
-    mix_to_csv,
-    mix_to_json,
-    mix_to_rows,
-    timelines_to_csv,
-    timelines_to_json,
-    timelines_to_rows,
-    to_csv,
-    to_json,
-)
+from repro.core.export import COLUMNS, to_csv, to_json
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +41,10 @@ class TestExports:
                           ("fetch", "rat", "load", "rs_full", "store", "rob_full"))
         assert stall_total == pytest.approx(1.0)
 
+    def test_empty_table_keeps_the_header(self):
+        assert to_csv([]).splitlines() == [",".join(COLUMNS)]
+        assert json.loads(to_json([])) == []
+
     def test_csv_and_json_agree(self, chars):
         csv_rows = list(csv.DictReader(io.StringIO(to_csv(chars))))
         json_rows = json.loads(to_json(chars))
@@ -67,20 +63,6 @@ def mix():
 
 
 class TestTimelineExports:
-    def test_timeline_csv_flattens_disk_rates_per_node(self, mix):
-        timelines = [r.timeline for r in mix.outcome.reports]
-        rows = list(csv.DictReader(io.StringIO(timelines_to_csv(timelines))))
-        assert len(rows) == len(timelines)
-        assert set(TIMELINE_COLUMNS) <= set(rows[0])
-        assert "disk_writes_per_second_slave1" in rows[0]
-        assert float(rows[0]["duration_s"]) > 0
-
-    def test_timeline_json_keeps_the_full_report(self, mix):
-        timelines = [r.timeline for r in mix.outcome.reports]
-        data = json.loads(timelines_to_json(timelines))
-        assert data[0]["job_name"] == timelines[0].job_name
-        assert set(data[0]["disk_writes_per_second"]) == {"slave1", "slave2"}
-
     def test_faulty_timeline_exports_resilience_counters(self):
         from repro.cluster import FaultPlan, FaultyCluster, make_cluster
         from repro.workloads import workload
@@ -93,32 +75,31 @@ class TestTimelineExports:
         assert "resilience" in report
         assert "killed_attempts" in report["resilience"]
         json.dumps(report)  # fully serializable
-        # and the flat table still accepts the faulty timeline
-        assert timelines_to_rows(run.timelines)[0]["job_name"] == "grep"
 
-    def test_empty_timeline_table_keeps_the_header(self):
-        text = timelines_to_csv([])
-        assert text.splitlines()[0].split(",") == TIMELINE_COLUMNS
+    def test_timeline_json_keeps_the_full_report(self, mix):
+        timelines = [r.timeline for r in mix.outcome.reports]
+        data = json.loads(json.dumps([t.to_dict() for t in timelines]))
+        assert len(data) == len(timelines)
+        assert data[0]["job_name"] == timelines[0].job_name
+        assert set(data[0]["disk_writes_per_second"]) == {"slave1", "slave2"}
+        assert data[0]["duration_s"] == pytest.approx(timelines[0].duration_s)
+        assert data[0]["duration_s"] > 0
 
 
 class TestMixExports:
-    def test_mix_rows_one_per_trace_job(self, mix):
-        rows = mix_to_rows(mix)
-        assert len(rows) == 4
-        assert set(rows[0]) == set(MIX_COLUMNS)
-        assert all(row["slowdown"] >= 0 for row in rows)
-
-    def test_mix_csv_roundtrip(self, mix):
-        rows = list(csv.DictReader(io.StringIO(mix_to_csv(mix))))
-        assert [r["index"] for r in rows] == ["0", "1", "2", "3"]
-        assert float(rows[0]["turnaround_s"]) >= float(rows[0]["wait_s"])
-
     def test_mix_json_has_trace_jobs_and_outcome(self, mix):
-        data = json.loads(mix_to_json(mix))
+        data = json.loads(json.dumps(mix.to_dict()))
         assert data["scheduler"] == "fifo"
         assert len(data["jobs"]) == 4
         assert data["trace"]["seed"] == 3
         assert data["outcome"]["peak_concurrency"] >= 1
+
+    def test_mix_json_has_one_job_per_trace_job(self, mix):
+        jobs = json.loads(json.dumps(mix.to_dict()))["jobs"]
+        assert [job["index"] for job in jobs] == [0, 1, 2, 3]
+        for job in jobs:
+            assert job["turnaround_s"] >= job["wait_s"] >= 0
+            assert job["slowdown"] == pytest.approx(job["turnaround_s"] / job["ideal_s"])
 
 
 class TestCli:
@@ -166,17 +147,6 @@ class TestCli:
         assert main(["domains"]) == 0
         out = capsys.readouterr().out
         assert "Search Engine" in out and "40%" in out
-
-    def test_profile(self, capsys):
-        assert main(["profile", "Sort", "--instructions", "20000"]) == 0
-        out = capsys.readouterr().out
-        assert "# workload: Sort" in out
-        assert "overhead" in out
-
-    def test_colocate(self, capsys):
-        assert main(["colocate", "Grep", "WordCount", "--instructions", "20000"]) == 0
-        out = capsys.readouterr().out
-        assert "slowdown" in out and "Grep" in out and "WordCount" in out
 
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError):
@@ -352,33 +322,21 @@ def workflow_result():
 
 
 class TestWorkflowExports:
-    def test_workflow_rows_one_per_stage(self, workflow_result):
-        from repro.core.export import WORKFLOW_COLUMNS, workflow_to_rows
-
-        rows = workflow_to_rows(workflow_result)
-        assert len(rows) == 5
-        assert set(rows[0]) == set(WORKFLOW_COLUMNS)
-        by_stage = {row["stage"]: row for row in rows}
-        assert by_stage["left"]["retries"] == 1
-        assert all(row["status"] == "completed" for row in rows)
-
-    def test_workflow_csv_roundtrip(self, workflow_result):
-        from repro.core.export import WORKFLOW_COLUMNS, workflow_to_csv
-
-        rows = list(csv.DictReader(io.StringIO(workflow_to_csv(workflow_result))))
-        assert len(rows) == 5
-        assert rows[0]["stage"] == "ingest"
-        assert set(rows[0]) == set(WORKFLOW_COLUMNS)
-        assert float(rows[-1]["finished_s"]) > 0
-
     def test_workflow_json_keeps_accounting_and_outputs(self, workflow_result):
-        from repro.core.export import workflow_to_json
-
-        data = json.loads(workflow_to_json(workflow_result))
+        data = json.loads(json.dumps(workflow_result.to_dict()))
         assert data["status"] == "completed"
         assert data["accounting"]["stage_retries"] == 1
         assert set(data["outputs"]) == {"side", "join"}
         assert len(data["stages"]) == 5
+
+    def test_workflow_json_has_one_entry_per_stage(self, workflow_result):
+        stages = json.loads(json.dumps(workflow_result.to_dict()))["stages"]
+        assert stages[0]["stage"] == "ingest"
+        by_stage = {stage["stage"]: stage for stage in stages}
+        assert len(by_stage) == 5
+        assert by_stage["left"]["retries"] == 1
+        assert all(stage["status"] == "completed" for stage in stages)
+        assert stages[-1]["finished_s"] > 0
 
 
 WF_SMALL = ["run-workflow", "--dag", "diamond"]
@@ -399,6 +357,23 @@ class TestWorkflowCli:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         assert json.loads(first)["status"] == "completed"
+
+    def test_json_output_is_the_result_dict(self, capsys):
+        from repro.cluster import make_cluster
+        from repro.cluster.workflow import (
+            _DAG_BLOCK_SIZE,
+            WorkflowFaultPlan,
+            WorkflowRunner,
+            build_workflow,
+        )
+
+        assert main([*WF_SMALL, "--destroy-output", "ingest", "--format", "json"]) == 0
+        plan = WorkflowFaultPlan(destroy_outputs=("ingest",), seed=0)
+        cluster = make_cluster(num_slaves=4, block_size=_DAG_BLOCK_SIZE)
+        result = WorkflowRunner(cluster, scheduler="fifo", plan=plan).run(
+            build_workflow("diamond", scale=0.05, num_slaves=4)
+        )
+        assert capsys.readouterr().out == json.dumps(result.to_dict(), indent=2) + "\n"
 
     def test_destroyed_output_recovers_via_lineage(self, capsys):
         assert main([*WF_SMALL, "--destroy-output", "ingest"]) == 0

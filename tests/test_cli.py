@@ -53,10 +53,6 @@ SURFACE = {
     },
     "speedup": {},
     "domains": {},
-    "colocate": {
-        "workloads": ((), None, None, "+", "Store"),
-        "instructions": (("--instructions",), 80000, None, None, "Store"),
-    },
     "mix": {
         "scheduler": (
             ("--scheduler",), "fair", ("fifo", "fair", "capacity"), None, "Store"
@@ -76,8 +72,6 @@ SURFACE = {
         "partition": (("--partition",), None, None, None, "Append"),
         "engine": (("--engine",), "fast", ("fast", "reference"), None, "Store"),
         "no_mix_cache": (("--no-mix-cache",), False, None, 0, "StoreTrue"),
-        "colocate": (("--colocate",), False, None, 0, "StoreTrue"),
-        "instructions": (("--instructions",), 20000, None, None, "Store"),
         "format": (("--format",), "table", ("table", "json"), None, "Store"),
     },
     "rep-bench": {
@@ -107,12 +101,6 @@ SURFACE = {
         "fail_stage": (("--fail-stage",), None, None, None, "Append"),
         "master_crash_after": (("--master-crash-after",), None, None, None, "Store"),
         "format": (("--format",), "table", ("table", "json"), None, "Store"),
-    },
-    "profile": {
-        "workload": ((), None, None, None, "Store"),
-        "instructions": (("--instructions",), 100000, None, None, "Store"),
-        "period": (("--period",), 97, None, None, "Store"),
-        "top": (("--top",), 10, None, None, "Store"),
     },
 }
 
@@ -153,18 +141,12 @@ BAD_INPUT = [
     (["rep-bench", "--slaves", "0"], "--slaves: must be a count >= 1"),
     (["mix", "--map-slots", "0"], "--map-slots: must be a count >= 1"),
     (["characterize", "Grep", "--instructions", "0"], "--instructions: must be a count"),
-    (["profile", "Sort", "--instructions", "0"], "--instructions: must be a count"),
-    (["profile", "Sort", "--period", "0"], "--period: must be a count >= 1"),
-    (["profile", "Sort", "--top", "0"], "--top: must be a count >= 1"),
-    (["profile", "Sort", "--top", "-1"], "--top: must be a count >= 1"),
     (["run", "Grep", "--scale", "-1"], "--scale: must be a number > 0"),
     (["run", "Grep", "--scale", "nan"], "--scale: must be a number > 0"),
     (["run-workflow", "--scale", "nan"], "--scale: must be a number > 0"),
     (["rep-bench", "--scale", "0"], "--scale: must be a number > 0"),
     (["run", "Grep", "--racks", "3", "--slaves", "2"], "--racks 3 exceeds --slaves 2"),
     (["mix", "--racks", "3", "--slaves", "2"], "--racks 3 exceeds --slaves 2"),
-    (["colocate", "Grep"], "two or more distinct workloads"),
-    (["colocate", "Grep", "Grep"], "two or more distinct workloads"),
 ]
 
 
@@ -178,6 +160,26 @@ def test_bad_input_is_a_usage_error(argv, message, capsys):
     err = capsys.readouterr().err
     assert re.search(r"^repro [\w-]+: error: ", err, re.M), err
     assert message in err
+
+
+#: commands and flags that were deleted with the studies they ran (the
+#: shared-LLC co-location model and the sampled profiler)
+REMOVED = [
+    (["colocate", "Grep", "WordCount"], "invalid choice: 'colocate'"),
+    (["profile", "Sort"], "invalid choice: 'profile'"),
+    (["mix", "--colocate"], "unrecognized arguments: --colocate"),
+    (["mix", "--instructions", "20000"], "unrecognized arguments: --instructions 20000"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", REMOVED, ids=[" ".join(argv) for argv, _ in REMOVED]
+)
+def test_removed_command_or_flag_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 class TestTraceReplay:

@@ -1,8 +1,8 @@
 """Smoke tests: the runnable examples must keep running.
 
 Each example's ``main()`` is imported and executed in-process with its
-output captured; the slowest two (full-suite characterization and the
-consolidation sweep) are exercised by the benchmark harness instead.
+output captured, except the full-suite characterization, which CI's
+``perf`` job runs as ``python examples/characterize_suite.py --fast``.
 """
 
 import importlib.util

@@ -199,6 +199,25 @@ def test_cli_help_imports_no_repro_module(command):
     assert {m for m in imported if m.split(".")[0] == "repro"} <= {"repro", "repro.__main__"}
 
 
+@pytest.mark.parametrize("module", ["repro.uarch.multicore", "repro.perf.sampling"])
+def test_deleted_study_module_is_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+@pytest.mark.parametrize(
+    "package, name",
+    [("repro.cluster", "ColocationReport"), ("repro.cluster", "characterize_colocation"),
+     ("repro.uarch", "MultiCoreSystem"), ("repro.uarch", "CoLocationResult")],
+)
+def test_deleted_study_name_is_not_exported(package, name):
+    module = importlib.import_module(package)
+    assert name not in module.__all__
+    assert name not in lazy_table(package)
+    with pytest.raises(AttributeError):
+        getattr(module, name)
+
+
 def test_multijobcluster_import_skips_chaos_workflow_and_uarch():
     code = (
         "import json, sys\n"

@@ -160,6 +160,17 @@ class TestCacheCounters:
         assert result.l2_mpki() > 1.0
         assert result.l3_hit_ratio_of_l2_misses() > 0.8
 
+    def test_l3_hit_ratio_falls_as_working_set_outgrows_l3(self):
+        def ratio(size_bytes):
+            spec = TraceSpec(
+                "ws", 60_000, kernel_fraction=0.0,
+                regions=(MemoryRegion("ws", size_bytes, pattern="random", burst=1),),
+            )
+            return run_spec(spec, warmup=30_000).l3_hit_ratio_of_l2_misses()
+
+        # 256 KB fits the scaled machine's 1.5 MB L3; 64 MB does not.
+        assert ratio(256 * 1024) > ratio(64 << 20) + 0.5
+
     def test_l2_misses_include_instruction_side(self):
         """The unified L2 serves code misses too (paper's L2 counters)."""
         spec = TraceSpec(

@@ -265,6 +265,42 @@ class TestGeneration:
         assert a_hits / total == pytest.approx(0.75, abs=0.05)
 
 
+
+def code_blocks(spec, block_bytes=256) -> dict[int, int]:
+    """Fetches per *block_bytes* code block: the flat profile ``perf
+    record`` would sample from this trace."""
+    blocks: dict[int, int] = {}
+    for u in SyntheticTrace(spec).materialize():
+        block = u.pc & ~(block_bytes - 1)
+        blocks[block] = blocks.get(block, 0) + 1
+    return blocks
+
+
+def top_share(blocks: dict[int, int], n: int = 10) -> float:
+    return sum(sorted(blocks.values(), reverse=True)[:n]) / sum(blocks.values())
+
+
+class TestCodeStream:
+    def test_hot_code_concentrates_fetches(self):
+        big = dict(instructions=30_000, code_footprint=512 * 1024, kernel_fraction=0.0)
+        concentrated = tiny_spec(hot_code_fraction=0.02, hot_code_weight=0.98, **big)
+        flat = tiny_spec(hot_code_fraction=0.9, hot_code_weight=0.5, **big)
+        assert top_share(code_blocks(concentrated)) > top_share(code_blocks(flat))
+
+    def test_small_code_footprint_touches_fewer_blocks(self):
+        small = tiny_spec(instructions=30_000, code_footprint=2048, kernel_fraction=0.0)
+        big = tiny_spec(instructions=30_000, code_footprint=1 << 20,
+                        hot_code_fraction=0.8, kernel_fraction=0.0)
+        assert len(code_blocks(small)) < len(code_blocks(big))
+
+    def test_kernel_pcs_within_kernel_footprint(self):
+        spec = tiny_spec(kernel_fraction=0.5, kernel_code_footprint=8 * 1024)
+        kernel = [u.pc for u in SyntheticTrace(spec).materialize() if u.kernel]
+        assert kernel
+        # as for user code: at most one basic block of sequential drift
+        assert all(KERNEL_CODE_BASE <= pc <= KERNEL_CODE_BASE + 8 * 1024 + 64 * 4
+                   for pc in kernel)
+
 class TestTraceProperties:
     @given(
         st.integers(min_value=100, max_value=3000),
