@@ -72,9 +72,9 @@ class QueryPlan:
 # canonicalization and fingerprints
 # ---------------------------------------------------------------------------
 #
-# The materialization cache (repro.hive.engine) and the workload-recipe
-# recorder (repro.recipes.instances) both need a *stable identity* for a
-# query.  Two granularities:
+# The materialization cache (repro.hive.engine) needs a *stable identity*
+# for a query: it keys entries on the query digest (through
+# plan_fingerprint) and tags each with its template.  Two granularities:
 #
 # * the **template digest** masks every literal — two statements that
 #   differ only in parameter values (and whitespace, alias spelling,

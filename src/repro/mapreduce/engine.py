@@ -21,7 +21,9 @@ from repro.cluster.cluster import HadoopCluster, JobTimeline, JobWork, MapWork, 
 from repro.cluster.faults import FaultyCluster
 from repro.mapreduce.counters import JobCounters
 from repro.mapreduce.io import (
+    _SIZERS,
     DistributedInput,
+    _chain_bytes,
     even_split_ranges,
     record_sizes,
     records_bytes,
@@ -216,6 +218,10 @@ class LocalEngine:
 
     def _run_map_split(self, job, records, counters: JobCounters):
         """Map (+ combine) one split: ``(records out, their sizes)``."""
+        if job.combiner is not None:
+            combined = self._combine_on_emit(job, records, counters)
+            if combined is not None:
+                return combined, record_sizes(combined)
         out: list[tuple[object, object]] = []
         mapper = job.mapper
         for key, value in records:
@@ -228,6 +234,69 @@ class LocalEngine:
             out = self._combine(job, out, counters)
             out_sizes = record_sizes(out)
         return out, out_sizes
+
+    @staticmethod
+    def _combine_on_emit(job, records, counters: JobCounters):
+        """Map and combine one split without materialising its records.
+
+        Each emitted value goes straight into its key's list, and the
+        record is sized as it is emitted (by its own key: ``1`` and
+        ``True`` share a group but not a size).  Only the distinct keys
+        are sorted.  The combiner then sees exactly the groups that
+        ``sorted`` + ``groupby`` over the whole split would give: the
+        first-emitted key object, its values in emission order.
+
+        Returns ``None``, having touched no counter, where that could
+        differ: a failure of any kind (an unhashable key, a value that
+        cannot be sized, the mapper's own error) and, for a sorted job,
+        keys with no strict order (NaN, unorderable or mutually
+        incomparable keys).  The caller then re-runs the split's map on
+        the record-list path, which raises or groups as it always has.
+        Map functions are re-runnable by contract, as Hadoop re-executes
+        map attempts.
+        """
+        mapper = job.mapper
+        sort_keys = job.conf.sort_keys
+        groups: dict[object, list] = {}
+        get = groups.get
+        sizer = _SIZERS.get
+        key_value_bytes = 0
+        try:
+            for key, value in records:
+                for out_key, out_value in mapper(key, value):
+                    values = get(out_key)
+                    if values is None:
+                        groups[out_key] = [out_value]
+                    else:
+                        values.append(out_value)
+                    key_value_bytes += (
+                        len(out_key) if (kind := type(out_key)) is str and out_key.isascii()
+                        else 8 if kind is int or kind is float
+                        else sizer(kind, _chain_bytes)(out_key)
+                    ) + (
+                        len(out_value) if (kind := type(out_value)) is str and out_value.isascii()
+                        else 8 if kind is int or kind is float
+                        else sizer(kind, _chain_bytes)(out_value)
+                    )
+            emitted = sum(map(len, groups.values()))
+            keys = sorted(groups) if sort_keys else groups
+            # A split of one distinct key still compares it with itself
+            # when it holds two records: ``None < None`` raises there.
+            if sort_keys and emitted > 1 and (
+                keys[0] < keys[0] or not all(map(operator.lt, keys, keys[1:]))
+            ):
+                return None
+        except Exception:
+            return None
+        combiner = job.combiner
+        combined: list[tuple[object, object]] = []
+        for key in keys:
+            combined.extend(combiner(key, groups[key]))
+        counters.map_output_records += emitted
+        counters.map_output_bytes += 4 * emitted + key_value_bytes
+        counters.combine_input_records += emitted
+        counters.combine_output_records += len(combined)
+        return combined
 
     def _combine(self, job, records, counters: JobCounters):
         counters.combine_input_records += len(records)

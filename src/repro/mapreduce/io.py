@@ -3,8 +3,9 @@
 The engine needs byte sizes for every record it moves (they drive the
 cluster timing model and the job counters).  :func:`record_bytes` gives a
 deterministic serialized-size estimate for the Python values workloads use
-as keys and values; :func:`record_sizes` is its bulk form, through which
-the engine sizes each record exactly once.  :class:`DistributedInput`
+as keys and values; :func:`record_sizes` is its bulk form.  The engine
+sizes each record exactly once: through :func:`record_sizes`, or inline
+through :data:`_SIZERS` as a combiner job's mapper emits it.  :class:`DistributedInput`
 pairs a record set with an HDFS file so map splits inherit block
 placement.
 """
